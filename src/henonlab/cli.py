@@ -59,7 +59,6 @@ def _tolerances(args) -> Tolerances:
 def _add_common(p) -> None:
     p.add_argument("--seed", type=int, default=DEFAULT_RNG_SEED)
     p.add_argument("--budget", type=int, default=None)
-    p.add_argument("--workers", type=int, default=1)
     p.add_argument("--tol-newton", type=float, default=Tolerances.newton)
     p.add_argument("--tol-dedup", type=float, default=Tolerances.dedup)
     p.add_argument("--eps-hyp", type=float, default=Tolerances.eps_hyp)
@@ -216,7 +215,7 @@ def cmd_scan(args) -> int:
             fh.write(hit)
         return 0
     fld = scan(family, args.n, budget_factor=args.budget_factor,
-               rng_seed=args.seed, workers=args.workers, tols=tols)
+               rng_seed=args.seed, tols=tols)
     _write_out(args.out, scan_to_csv(fld), cache_path)
     return 0
 
@@ -240,6 +239,7 @@ def build_parser() -> _Parser:
     pe = sub.add_parser("enumerate", help="enumerate and certify Fix_n")
     pe.add_argument("--map", required=True)
     pe.add_argument("--n", type=int, required=True)
+    pe.add_argument("--workers", type=int, default=1)
     _add_common(pe)
     pe.set_defaults(func=cmd_enumerate)
 

@@ -64,7 +64,7 @@ class HenonMap:
     # -- polynomial evaluation (scalar or ndarray) --------------------------
 
     def p(self, x):
-        """Evaluate p(x) by Horner's rule; works on scalars and arrays."""
+        """Evaluate p(x) by Horner's rule on scalars, arrays or mpmath numbers."""
         r = np.ones_like(x) if isinstance(x, np.ndarray) else 1.0 + 0j
         for c in reversed(self.coeffs):
             r = r * x + c

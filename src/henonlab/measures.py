@@ -8,8 +8,6 @@ moments; no independent limit-measure oracle is computed.
 
 from __future__ import annotations
 
-import io
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -94,10 +92,3 @@ def moments(m: EmpiricalMeasure, max_order: int) -> dict[tuple[int, int], comple
         out[(j, k)] = complex(np.sum(m.weights * x**j * y**k)) if x.size else 0.0 + 0j
     return out
 
-
-def measure_to_csv(m: EmpiricalMeasure) -> str:
-    buf = io.StringIO()
-    buf.write("re_x,im_x,re_y,im_y,weight\n")
-    for (x, y), w in zip(m.points, m.weights):
-        buf.write(f"{x.real!r},{x.imag!r},{y.real!r},{y.imag!r},{w!r}\n")
-    return buf.getvalue()

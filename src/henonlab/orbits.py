@@ -73,34 +73,30 @@ DEFAULT_TOLERANCES = Tolerances()
 # cyclic system
 # ---------------------------------------------------------------------------
 
+def _orbit_array(xs) -> np.ndarray:
+    xs = np.asarray(xs)
+    return xs if xs.dtype == object else xs.astype(complex, copy=False)
+
+
 def cyclic_residual(m: HenonMap, xs: np.ndarray) -> np.ndarray:
-    """Residual of the cyclic period system; zero iff a genuine orbit."""
-    xs = np.asarray(xs, dtype=complex)
-    return m.p(xs) - m.a * np.roll(xs, 1) - np.roll(xs, -1)
+    """Residual of the cyclic period system; zero iff a genuine orbit.
+
+    The system runs along the trailing axis, so ``xs`` may be one vector
+    (n,), a batch (B, n) or an object array of mpmath numbers.
+    """
+    xs = _orbit_array(xs)
+    return m.p(xs) - m.a * np.roll(xs, 1, axis=-1) - np.roll(xs, -1, axis=-1)
 
 
 def cyclic_jacobian(m: HenonMap, xs: np.ndarray) -> np.ndarray:
-    xs = np.asarray(xs, dtype=complex)
-    n = xs.shape[0]
-    J = np.zeros((n, n), dtype=complex)
+    """Jacobian of ``cyclic_residual``, shaped xs.shape + (n,), same dtype."""
+    xs = _orbit_array(xs)
+    n = xs.shape[-1]
+    J = np.zeros(xs.shape + (n,), dtype=xs.dtype)
     idx = np.arange(n)
-    np.add.at(J, (idx, idx), m.dp(xs))
-    np.add.at(J, (idx, (idx - 1) % n), -m.a)
-    np.add.at(J, (idx, (idx + 1) % n), -1.0)
-    return J
-
-
-def _residual_batch(m: HenonMap, X: np.ndarray) -> np.ndarray:
-    return m.p(X) - m.a * np.roll(X, 1, axis=1) - np.roll(X, -1, axis=1)
-
-
-def _jacobian_batch(m: HenonMap, X: np.ndarray) -> np.ndarray:
-    B, n = X.shape
-    J = np.zeros((B, n, n), dtype=complex)
-    idx = np.arange(n)
-    J[:, idx, idx] += m.dp(X)
-    J[:, idx, (idx - 1) % n] += -m.a
-    J[:, idx, (idx + 1) % n] += -1.0
+    J[..., idx, idx] += m.dp(xs)
+    J[..., idx, (idx - 1) % n] += -m.a
+    J[..., idx, (idx + 1) % n] += -1.0
     return J
 
 
@@ -145,7 +141,7 @@ def _newton_batch(
         safety = 2.0 * m.filtration_radius
     floor = _residual_floor(m)
 
-    rn = np.abs(_residual_batch(m, X)).max(axis=1)
+    rn = np.abs(cyclic_residual(m, X)).max(axis=1)
     done = np.zeros(B, dtype=bool)
     dead = np.zeros(B, dtype=bool)
     singular = np.zeros(B, dtype=bool)
@@ -155,8 +151,8 @@ def _newton_batch(
         if act.size == 0:
             break
         Xa = X[act]
-        Fa = _residual_batch(m, Xa)
-        Ja = _jacobian_batch(m, Xa)
+        Fa = cyclic_residual(m, Xa)
+        Ja = cyclic_jacobian(m, Xa)
         S, bad = _solve_batch(Ja, Fa)
         if bad.any():
             idx = act[bad]
@@ -168,7 +164,7 @@ def _newton_batch(
                 continue
         r0 = rn[act]
         cand = Xa - S
-        rc = np.abs(_residual_batch(m, cand)).max(axis=1)
+        rc = np.abs(cyclic_residual(m, cand)).max(axis=1)
         worse = rc >= r0
         t = 1.0
         for _ in range(3):
@@ -176,7 +172,7 @@ def _newton_batch(
                 break
             t *= 0.5
             cand[worse] = Xa[worse] - t * S[worse]
-            rc[worse] = np.abs(_residual_batch(m, cand[worse])).max(axis=1)
+            rc[worse] = np.abs(cyclic_residual(m, cand[worse])).max(axis=1)
             worse = worse & (rc >= r0)
         stuck = worse  # no damping factor improved: at the attainable floor
         done[act[stuck & (r0 <= max(tol, floor))]] = True
@@ -220,13 +216,28 @@ def newton_refine(
 # certification (a posteriori Newton-Kantorovich test)
 # ---------------------------------------------------------------------------
 
+def _residual_rounding(m: HenonMap, xs: np.ndarray) -> np.ndarray:
+    """Bound on the rounding error of each entry of ``cyclic_residual(m, xs)``.
+
+    An entry is Horner's rule over degree d followed by two subtractions;
+    4 (d + 2) eps times the sum of the moduli of its terms covers the
+    rounding of that chain in complex arithmetic.
+    """
+    ax = np.abs(xs)
+    d = m.degree
+    terms = (ax**d + sum(abs(c) * ax**i for i, c in enumerate(m.coeffs))
+             + abs(m.a) * np.roll(ax, 1) + np.roll(ax, -1))
+    return 4 * (d + 2) * np.finfo(float).eps * terms
+
+
 def certify(m: HenonMap, xs: np.ndarray, tols: Tolerances = DEFAULT_TOLERANCES) -> tuple[bool, float]:
     """Decide whether a unique true orbit lies near ``xs``.
 
-    With eta = |J^-1 F|_inf, beta = |J^-1|_inf and L the Lipschitz bound
-    for the Jacobian on the ball of radius ``tols.certify_ball`` (driven
-    by max |p''| there), h = beta L eta <= 1/2 guarantees a unique zero
-    within rho = (1 - sqrt(1 - 2h)) / (beta L).
+    With eta = max_k sum_j |J^-1_kj| (|F_j| + e_j), where e_j bounds the
+    rounding error of the computed residual F_j, beta = |J^-1|_inf and L
+    the Lipschitz bound for the Jacobian on the ball of radius
+    ``tols.certify_ball`` (driven by max |p''| there), h = beta L eta <= 1/2
+    guarantees a unique zero within rho = (1 - sqrt(1 - 2h)) / (beta L).
     """
     xs = np.atleast_1d(np.asarray(xs, dtype=complex))
     F = cyclic_residual(m, xs)
@@ -237,8 +248,9 @@ def certify(m: HenonMap, xs: np.ndarray, tols: Tolerances = DEFAULT_TOLERANCES) 
         Jinv = np.linalg.inv(J)
     except np.linalg.LinAlgError:
         return False, 0.0
-    eta = float(np.abs(Jinv @ F).max())
-    beta = float(np.abs(Jinv).sum(axis=1).max())
+    abs_inv = np.abs(Jinv)
+    eta = float((abs_inv @ (np.abs(F) + _residual_rounding(m, xs))).max())
+    beta = float(abs_inv.sum(axis=1).max())
     L = m.d2p_bound(float(np.abs(xs).max()) + tols.certify_ball)
     if L <= 0.0 or not math.isfinite(beta):
         return False, 0.0
@@ -411,13 +423,25 @@ def canonical_rotation(xs: np.ndarray) -> np.ndarray:
     return best
 
 
+def _period_and_gaps(xs: np.ndarray, tol: float) -> tuple[int, dict[int, float]]:
+    """Minimal period under ``tol`` and the shift gaps of every proper divisor p of n.
+
+    The gap of p is sup_k |x_{k+p} - x_k|.
+    """
+    n = xs.shape[0]
+    gaps = {p: float(np.abs(xs - np.roll(xs, -p)).max()) for p in _divisors(n)[:-1]}
+    return next((p for p, gap in gaps.items() if gap < tol), n), gaps
+
+
 def vector_period(xs: np.ndarray, tol: float) -> int:
     """Minimal p | n with sup_k |x_{k+p} - x_k| < tol."""
-    n = xs.shape[0]
-    for p in _divisors(n)[:-1]:
-        if float(np.abs(xs - np.roll(xs, -p)).max()) < tol:
-            return p
-    return n
+    return _period_and_gaps(xs, tol)[0]
+
+
+def _reduce_to_period(m: HenonMap, xs: np.ndarray, k: int, tols: Tolerances) -> np.ndarray:
+    """Average the n/k repeats of a k-periodic vector and re-polish the length-k result."""
+    w = xs.reshape(xs.shape[0] // k, k).mean(axis=0)
+    return newton_refine(m, w, tols.newton, 20)
 
 
 # ---------------------------------------------------------------------------
@@ -594,19 +618,13 @@ def _absorb_candidate(
 ) -> int:
     """Dedup/certify one converged vector; returns points added to Fix_n."""
     # exact-period reduction: genuine k-periodic vectors repeat to round-off
-    dists = {p: float(np.abs(vec - np.roll(vec, -p)).max()) for p in _divisors(n)[:-1]}
-    k = n
-    for p in sorted(dists):
-        if dists[p] < tols.dedup:
-            k = p
-            break
-    if k == n and any(tols.dedup <= dv < tols.separation for dv in dists.values()):
+    k, gaps = _period_and_gaps(vec, tols.dedup)
+    if k == n and any(tols.dedup <= gap < tols.separation for gap in gaps.values()):
         unresolved.append(np.array(vec))
         return 0
     if k < n:
-        w = vec.reshape(n // k, k).mean(axis=0)
         try:
-            w = newton_refine(m, w, tols.newton, 20)
+            w = _reduce_to_period(m, vec, k, tols)
         except NewtonFailure:
             return 0
     else:
@@ -720,8 +738,7 @@ def shadow_pseudo_orbit(
     xs = newton_refine(m, seed, tols.newton)
     k = vector_period(xs, tols.dedup)
     if k < n:
-        xs = xs.reshape(n // k, k).mean(axis=0)
-        xs = newton_refine(m, xs, tols.newton, 20)
+        xs = _reduce_to_period(m, xs, k, tols)
     ok, rho = certify(m, xs, tols)
     if not ok:
         raise NewtonSingular("refined orbit failed certification")

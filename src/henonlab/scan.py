@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import io
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -110,8 +109,7 @@ def _cell_job(family: FamilySpec, n: int, c: complex, budget_factor: int,
     spectra = {}
     for k in range(1, n + 1):
         spectra[k] = enumerate_fix(
-            m, k, budget=budget_factor * d**k,
-            rng_seed=cell_seed, workers=1, tols=tols,
+            m, k, budget=budget_factor * d**k, rng_seed=cell_seed, tols=tols,
         )
     complete = all(s.complete for s in spectra.values())
     est = lambda_estimate(spectra[n], "sper")
@@ -139,7 +137,6 @@ def scan(
     n: int,
     budget_factor: int = 400,
     rng_seed: int = DEFAULT_RNG_SEED,
-    workers: int = 1,
     tols: Tolerances = DEFAULT_TOLERANCES,
 ) -> ScanField:
     """Run the per-cell enumeration over the grid and fill the defect column.
@@ -147,41 +144,32 @@ def scan(
     Every grid cell of the bounding square is computed (output rows cover
     the full grid); the disk mask only restricts which cells enter the
     Laplacian statistics.  Cells are independent, each with an rng stream
-    derived from (rng_seed, cell index), so results are byte-identical
-    for any worker count.
+    derived from (rng_seed, cell index), so reruns are byte-identical.
     """
     if n < 1:
         raise ValueError("period n must be >= 1")
     cs = family.grid()
     g = family.grid_size
-    jobs = []
-    for i in range(g):
-        for j in range(g):
-            jobs.append((i, j, complex(cs[i, j])))
-
-    def run(job):
-        i, j, c = job
-        return _cell_job(family, n, c, budget_factor,
-                         (rng_seed, i, j), tols)
-
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(run, jobs))
-    else:
-        results = [run(job) for job in jobs]
-
     lam = np.full((g, g), np.nan)
     lam_prev = np.full((g, g), np.nan)
     complete = np.zeros((g, g), dtype=bool)
     sinks = np.zeros((g, g), dtype=int)
     elliptic = np.zeros((g, g), dtype=int)
-    for (i, j, _), (l, lp, comp, s, e) in zip(jobs, results):
-        lam[i, j], lam_prev[i, j], complete[i, j] = l, lp, comp
-        sinks[i, j], elliptic[i, j] = s, e
+    for i in range(g):
+        for j in range(g):
+            l, lp, comp, s, e = _cell_job(family, n, complex(cs[i, j]), budget_factor,
+                                          (rng_seed, i, j), tols)
+            lam[i, j], lam_prev[i, j], complete[i, j] = l, lp, comp
+            sinks[i, j], elliptic[i, j] = s, e
     fld = ScanField(family=family, n=n, c=cs, lambda_n=lam, lambda_prev=lam_prev,
                     complete=complete, n_sinks=sinks, n_elliptic=elliptic)
     laplacian_defect(fld)
     return fld
+
+
+def _cross(a: np.ndarray) -> tuple:
+    """Interior cells of ``a`` and their up, down, left and right neighbours."""
+    return a[1:-1, 1:-1], a[:-2, 1:-1], a[2:, 1:-1], a[1:-1, :-2], a[1:-1, 2:]
 
 
 def stencil_defect(values: np.ndarray, h: float, valid: np.ndarray | None = None) -> np.ndarray:
@@ -190,18 +178,13 @@ def stencil_defect(values: np.ndarray, h: float, valid: np.ndarray | None = None
     A cell gets a defect only if it and its four neighbors are valid.
     """
     values = np.asarray(values, dtype=float)
-    g = values.shape[0]
-    if valid is None:
-        valid = np.isfinite(values)
+    valid = np.isfinite(values) if valid is None else np.asarray(valid, dtype=bool)
+    ok = np.logical_and.reduce(_cross(valid))
+    centre, up, down, left, right = _cross(values)
+    with np.errstate(invalid="ignore"):
+        s = up + down + left + right - 4.0 * centre
     out = np.full_like(values, np.nan)
-    for i in range(1, g - 1):
-        for j in range(1, g - 1):
-            if not (valid[i, j] and valid[i - 1, j] and valid[i + 1, j]
-                    and valid[i, j - 1] and valid[i, j + 1]):
-                continue
-            s = (values[i - 1, j] + values[i + 1, j]
-                 + values[i, j - 1] + values[i, j + 1] - 4.0 * values[i, j])
-            out[i, j] = abs(s) / (h * h)
+    out[1:-1, 1:-1] = np.where(ok, np.abs(s) / (h * h), np.nan)
     return out
 
 
@@ -286,9 +269,9 @@ def scan_to_csv(fld: ScanField) -> str:
             c = fld.c[i, j]
             dval = fld.defect[i, j]
             buf.write(
-                f"{c.real!r},{c.imag!r},{int(fld.complete[i, j])},"
-                f"{fld.lambda_n[i, j]!r},{fld.lambda_prev[i, j]!r},"
+                f"{float(c.real)!r},{float(c.imag)!r},{int(fld.complete[i, j])},"
+                f"{float(fld.lambda_n[i, j])!r},{float(fld.lambda_prev[i, j])!r},"
                 f"{fld.n_sinks[i, j]},{fld.n_elliptic[i, j]},"
-                f"{'' if math.isnan(dval) else repr(dval)}\n"
+                f"{'' if math.isnan(dval) else repr(float(dval))}\n"
             )
     return buf.getvalue()

@@ -17,39 +17,17 @@ import mpmath as mp
 import numpy as np
 
 from .maps import ESCAPE_THRESHOLD, HenonMap
-
-
-def _p_mp(m: HenonMap, x):
-    r = mp.mpc(1)
-    for c in reversed(m.coeffs):
-        r = r * x + mp.mpc(c)
-    return r
-
-
-def _dp_mp(m: HenonMap, x):
-    d = m.degree
-    r = mp.mpc(d)
-    for j in range(d - 1, 0, -1):
-        r = r * x + j * mp.mpc(m.coeffs[j])
-    return r
+from .orbits import cyclic_jacobian, cyclic_residual
 
 
 def refine_orbit_hp(m: HenonMap, xs: np.ndarray, dps: int = 60, steps: int = 6) -> list:
     """Polish a certified cyclic orbit vector to ~dps digits (mpmath Newton)."""
     with mp.workdps(dps):
-        n = len(xs)
-        z = [mp.mpc(complex(v)) for v in xs]
+        z = np.array([mp.mpc(complex(v)) for v in xs], dtype=object)
         for _ in range(steps):
-            F = mp.matrix([_p_mp(m, z[k]) - mp.mpc(m.a) * z[k - 1] - z[(k + 1) % n]
-                           for k in range(n)])
-            J = mp.zeros(n, n)
-            for k in range(n):
-                J[k, k] += _dp_mp(m, z[k])
-                J[k, (k - 1) % n] += -mp.mpc(m.a)
-                J[k, (k + 1) % n] += -mp.mpc(1)
-            s = mp.lu_solve(J, F)
-            z = [z[k] - s[k] for k in range(n)]
-        return z
+            s = mp.lu_solve(mp.matrix(cyclic_jacobian(m, z)), mp.matrix(cyclic_residual(m, z)))
+            z = z - np.array(list(s), dtype=object)
+        return list(z)
 
 
 def _green_hp(m: HenonMap, x, y, forward: bool, max_iter: int) -> float:
@@ -61,25 +39,25 @@ def _green_hp(m: HenonMap, x, y, forward: bool, max_iter: int) -> float:
         if mag > ESCAPE_THRESHOLD:
             return float(mp.log(mag) / mp.mpf(d) ** n)
         if forward:
-            x, y = _p_mp(m, x) - a * y, x
+            x, y = m.p(x) - a * y, x
         else:
-            x, y = y, (_p_mp(m, y) - x) / a
+            x, y = y, (m.p(y) - x) / a
         n += 1
     return 0.0
 
 
+def _mp_point(pt) -> tuple:
+    return tuple(v if isinstance(v, mp.mpc) else mp.mpc(complex(v)) for v in pt[:2])
+
+
 def green_plus_hp(m: HenonMap, pt, max_iter: int = 100, dps: int = 60) -> float:
     with mp.workdps(dps):
-        return _green_hp(m, mp.mpc(complex(pt[0])) if not isinstance(pt[0], mp.mpc) else pt[0],
-                         mp.mpc(complex(pt[1])) if not isinstance(pt[1], mp.mpc) else pt[1],
-                         forward=True, max_iter=max_iter)
+        return _green_hp(m, *_mp_point(pt), forward=True, max_iter=max_iter)
 
 
 def green_minus_hp(m: HenonMap, pt, max_iter: int = 100, dps: int = 60) -> float:
     with mp.workdps(dps):
-        return _green_hp(m, mp.mpc(complex(pt[0])) if not isinstance(pt[0], mp.mpc) else pt[0],
-                         mp.mpc(complex(pt[1])) if not isinstance(pt[1], mp.mpc) else pt[1],
-                         forward=False, max_iter=max_iter)
+        return _green_hp(m, *_mp_point(pt), forward=False, max_iter=max_iter)
 
 
 def orbit_greens_hp(m: HenonMap, xs: np.ndarray, max_iter: int = 100, dps: int = 60) -> tuple[float, float]:

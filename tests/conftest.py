@@ -63,7 +63,7 @@ def sink_family():
 @pytest.fixture(scope="session")
 def horseshoe_scan(horseshoe_family):
     t0 = time.perf_counter()
-    fld = hl.scan(horseshoe_family, n=6, workers=WORKERS)
+    fld = hl.scan(horseshoe_family, n=6)
     TIMINGS["horseshoe_scan"] = time.perf_counter() - t0
     return fld
 
@@ -71,6 +71,6 @@ def horseshoe_scan(horseshoe_family):
 @pytest.fixture(scope="session")
 def sink_scan(sink_family):
     t0 = time.perf_counter()
-    fld = hl.scan(sink_family, n=6, workers=WORKERS)
+    fld = hl.scan(sink_family, n=6)
     TIMINGS["sink_scan"] = time.perf_counter() - t0
     return fld

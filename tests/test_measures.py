@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import henonlab as hl
-from henonlab.measures import measure_to_csv, moment_orders
+from henonlab.measures import moment_orders
 
 
 def _atom(x, y, w):
@@ -115,10 +115,3 @@ class TestMoments:
     def test_bad_order(self):
         with pytest.raises(ValueError):
             hl.moments(_atom(0, 0, 1), 0)
-
-
-def test_measure_csv_shape(mixed_spectra):
-    mu = hl.empirical_measure(mixed_spectra[2], "fix")
-    lines = measure_to_csv(mu).strip().split("\n")
-    assert lines[0] == "re_x,im_x,re_y,im_y,weight"
-    assert len(lines) == 1 + mu.points.shape[0]

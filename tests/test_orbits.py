@@ -4,6 +4,7 @@ enumeration, classification and the exact-period decomposition."""
 import json
 import math
 
+import mpmath as mp
 import numpy as np
 import pytest
 
@@ -84,6 +85,18 @@ class TestCertify:
                     continue
                 gap = hl.rotation_distance(o1.xs, o2.xs)
                 assert gap > o1.certificate_radius + o2.certificate_radius
+
+    def test_radius_covers_extended_precision_orbit(self, horseshoe_spectra, mixed_spectra):
+        # the radius must also absorb the rounding error of the double
+        # residual, or the true orbit can lie just outside it
+        for spectra in (horseshoe_spectra, mixed_spectra):
+            s = spectra[8]
+            for o in s.orbits:
+                assert o.certified
+                z = hl.refine_orbit_hp(s.map, o.xs)
+                with mp.workdps(60):
+                    dist = float(max(abs(zk - complex(xk)) for zk, xk in zip(z, o.xs)))
+                assert dist <= o.certificate_radius
 
 
 class TestClassify:

@@ -1,5 +1,8 @@
 """Property-based checks of the small algebraic invariants."""
 
+import cmath
+
+import mpmath as mp
 import numpy as np
 from hypothesis import given, settings, strategies as st
 
@@ -8,6 +11,12 @@ import henonlab as hl
 finite = st.floats(-5.0, 5.0, allow_nan=False)
 cvec = st.lists(st.tuples(finite, finite), min_size=1, max_size=6).map(
     lambda ps: np.array([complex(a, b) for a, b in ps])
+)
+coeff = st.tuples(finite, finite).map(lambda t: complex(*t))
+henon_maps = st.builds(
+    lambda cs, amod, aarg: hl.HenonMap(coeffs=tuple(cs), a=amod * cmath.exp(1j * aarg)),
+    st.integers(2, 4).flatmap(lambda d: st.lists(coeff, min_size=d, max_size=d)),
+    st.floats(0.05, 2.0), st.floats(-3.14, 3.14),
 )
 
 
@@ -52,3 +61,24 @@ def test_filtration_radius_bounds_periodic_points(cre, cim, amod, aarg):
     roots = np.roots([1.0, -(1.0 + m.a), m.coeffs[0]])
     for x in roots:
         assert abs(x) <= R + 1e-9
+
+
+@settings(max_examples=40, deadline=None)
+@given(henon_maps, cvec)
+def test_cyclic_kernels_agree_across_number_types(m, v):
+    # one kernel serves doubles, batches and mpmath object arrays
+    F, J = hl.cyclic_residual(m, v), hl.cyclic_jacobian(m, v)
+    with mp.workdps(40):
+        z = np.array([mp.mpc(x) for x in v], dtype=object)
+        F_mp = hl.cyclic_residual(m, z).astype(complex)
+        J_mp = hl.cyclic_jacobian(m, z).astype(complex)
+    # error scales: the moduli of the terms that enter each entry
+    ax, d = np.abs(v), m.degree
+    f_scale = (ax**d + sum(abs(c) * ax**i for i, c in enumerate(m.coeffs))
+               + abs(m.a) * np.roll(ax, 1) + np.roll(ax, -1))
+    j_scale = (d * ax ** (d - 1) + sum(i * abs(c) * ax ** (i - 1) for i, c in enumerate(m.coeffs) if i)
+               + abs(m.a) + 1.0)
+    assert np.all(np.abs(F - F_mp) <= 1e-12 * f_scale)
+    assert np.all(np.abs(J - J_mp) <= 1e-12 * j_scale[:, None])
+    assert np.array_equal(hl.cyclic_residual(m, v[None, :])[0], F)
+    assert np.array_equal(hl.cyclic_jacobian(m, v[None, :])[0], J)
