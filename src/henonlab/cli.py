@@ -58,12 +58,10 @@ def _tolerances(args) -> Tolerances:
 
 def _add_common(p) -> None:
     p.add_argument("--seed", type=int, default=DEFAULT_RNG_SEED)
-    p.add_argument("--budget", type=int, default=None)
     p.add_argument("--tol-newton", type=float, default=Tolerances.newton)
     p.add_argument("--tol-dedup", type=float, default=Tolerances.dedup)
     p.add_argument("--eps-hyp", type=float, default=Tolerances.eps_hyp)
     p.add_argument("--out", required=True)
-    p.add_argument("--cache-dir", default=None)
 
 
 def _cache_fetch(cache_dir, key_obj):
@@ -240,6 +238,8 @@ def build_parser() -> _Parser:
     pe.add_argument("--map", required=True)
     pe.add_argument("--n", type=int, required=True)
     pe.add_argument("--workers", type=int, default=1)
+    pe.add_argument("--budget", type=int, default=None)
+    pe.add_argument("--cache-dir", default=None)
     _add_common(pe)
     pe.set_defaults(func=cmd_enumerate)
 
@@ -253,13 +253,15 @@ def build_parser() -> _Parser:
     pm.add_argument("--which", default="fix", choices=["fix", "per", "sper"])
     pm.add_argument("--resolution", type=float, default=DEFAULT_RESOLUTION)
     pm.add_argument("--moment-order", type=int, default=0)
-    _add_common(pm)
+    pm.add_argument("--seed", type=int, default=DEFAULT_RNG_SEED)
+    pm.add_argument("--out", required=True)
     pm.set_defaults(func=cmd_measure)
 
     pl = sub.add_parser("lyapunov", help="finite-n Lyapunov estimates")
     pl.add_argument("--spectra", nargs="+", required=True)
     pl.add_argument("--which", default="fix,sper")
-    _add_common(pl)
+    pl.add_argument("--seed", type=int, default=DEFAULT_RNG_SEED)
+    pl.add_argument("--out", required=True)
     pl.set_defaults(func=cmd_lyapunov)
 
     ps = sub.add_parser("scan", help="parameter-disk Lyapunov/sink scan")
@@ -267,6 +269,7 @@ def build_parser() -> _Parser:
     ps.add_argument("--n", type=int, default=6)
     ps.add_argument("--budget-factor", type=int, default=400)
     ps.add_argument("--validate-stencil", action="store_true")
+    ps.add_argument("--cache-dir", default=None)
     _add_common(ps)
     ps.set_defaults(func=cmd_scan)
 

@@ -388,39 +388,27 @@ def _divisors(n: int) -> list[int]:
     return [k for k in range(1, n + 1) if n % k == 0]
 
 
-def rotation_distance(u: np.ndarray, v: np.ndarray, cutoff: float = 0.0) -> float:
-    """min over cyclic rotations r of sup_k |u_k - v_{k+r}|.
-
-    A positive ``cutoff`` allows an early exit as soon as some rotation
-    is already closer than it (enough for a match/no-match decision).
-    """
-    u = np.asarray(u)
-    v = np.asarray(v)
-    best = math.inf
-    for r in range(u.shape[0]):
-        d = float(np.abs(u - np.roll(v, r)).max())
-        if d < best:
-            best = d
-            if best < cutoff:
-                break
-    return best
+def _rotations(xs: np.ndarray) -> np.ndarray:
+    """The (n, n) table whose row r is ``np.roll(xs, -r)``."""
+    n = xs.shape[0]
+    return xs[(np.arange(n)[:, None] + np.arange(n)) % n]
 
 
-def _canonical_key(xs: np.ndarray) -> tuple:
-    return tuple((z.real, z.imag) for z in xs)
+def _lex_order(rows: np.ndarray) -> np.ndarray:
+    """Stable order of complex rows by their (re_0, im_0, re_1, ...) keys."""
+    keys = np.stack((rows.real, rows.imag), axis=-1).reshape(len(rows), 2 * rows.shape[1])
+    return np.lexsort(keys.T[::-1])
+
+
+def rotation_distance(u: np.ndarray, v: np.ndarray) -> float:
+    """min over cyclic rotations r of sup_k |u_k - v_{k+r}|."""
+    return float(np.abs(np.asarray(u) - _rotations(np.asarray(v))).max(axis=1).min())
 
 
 def canonical_rotation(xs: np.ndarray) -> np.ndarray:
-    """Rotation minimizing the (re, im) lexicographic key; fixes output order."""
-    xs = np.asarray(xs, dtype=complex)
-    best = xs
-    best_key = _canonical_key(xs)
-    for r in range(1, xs.shape[0]):
-        cand = np.roll(xs, -r)
-        key = _canonical_key(cand)
-        if key < best_key:
-            best, best_key = cand, key
-    return best
+    """Rotation minimizing the (re, im) lexicographic key, ties to the smallest shift."""
+    table = _rotations(np.asarray(xs, dtype=complex))
+    return table[_lex_order(table)[0]]
 
 
 def _period_and_gaps(xs: np.ndarray, tol: float) -> tuple[int, dict[int, float]]:
@@ -429,7 +417,8 @@ def _period_and_gaps(xs: np.ndarray, tol: float) -> tuple[int, dict[int, float]]
     The gap of p is sup_k |x_{k+p} - x_k|.
     """
     n = xs.shape[0]
-    gaps = {p: float(np.abs(xs - np.roll(xs, -p)).max()) for p in _divisors(n)[:-1]}
+    table = _rotations(xs)
+    gaps = {p: float(np.abs(xs - table[p]).max()) for p in _divisors(n)[:-1]}
     return next((p for p, gap in gaps.items() if gap < tol), n), gaps
 
 
@@ -530,11 +519,13 @@ def enumerate_fix(
     """Multistart enumeration of all fixed points of f^n.
 
     Seeds are uniform in the filtration polydisk; each is refined by
-    damped Newton on the cyclic system, reduced to its exact period,
-    deduplicated up to rotation and certified.  Stops early once the
-    point count reaches d^n.  Output is deterministic for a given
-    rng_seed regardless of the worker count: wave composition is fixed
-    and results are merged in batch order, then sorted lexicographically.
+    damped Newton on the cyclic system, averaged over its exact-period
+    repeats and looked up up to rotation; only a new orbit is re-polished
+    at its exact period and certified.  Stops early once the point count
+    reaches d^n; a count above d^n means a failed dedup and raises
+    AmbiguousOrbitError.  Output is deterministic for a given rng_seed
+    regardless of the worker count: wave composition is fixed and results
+    are merged in batch order, then sorted lexicographically.
     """
     if n < 1:
         raise ValueError("period n must be >= 1")
@@ -591,10 +582,14 @@ def enumerate_fix(
         if pool is not None:
             pool.shutdown(wait=False)
 
+    if total > target:
+        raise AmbiguousOrbitError(f"{total} certified points exceed d^n = {target}: "
+                                  "one orbit was kept twice")
     orbits: list[PeriodicOrbit] = []
     for k in sorted(buckets):
-        recs = sorted(buckets[k].orbits, key=lambda r: _canonical_key(r["xs"]))
-        for rec in recs:
+        recs = buckets[k].orbits
+        for i in _lex_order(np.array([r["xs"] for r in recs]).reshape(-1, k)):
+            rec = recs[i]
             orbits.append(
                 classify(m, rec["xs"], tols, certified=True, certificate_radius=rec["radius"])
             )
@@ -616,46 +611,43 @@ def _absorb_candidate(
     unresolved: list[np.ndarray],
     tols: Tolerances,
 ) -> int:
-    """Dedup/certify one converged vector; returns points added to Fix_n."""
+    """Look up one converged vector, polish and certify it if new; returns points added to Fix_n."""
     # exact-period reduction: genuine k-periodic vectors repeat to round-off
     k, gaps = _period_and_gaps(vec, tols.dedup)
     if k == n and any(tols.dedup <= gap < tols.separation for gap in gaps.values()):
         unresolved.append(np.array(vec))
         return 0
-    if k < n:
-        try:
-            w = _reduce_to_period(m, vec, k, tols)
-        except NewtonFailure:
-            return 0
-    else:
-        w = vec
-    if float(np.abs(cyclic_residual(m, w)).max()) > 1e-10:
-        return 0
-    w = canonical_rotation(w)
-    s1 = complex(w.sum())
+    w = vec.reshape(n // k, k).mean(axis=0)
     bucket = buckets.setdefault(k, _Bucket())
     window = k * tols.dedup + 1e-12
     dmin, nearest = math.inf, None
-    for rec in bucket.near(s1, window):
-        dv = rotation_distance(w, rec["xs"], cutoff=tols.dedup)
+    for rec in bucket.near(complex(w.sum()), window):
+        dv = rotation_distance(w, rec["xs"])
         if dv < dmin:
             dmin, nearest = dv, rec
     if dmin < tols.dedup:
         # duplicate; sanity-check the merge against the certificate scale
-        if nearest is not None and dmin > max(100.0 * nearest["radius"], 1e-10):
+        if dmin > max(100.0 * nearest["radius"], 1e-10):
             ok, rho = certify(m, w, tols)
             if ok and dmin > rho + nearest["radius"]:
                 raise AmbiguousOrbitError(
                     f"certified orbits separated by {dmin:.3e}, inside the dedup scale"
                 )
         return 0
+    if k < n:
+        try:
+            w = _reduce_to_period(m, vec, k, tols)
+        except NewtonFailure:
+            return 0
+    if float(np.abs(cyclic_residual(m, w)).max()) > 1e-10:
+        return 0
+    w = canonical_rotation(w)
     ok, rho = certify(m, w, tols)
     if not ok:
-        if all(rotation_distance(w, u, cutoff=tols.dedup) >= tols.dedup
-               for u in unresolved if u.shape[0] == k):
+        if all(rotation_distance(w, u) >= tols.dedup for u in unresolved if u.shape[0] == k):
             unresolved.append(np.array(w))
         return 0
-    bucket.add({"xs": w, "s1": s1, "radius": rho})
+    bucket.add({"xs": w, "s1": complex(w.sum()), "radius": rho})
     return k
 
 

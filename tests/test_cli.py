@@ -110,6 +110,27 @@ class TestLyapunov:
         assert all(float(r[6]) < 1e-6 for r in rows)
 
 
+class TestIgnoredOptions:
+    """Options a subcommand would ignore are usage errors; ``--seed`` stays everywhere."""
+
+    @pytest.fixture
+    def spectrum(self, mapfile, tmp_path):
+        return str(_enumerate(mapfile, tmp_path, "o.json", n=2)[1])
+
+    def test_lyapunov_rejects_budget(self, spectrum, tmp_path):
+        assert main(["lyapunov", "--spectra", spectrum, "--budget", "5",
+                     "--out", str(tmp_path / "l.csv")]) == 1
+
+    def test_measure_rejects_cache_dir(self, spectrum, tmp_path):
+        assert main(["measure", "--spectra", spectrum, "--cache-dir", str(tmp_path / "c"),
+                     "--out", str(tmp_path / "m.csv")]) == 1
+
+    @pytest.mark.parametrize("command", ["lyapunov", "measure"])
+    def test_seed_still_accepted(self, command, spectrum, tmp_path):
+        assert main([command, "--spectra", spectrum, "--seed", "1729",
+                     "--out", str(tmp_path / "x.csv")]) == 0
+
+
 class TestScan:
     def test_small_scan_rows(self, tmp_path):
         fam = tmp_path / "fam.json"

@@ -175,7 +175,7 @@ class TestEnumerate:
         s = horseshoe_spectra[3]
         for o in s.orbits:
             conj = np.conj(o.xs)
-            assert any(hl.rotation_distance(conj, q.xs, cutoff=1e-8) < 1e-8
+            assert any(hl.rotation_distance(conj, q.xs) < 1e-8
                        for q in s.orbits if q.n == o.n)
 
     def test_determinism_across_workers(self):
@@ -191,6 +191,27 @@ class TestEnumerate:
     def test_bad_period(self):
         with pytest.raises(ValueError):
             hl.enumerate_fix(MIXED, 0)
+
+    def test_over_count_raises(self, horseshoe_map, monkeypatch):
+        # with every candidate taken for a new orbit, Fix_4 is over-counted
+        monkeypatch.setattr(hl.orbits, "rotation_distance", lambda *args, **kw: math.inf)
+        with pytest.raises(hl.AmbiguousOrbitError):
+            hl.enumerate_fix(horseshoe_map, 4)
+
+    def test_only_new_orbits_are_repolished(self, mixed_map, monkeypatch):
+        calls = []
+        refine = hl.orbits.newton_refine
+
+        def counting_refine(*args, **kwargs):
+            calls.append(args[1].shape[0])
+            return refine(*args, **kwargs)
+
+        monkeypatch.setattr(hl.orbits, "newton_refine", counting_refine)
+        s = hl.enumerate_fix(mixed_map, 8)
+        assert s.complete
+        # one re-polish per lower-period orbit, at that orbit's length
+        assert sorted(calls) == sorted(o.n for o in s.orbits if o.n < 8)
+        assert len(calls) == 6
 
     def test_select_classes(self, mixed_spectra):
         s = mixed_spectra[2]

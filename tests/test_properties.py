@@ -20,6 +20,57 @@ henon_maps = st.builds(
 )
 
 
+# entries that tie: signed zeros, repeats, and conjugates of each other
+tie_part = st.sampled_from([0.0, -0.0, 1.0, -1.0, 2.5])
+tie_entry = st.one_of(
+    st.tuples(tie_part, tie_part).map(lambda t: complex(*t)),
+    st.tuples(finite, finite).map(lambda t: complex(*t)),
+)
+tie_vecs = st.one_of(
+    st.lists(tie_entry, min_size=1, max_size=12),
+    st.lists(tie_entry, min_size=1, max_size=6).flatmap(
+        lambda b: st.permutations(b + [z.conjugate() for z in b])),
+    st.tuples(tie_entry, st.integers(1, 12)).map(lambda t: [t[0]] * t[1]),
+    st.tuples(st.lists(tie_entry, min_size=1, max_size=4), st.integers(2, 3)).map(
+        lambda t: t[0] * t[1]),
+).map(lambda zs: np.array(zs, dtype=complex))
+
+
+def _key(xs):
+    return tuple((z.real, z.imag) for z in xs)
+
+
+def _loop_canonical_rotation(xs):
+    best = xs
+    for r in range(1, xs.shape[0]):
+        cand = np.roll(xs, -r)
+        if _key(cand) < _key(best):
+            best = cand
+    return best
+
+
+def _loop_rotation_distance(u, v):
+    return min(float(np.abs(u - np.roll(v, r)).max()) for r in range(u.shape[0]))
+
+
+def _loop_gaps(xs):
+    n = xs.shape[0]
+    return {p: float(np.abs(xs - np.roll(xs, -p)).max()) for p in range(1, n) if n % p == 0}
+
+
+@settings(max_examples=300, deadline=None)
+@given(tie_vecs, tie_vecs)
+def test_rotation_table_matches_roll_loops(v, w):
+    # tie-breaking decides the output bytes, so agreement must be bit for bit
+    u = np.resize(w, v.shape)
+    assert hl.canonical_rotation(v).tobytes() == _loop_canonical_rotation(v).tobytes()
+    assert hl.rotation_distance(u, v) == _loop_rotation_distance(u, v)
+    assert hl.orbits._period_and_gaps(v, 1e-8)[1] == _loop_gaps(v)
+    rows = hl.orbits._rotations(v)
+    stable = sorted(range(v.shape[0]), key=lambda r: _key(rows[r]))
+    assert hl.orbits._lex_order(rows).tolist() == stable
+
+
 @settings(max_examples=30, deadline=None)
 @given(cvec, st.integers(0, 5))
 def test_rotation_distance_vanishes_on_rotations(v, r):
