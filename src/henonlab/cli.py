@@ -13,9 +13,11 @@ import json
 import math
 import os
 import sys
+import tempfile
 
 import numpy as np
 
+from . import __version__
 from .maps import HenonMap
 from .measures import DEFAULT_RESOLUTION, discrepancy, empirical_measure, moment_orders, moments
 from .exponents import lambda_estimate
@@ -30,6 +32,7 @@ from .orbits import (
     PeriodSpectrum,
 )
 from .scan import (
+    SCAN_CSV_HEADER,
     FamilySpec,
     harmonic_validation_field,
     scan,
@@ -64,25 +67,45 @@ def _add_common(p) -> None:
     p.add_argument("--out", required=True)
 
 
-def _cache_fetch(cache_dir, key_obj):
+def _cache_fetch(cache_dir, key_obj, valid):
+    """Cache path of ``key_obj`` and the bytes stored there.
+
+    The key carries the package version, so a new release never serves
+    an older one's results.  Bytes that ``valid`` rejects (a file cut
+    short, say) count as a miss and are recomputed.
+    """
     if cache_dir is None:
         return None, None
     os.makedirs(cache_dir, exist_ok=True)
     digest = hashlib.sha256(
-        json.dumps(key_obj, sort_keys=True, separators=(",", ":")).encode()
+        json.dumps(dict(key_obj, version=__version__), sort_keys=True,
+                   separators=(",", ":")).encode()
     ).hexdigest()
     path = os.path.join(cache_dir, digest)
-    if os.path.exists(path):
+    try:
         with open(path, "rb") as fh:
-            return path, fh.read()
-    return path, None
+            data = fh.read()
+    except FileNotFoundError:
+        return path, None
+    return path, (data if valid(data) else None)
+
+
+def _parses_as_json(data: bytes) -> bool:
+    try:
+        json.loads(data)
+    except ValueError:
+        return False
+    return True
 
 
 def _write_out(out_path: str, payload: str, cache_path: str | None) -> None:
     data = payload.encode()
-    if cache_path is not None and not os.path.exists(cache_path):
-        with open(cache_path, "wb") as fh:
+    if cache_path is not None:
+        # write beside the entry and rename, so a killed run leaves no partial entry
+        with tempfile.NamedTemporaryFile(dir=os.path.dirname(cache_path), prefix=".",
+                                         delete=False) as fh:
             fh.write(data)
+        os.replace(fh.name, cache_path)
     with open(out_path, "wb") as fh:
         fh.write(data)
 
@@ -104,7 +127,7 @@ def cmd_enumerate(args) -> int:
         "seed": args.seed,
         "tols": tols.key(),
     }
-    cache_path, hit = _cache_fetch(args.cache_dir, key)
+    cache_path, hit = _cache_fetch(args.cache_dir, key, _parses_as_json)
     if hit is not None:
         with open(args.out, "wb") as fh:
             fh.write(hit)
@@ -207,7 +230,13 @@ def cmd_scan(args) -> int:
         "seed": args.seed,
         "tols": tols.key(),
     }
-    cache_path, hit = _cache_fetch(args.cache_dir, key)
+
+    def whole_csv(data: bytes) -> bool:
+        lines = data.decode(errors="replace").split("\n")  # ends with "" after the last row
+        return lines[0] == SCAN_CSV_HEADER and len(lines) == family.grid_size**2 + 2 \
+            and lines[-1] == ""
+
+    cache_path, hit = _cache_fetch(args.cache_dir, key, whole_csv)
     if hit is not None:
         with open(args.out, "wb") as fh:
             fh.write(hit)
@@ -222,6 +251,8 @@ def cmd_report(args) -> int:
     lines = ["file,bytes"]
     if args.cache_dir and os.path.isdir(args.cache_dir):
         for name in sorted(os.listdir(args.cache_dir)):
+            if name.startswith("."):  # a write in progress
+                continue
             path = os.path.join(args.cache_dir, name)
             lines.append(f"{name},{os.path.getsize(path)}")
     _write_out(args.out, "\n".join(lines) + "\n", None)

@@ -6,8 +6,12 @@ The defining system is
 
     F_k(x) = p(x_k) - a x_{k-1} - x_{k+1} = 0   (indices mod n)
 
-whose Jacobian is cyclic banded: diagonal p'(x_k), subdiagonal -a,
-superdiagonal -1 (with wrap-around corners).
+whose Jacobian is cyclic tridiagonal: diagonal p'(x_k), subdiagonal -a,
+superdiagonal -1, plus the wrap-around corners J[0, n-1] = -a and
+J[n-1, 0] = -1.  Batched Newton solves each step in O(n) per row without
+forming J: Thomas elimination on the tridiagonal part and a
+Sherman-Morrison correction for the corners.  Rows where that elimination
+is unreliable, and every row when n < 3, use the dense LAPACK solve.
 """
 
 from __future__ import annotations
@@ -78,6 +82,16 @@ def _orbit_array(xs) -> np.ndarray:
     return xs if xs.dtype == object else xs.astype(complex, copy=False)
 
 
+def _prev(xs: np.ndarray) -> np.ndarray:
+    """x_{k-1} along the trailing axis (``np.roll(xs, 1, axis=-1)`` without its overhead)."""
+    return np.concatenate((xs[..., -1:], xs[..., :-1]), axis=-1)
+
+
+def _next(xs: np.ndarray) -> np.ndarray:
+    """x_{k+1} along the trailing axis."""
+    return np.concatenate((xs[..., 1:], xs[..., :1]), axis=-1)
+
+
 def cyclic_residual(m: HenonMap, xs: np.ndarray) -> np.ndarray:
     """Residual of the cyclic period system; zero iff a genuine orbit.
 
@@ -85,7 +99,7 @@ def cyclic_residual(m: HenonMap, xs: np.ndarray) -> np.ndarray:
     (n,), a batch (B, n) or an object array of mpmath numbers.
     """
     xs = _orbit_array(xs)
-    return m.p(xs) - m.a * np.roll(xs, 1, axis=-1) - np.roll(xs, -1, axis=-1)
+    return m.p(xs) - m.a * _prev(xs) - _next(xs)
 
 
 def cyclic_jacobian(m: HenonMap, xs: np.ndarray) -> np.ndarray:
@@ -106,8 +120,9 @@ def _residual_floor(m: HenonMap) -> float:
     return 1e-15 * (1.0 + scale)
 
 
-def _solve_batch(J: np.ndarray, F: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Batched linear solve; rows with singular Jacobians are flagged."""
+def _dense_solve(m: HenonMap, X: np.ndarray, F: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """LAPACK solve on the dense Jacobians; rows with singular Jacobians are flagged."""
+    J = cyclic_jacobian(m, X)
     bad = np.zeros(J.shape[0], dtype=bool)
     try:
         return np.linalg.solve(J, F[..., None])[..., 0], bad
@@ -119,6 +134,60 @@ def _solve_batch(J: np.ndarray, F: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
             except np.linalg.LinAlgError:
                 bad[i] = True
         return S, bad
+
+
+#: a Thomas pivot or Sherman-Morrison denominator this small, relative to
+#: its scale, sends the row to the dense solve
+_FALLBACK_RTOL = 1e-6
+
+
+def _solve_batch(m: HenonMap, X: np.ndarray, F: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Newton steps S with J(X) S = F row by row; rows with singular J are flagged.
+
+    J = A + u v^T, where A is J without its corners and with the first and
+    last diagonal entries changed by gamma = -p'(x_0) (1 where that is 0)
+    and J[n-1, 0] J[0, n-1] / gamma, u = (gamma, 0, ..., 0, J[n-1, 0]) and
+    v = (1, 0, ..., 0, J[0, n-1] / gamma).  Thomas elimination solves
+    A y = F and A z = u together, and S = y - z (v.y) / (1 + v.z)
+    (Numerical Recipes, section 2.7).  Rows with a tiny pivot or
+    denominator or a non-finite step are solved densely instead.
+    """
+    B, n = X.shape
+    if n < 3:  # the corners fall on the off-diagonals
+        return _dense_solve(m, X, F)
+    sub = -m.a  # the superdiagonal is -1 and is written out below
+    diag = m.dp(X)
+    gamma = -diag[:, 0]
+    gamma[gamma == 0] = 1.0
+    rhs = np.zeros((n, 2, B), dtype=complex)
+    rhs[:, 0] = F.T
+    rhs[0, 1] = gamma
+    rhs[-1, 1] = -1.0
+    piv = diag.T.copy()
+    piv[0] -= gamma
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        v_last = sub / gamma
+        piv[-1] += v_last
+        for i in range(1, n):
+            f = sub / piv[i - 1]
+            piv[i] += f
+            rhs[i] -= f * rhs[i - 1]
+        rhs[-1] /= piv[-1]
+        for i in range(n - 2, -1, -1):
+            rhs[i] += rhs[i + 1]
+            rhs[i] /= piv[i]
+        (y0, z0), (y1, z1) = rhs[0], rhs[-1]
+        vz = z0 + v_last * z1
+        den = 1.0 + vz
+        S = (rhs[:, 0] - rhs[:, 1] * ((y0 + v_last * y1) / den)).T
+        scale = np.abs(diag).max(axis=1) + abs(sub) + 1.0
+        dense = ((np.abs(piv).min(axis=0) < _FALLBACK_RTOL * scale)
+                 | (np.abs(den) < _FALLBACK_RTOL * (1.0 + np.abs(vz)))
+                 | ~np.isfinite(S).all(axis=1))
+    bad = np.zeros(B, dtype=bool)
+    if dense.any():
+        S[dense], bad[dense] = _dense_solve(m, X[dense], F[dense])
+    return S, bad
 
 
 def _newton_batch(
@@ -133,7 +202,9 @@ def _newton_batch(
     Returns (X, converged, singular, residual_norms).  Rows converge when
     the residual sup-norm drops below ``tol`` and further steps stop
     improving (iteration continues to the round-off floor so certified
-    orbits carry residuals near machine precision).
+    orbits carry residuals near machine precision).  Each step is solved
+    in O(n) per row by ``_solve_batch``; a row is singular when its dense
+    fallback solve finds the Jacobian exactly singular.
     """
     X = np.array(X, dtype=complex)
     B, n = X.shape
@@ -152,8 +223,7 @@ def _newton_batch(
             break
         Xa = X[act]
         Fa = cyclic_residual(m, Xa)
-        Ja = cyclic_jacobian(m, Xa)
-        S, bad = _solve_batch(Ja, Fa)
+        S, bad = _solve_batch(m, Xa, Fa)
         if bad.any():
             idx = act[bad]
             dead[idx] = True
@@ -226,7 +296,7 @@ def _residual_rounding(m: HenonMap, xs: np.ndarray) -> np.ndarray:
     ax = np.abs(xs)
     d = m.degree
     terms = (ax**d + sum(abs(c) * ax**i for i, c in enumerate(m.coeffs))
-             + abs(m.a) * np.roll(ax, 1) + np.roll(ax, -1))
+             + abs(m.a) * _prev(ax) + _next(ax))
     return 4 * (d + 2) * np.finfo(float).eps * terms
 
 

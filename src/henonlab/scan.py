@@ -260,9 +260,12 @@ def max_interior_defect(fld: ScanField) -> float:
     return float(finite.max())
 
 
+SCAN_CSV_HEADER = "re_c,im_c,complete,lambda_n,lambda_prev_n,n_sinks,n_elliptic,laplacian_defect"
+
+
 def scan_to_csv(fld: ScanField) -> str:
     buf = io.StringIO()
-    buf.write("re_c,im_c,complete,lambda_n,lambda_prev_n,n_sinks,n_elliptic,laplacian_defect\n")
+    buf.write(SCAN_CSV_HEADER + "\n")
     g = fld.family.grid_size
     for i in range(g):
         for j in range(g):

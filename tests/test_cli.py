@@ -5,6 +5,7 @@ import json
 import pytest
 
 import henonlab as hl
+from henonlab import cli
 from henonlab.cli import main
 
 MIXED_SPEC = {"a": [0.5, 0.0], "p": [[0.0, 0.0], [0.0, 0.0]]}
@@ -58,6 +59,47 @@ class TestEnumerate:
         rc, out3 = _enumerate(mapfile, tmp_path, "c3.json", n=3,
                               extra=["--cache-dir", cache, "--eps-hyp", "1e-7"])
         assert rc == 0
+
+
+class TestCache:
+    def test_truncated_entry_is_recomputed(self, mapfile, tmp_path):
+        cache = tmp_path / "cache"
+        _, fresh = _enumerate(mapfile, tmp_path, "fresh.json", n=3)
+        _enumerate(mapfile, tmp_path, "first.json", n=3, extra=["--cache-dir", str(cache)])
+        (entry,) = cache.iterdir()
+        entry.write_bytes(entry.read_bytes()[:100])  # a run killed mid-write
+        rc, out = _enumerate(mapfile, tmp_path, "again.json", n=3,
+                             extra=["--cache-dir", str(cache)])
+        assert rc == 0
+        assert out.read_bytes() == fresh.read_bytes() == entry.read_bytes()
+
+    def test_scan_entry_missing_a_row_is_recomputed(self, tmp_path):
+        fam = tmp_path / "fam.json"
+        fam.write_text(json.dumps(FAMILY_SPEC))
+        cache = tmp_path / "cache"
+        args = ["scan", "--family", str(fam), "--n", "2", "--budget-factor", "300"]
+        assert main([*args, "--out", str(tmp_path / "fresh.csv")]) == 0
+        assert main([*args, "--cache-dir", str(cache), "--out", str(tmp_path / "first.csv")]) == 0
+        (entry,) = cache.iterdir()
+        data = entry.read_bytes()
+        entry.write_bytes(data[:data.rindex(b"\n", 0, -1) + 1])  # whole rows, one short
+        assert main([*args, "--cache-dir", str(cache), "--out", str(tmp_path / "again.csv")]) == 0
+        fresh = (tmp_path / "fresh.csv").read_bytes()
+        assert (tmp_path / "again.csv").read_bytes() == fresh == entry.read_bytes()
+
+    def test_other_version_misses(self, mapfile, tmp_path, monkeypatch):
+        cache = tmp_path / "cache"
+        _enumerate(mapfile, tmp_path, "old.json", n=2, extra=["--cache-dir", str(cache)])
+        calls = []
+        enumerate_fix = cli.enumerate_fix
+        monkeypatch.setattr(cli, "enumerate_fix",
+                            lambda *args, **kw: calls.append(1) or enumerate_fix(*args, **kw))
+        _enumerate(mapfile, tmp_path, "same.json", n=2, extra=["--cache-dir", str(cache)])
+        assert calls == []
+        monkeypatch.setattr(cli, "__version__", "0.0.0")
+        rc, _ = _enumerate(mapfile, tmp_path, "new.json", n=2, extra=["--cache-dir", str(cache)])
+        assert rc == 0 and calls == [1]
+        assert len(list(cache.iterdir())) == 2
 
 
 class TestClassify:
@@ -169,6 +211,7 @@ class TestReport:
     def test_lists_cache_entries(self, mapfile, tmp_path):
         cache = str(tmp_path / "cache")
         _enumerate(mapfile, tmp_path, "r.json", n=2, extra=["--cache-dir", cache])
+        (tmp_path / "cache" / ".tmp-write").write_text("{")  # a write cut short
         out = tmp_path / "report.csv"
         assert main(["report", "--cache-dir", cache, "--out", str(out)]) == 0
         lines = out.read_text().strip().split("\n")

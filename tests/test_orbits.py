@@ -67,6 +67,35 @@ class TestNewtonRefine:
         with pytest.raises(ValueError):
             hl.newton_refine(MIXED, np.array([1.4 + 0j]), tol=0.0)
 
+    @pytest.mark.parametrize("n", [1, 2, 4, 6])
+    def test_double_fixed_point_is_singular(self, n):
+        # x* = 0.75 is a double root of p(x) = (1 + a) x for p = x^2 + 0.5625,
+        # a = 0.5, so p'(x*) = 1 + a and the cyclic Jacobian at the constant
+        # vector is singular for every n.  (At n = 3 LAPACK's last pivot
+        # rounds to a nonzero value and the root is returned as converged.)
+        m = hl.quadratic_map(0.5625, 0.5)
+        with pytest.raises(hl.NewtonSingular):
+            hl.newton_refine(m, np.full(n, 0.75 + 0j))
+
+    def test_zero_thomas_pivot_takes_dense_solve(self, monkeypatch):
+        # at the fixed point 0 of p = x^2 the diagonal vanishes and, at even n,
+        # the last Thomas pivot is -a + a = 0 although J is regular
+        rows = []
+        dense = hl.orbits._dense_solve
+
+        def recording_dense(m, X, F):
+            rows.append(X.copy())
+            return dense(m, X, F)
+
+        monkeypatch.setattr(hl.orbits, "_dense_solve", recording_dense)
+        X = np.zeros((2, 4), dtype=complex)
+        X[1] = [0.1, 0.2j, -0.3, 0.4]
+        F = np.ones((2, 4), dtype=complex)
+        S, bad = hl.orbits._solve_batch(MIXED, X, F)
+        assert len(rows) == 1 and np.array_equal(rows[0], X[:1])
+        assert not bad.any()
+        assert np.abs(S - np.linalg.solve(hl.cyclic_jacobian(MIXED, X), F[..., None])[..., 0]).max() < 1e-14
+
 
 class TestCertify:
     def test_exact_fixed_point_certified(self):
@@ -221,6 +250,40 @@ class TestEnumerate:
         assert kinds == {"saddle"}
         with pytest.raises(ValueError):
             s.select("nope")
+
+
+def dense_solve_batch(m, X, F):
+    """The dense LAPACK Newton step that the cyclic-tridiagonal solve replaced."""
+    J = hl.cyclic_jacobian(m, X)
+    bad = np.zeros(len(X), dtype=bool)
+    try:
+        return np.linalg.solve(J, F[..., None])[..., 0], bad
+    except np.linalg.LinAlgError:
+        S = np.zeros_like(F)
+        for i in range(len(X)):
+            try:
+                S[i] = np.linalg.solve(J[i], F[i])
+            except np.linalg.LinAlgError:
+                bad[i] = True
+        return S, bad
+
+
+class TestSolveParity:
+    @pytest.mark.parametrize("m, n", [
+        (hl.quadratic_map(-6.0, 0.3), 8),
+        (MIXED, 8),
+        (hl.HenonMap(coeffs=(0.3 + 0.2j, -1.5, 0.1j), a=0.4 - 0.3j), 4),
+    ], ids=["horseshoe", "mixed", "cubic"])
+    def test_enumeration_matches_dense_solve(self, m, n, monkeypatch):
+        fast = hl.enumerate_fix(m, n)
+        monkeypatch.setattr(hl.orbits, "_solve_batch", dense_solve_batch)
+        ref = hl.enumerate_fix(m, n)
+        assert fast.complete and ref.complete
+        assert (fast.budget_used, fast.counts) == (ref.budget_used, ref.counts)
+        # the same orbits up to rotation; conjugate pairs may swap places
+        for a, b in ((fast, ref), (ref, fast)):
+            for o in a.orbits:
+                assert min(hl.rotation_distance(o.xs, q.xs) for q in b.orbits if q.n == o.n) < 1e-12
 
 
 class TestDecomposition:

@@ -133,3 +133,41 @@ def test_cyclic_kernels_agree_across_number_types(m, v):
     assert np.all(np.abs(J - J_mp) <= 1e-12 * j_scale[:, None])
     assert np.array_equal(hl.cyclic_residual(m, v[None, :])[0], F)
     assert np.array_equal(hl.cyclic_jacobian(m, v[None, :])[0], J)
+
+
+def _dense_steps(m, X, F):
+    """Row-by-row LAPACK steps and the rows whose Jacobian it finds singular."""
+    J = hl.cyclic_jacobian(m, X)
+    S, bad = np.zeros_like(F), np.zeros(len(X), dtype=bool)
+    for i in range(len(X)):
+        try:
+            S[i] = np.linalg.solve(J[i], F[i])
+        except np.linalg.LinAlgError:
+            bad[i] = True
+    return S, bad
+
+
+@settings(max_examples=60, deadline=None)
+@given(henon_maps, st.integers(1, 16), st.integers(1, 64), st.floats(0.1, 3.0),
+       st.integers(0, 2**32 - 1))
+def test_cyclic_tridiagonal_solve_matches_dense(m, n, B, radius, seed):
+    rng = np.random.default_rng(seed)
+    X = radius * (rng.normal(size=(B, n)) + 1j * rng.normal(size=(B, n)))
+    # the same map without its linear term has p'(0) = 0 exactly
+    m0 = hl.HenonMap(coeffs=(m.coeffs[0], 0.0, *m.coeffs[2:]), a=m.a)
+    X0 = X.copy()
+    X0[:, 0] = 0.0                # p'(x_0) = 0: the corner shift gamma falls back to 1
+    if n % 2 == 0:
+        # p' = 0 on every entry: the last Thomas pivot is -a + a = 0 although
+        # J, circulant with eigenvalues -a w^-1 - w over the n-th roots w, is
+        # regular unless |a| = 1, so the row must take the dense path
+        X0[-1] = 0.0
+    for mm, XX in ((m, X), (m0, X0)):
+        F = hl.cyclic_residual(mm, XX)
+        S, bad = hl.orbits._solve_batch(mm, XX, F)
+        S_ref, bad_ref = _dense_steps(mm, XX, F)
+        assert np.array_equal(bad, bad_ref)
+        ok = ~bad_ref
+        Jinv = np.linalg.inv(hl.cyclic_jacobian(mm, XX[ok]))
+        scale = np.abs(Jinv).sum(axis=2).max(axis=1) * np.abs(F[ok]).max(axis=1)
+        assert np.all(np.abs(S[ok] - S_ref[ok]).max(axis=1) <= 1e-10 * scale)
