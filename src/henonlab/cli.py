@@ -132,8 +132,7 @@ def cmd_enumerate(args) -> int:
         with open(args.out, "wb") as fh:
             fh.write(hit)
         return 0
-    spec = enumerate_fix(m, args.n, budget=args.budget, rng_seed=args.seed,
-                         workers=args.workers, tols=tols)
+    spec = enumerate_fix(m, args.n, budget=args.budget, rng_seed=args.seed, tols=tols)
     _write_out(args.out, spectrum_to_json(spec) + "\n", cache_path)
     return 0
 
@@ -226,7 +225,6 @@ def cmd_scan(args) -> int:
         "cmd": "scan",
         "family": family.to_spec(),
         "n": args.n,
-        "budget_factor": args.budget_factor,
         "seed": args.seed,
         "tols": tols.key(),
     }
@@ -241,8 +239,7 @@ def cmd_scan(args) -> int:
         with open(args.out, "wb") as fh:
             fh.write(hit)
         return 0
-    fld = scan(family, args.n, budget_factor=args.budget_factor,
-               rng_seed=args.seed, tols=tols)
+    fld = scan(family, args.n, rng_seed=args.seed, tols=tols)
     _write_out(args.out, scan_to_csv(fld), cache_path)
     return 0
 
@@ -268,7 +265,6 @@ def build_parser() -> _Parser:
     pe = sub.add_parser("enumerate", help="enumerate and certify Fix_n")
     pe.add_argument("--map", required=True)
     pe.add_argument("--n", type=int, required=True)
-    pe.add_argument("--workers", type=int, default=1)
     pe.add_argument("--budget", type=int, default=None)
     pe.add_argument("--cache-dir", default=None)
     _add_common(pe)
@@ -298,7 +294,6 @@ def build_parser() -> _Parser:
     ps = sub.add_parser("scan", help="parameter-disk Lyapunov/sink scan")
     ps.add_argument("--family", required=True)
     ps.add_argument("--n", type=int, default=6)
-    ps.add_argument("--budget-factor", type=int, default=400)
     ps.add_argument("--validate-stencil", action="store_true")
     ps.add_argument("--cache-dir", default=None)
     _add_common(ps)

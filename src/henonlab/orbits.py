@@ -8,10 +8,18 @@ The defining system is
 
 whose Jacobian is cyclic tridiagonal: diagonal p'(x_k), subdiagonal -a,
 superdiagonal -1, plus the wrap-around corners J[0, n-1] = -a and
-J[n-1, 0] = -1.  Batched Newton solves each step in O(n) per row without
+J[n-1, 0] = -1.  Every linear solve on such a band is O(n) per row without
 forming J: Thomas elimination on the tridiagonal part and a
 Sherman-Morrison correction for the corners.  Rows where that elimination
 is unreliable, and every row when n < 3, use the dense LAPACK solve.
+
+The orbits come from a total-degree homotopy.  The system has Bezout
+number d^n, exactly the number of fixed points of f^n counted with
+multiplicity, and the start system x_k^d = 1 shares its cyclic symmetry,
+so one path per primitive necklace (Lyndon word of length k over the d-th
+roots of unity) reaches one orbit of exact period k.  Paths are tracked in
+batches whose rows may belong to different maps, so a parameter scan
+tracks every grid cell at once.
 """
 
 from __future__ import annotations
@@ -19,8 +27,6 @@ from __future__ import annotations
 import cmath
 import json
 import math
-from bisect import bisect_left, bisect_right, insort
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -92,6 +98,42 @@ def _next(xs: np.ndarray) -> np.ndarray:
     return np.concatenate((xs[..., 1:], xs[..., :1]), axis=-1)
 
 
+@dataclass(frozen=True)
+class _MapRows:
+    """The maps of a batch, one per row.
+
+    ``coeffs[j]``, ``a`` and ``filtration_radius`` are (B, 1) columns, and
+    ``p``/``dp`` are HenonMap's own Horner loops, which broadcast them over
+    the rows; so one batch can hold the cells of a whole parameter scan.
+    """
+
+    coeffs: tuple
+    a: np.ndarray
+    filtration_radius: np.ndarray
+
+    degree = HenonMap.degree
+    p = HenonMap.p
+    dp = HenonMap.dp
+
+    @classmethod
+    def stack(cls, maps: list[HenonMap], owner: np.ndarray) -> "_MapRows":
+        """Row i holds ``maps[owner[i]]``; all maps have one degree."""
+        def column(values, dtype=complex):
+            return np.array(values, dtype=dtype)[owner, None]
+
+        return cls(tuple(column([m.coeffs[j] for m in maps]) for j in range(maps[0].degree)),
+                   column([m.a for m in maps]),
+                   column([m.filtration_radius for m in maps], float))
+
+    def take(self, idx) -> "_MapRows":
+        return _MapRows(tuple(c[idx] for c in self.coeffs), self.a[idx],
+                        self.filtration_radius[idx])
+
+
+def _as_rows(m, B: int) -> _MapRows:
+    return m if isinstance(m, _MapRows) else _MapRows.stack([m], np.zeros(B, dtype=int))
+
+
 def cyclic_residual(m: HenonMap, xs: np.ndarray) -> np.ndarray:
     """Residual of the cyclic period system; zero iff a genuine orbit.
 
@@ -102,38 +144,62 @@ def cyclic_residual(m: HenonMap, xs: np.ndarray) -> np.ndarray:
     return m.p(xs) - m.a * _prev(xs) - _next(xs)
 
 
-def cyclic_jacobian(m: HenonMap, xs: np.ndarray) -> np.ndarray:
-    """Jacobian of ``cyclic_residual``, shaped xs.shape + (n,), same dtype."""
-    xs = _orbit_array(xs)
-    n = xs.shape[-1]
-    J = np.zeros(xs.shape + (n,), dtype=xs.dtype)
+def _band_matrix(diag: np.ndarray, sub, sup) -> np.ndarray:
+    """Dense cyclic tridiagonal matrices, shaped diag.shape + (n,), same dtype.
+
+    ``sub`` and ``sup`` are the sub- and superdiagonals, which also fill the
+    corners J[0, n-1] and J[n-1, 0]: scalars or per-row (B, 1) columns.
+    """
+    n = diag.shape[-1]
+    J = np.zeros(diag.shape + (n,), dtype=diag.dtype)
     idx = np.arange(n)
-    J[..., idx, idx] += m.dp(xs)
-    J[..., idx, (idx - 1) % n] += -m.a
-    J[..., idx, (idx + 1) % n] += -1.0
+    J[..., idx, idx] += diag
+    J[..., idx, (idx - 1) % n] += sub
+    J[..., idx, (idx + 1) % n] += sup
     return J
 
 
-def _residual_floor(m: HenonMap) -> float:
+def cyclic_jacobian(m: HenonMap, xs: np.ndarray) -> np.ndarray:
+    """Jacobian of ``cyclic_residual``, shaped xs.shape + (n,), same dtype."""
+    xs = _orbit_array(xs)
+    return _band_matrix(m.dp(xs), -m.a, -1.0)
+
+
+def _residual_floor(m: HenonMap):
     R = m.filtration_radius
     scale = R**m.degree + abs(m.a) * R + sum(abs(c) * R**j for j, c in enumerate(m.coeffs))
     return 1e-15 * (1.0 + scale)
 
 
-def _dense_solve(m: HenonMap, X: np.ndarray, F: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """LAPACK solve on the dense Jacobians; rows with singular Jacobians are flagged."""
-    J = cyclic_jacobian(m, X)
-    bad = np.zeros(J.shape[0], dtype=bool)
+def _lapack_solve(J: np.ndarray, F: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Dense solves J S = F row by row; rows whose J is singular to working precision are flagged.
+
+    A row is singular when sigma_min(J) <= n eps sigma_max(J), or when J is
+    not finite.
+    """
+    B, n = F.shape
+    with np.errstate(invalid="ignore"):
+        finite = np.isfinite(J).all(axis=(1, 2))
+    sv = np.zeros((B, n))
+    if finite.any():
+        sv[finite] = np.linalg.svd(J[finite], compute_uv=False)
+    bad = ~(sv[:, -1] > n * np.finfo(float).eps * sv[:, 0])
+    S = np.zeros_like(F)
+    ok = np.flatnonzero(~bad)
     try:
-        return np.linalg.solve(J, F[..., None])[..., 0], bad
+        S[ok] = np.linalg.solve(J[ok], F[ok, :, None])[..., 0]
     except np.linalg.LinAlgError:
-        S = np.zeros_like(F)
-        for i in range(J.shape[0]):
+        for i in ok:
             try:
                 S[i] = np.linalg.solve(J[i], F[i])
             except np.linalg.LinAlgError:
                 bad[i] = True
-        return S, bad
+    return S, bad
+
+
+def _dense_solve(m: HenonMap, X: np.ndarray, F: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """LAPACK solve on the dense Jacobians; rows with singular Jacobians are flagged."""
+    return _lapack_solve(cyclic_jacobian(m, X), F)
 
 
 #: a Thomas pivot or Sherman-Morrison denominator this small, relative to
@@ -141,53 +207,62 @@ def _dense_solve(m: HenonMap, X: np.ndarray, F: np.ndarray) -> tuple[np.ndarray,
 _FALLBACK_RTOL = 1e-6
 
 
-def _solve_batch(m: HenonMap, X: np.ndarray, F: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Newton steps S with J(X) S = F row by row; rows with singular J are flagged.
+def _band_solve(diag: np.ndarray, sub, sup, F: np.ndarray, dense) -> tuple[np.ndarray, np.ndarray]:
+    """Solves of the cyclic tridiagonal systems J S = F, one per row, in O(n) each.
 
-    J = A + u v^T, where A is J without its corners and with the first and
-    last diagonal entries changed by gamma = -p'(x_0) (1 where that is 0)
-    and J[n-1, 0] J[0, n-1] / gamma, u = (gamma, 0, ..., 0, J[n-1, 0]) and
-    v = (1, 0, ..., 0, J[0, n-1] / gamma).  Thomas elimination solves
-    A y = F and A z = u together, and S = y - z (v.y) / (1 + v.z)
-    (Numerical Recipes, section 2.7).  Rows with a tiny pivot or
-    denominator or a non-finite step are solved densely instead.
+    J has diagonal ``diag`` (B, n) and constant sub- and superdiagonals
+    ``sub`` and ``sup`` (scalars or (B, 1) columns), which also fill the
+    corners.  J = A + u v^T, where A is J without its corners and with the
+    first and last diagonal entries changed by gamma = -diag_0 (1 where that
+    is 0) and sup sub / gamma, u = (gamma, 0, ..., 0, sup) and
+    v = (1, 0, ..., 0, sub / gamma).  Thomas elimination solves A y = F and
+    A z = u together, and S = y - z (v.y) / (1 + v.z) (Numerical Recipes,
+    section 2.7).  Rows with a tiny pivot or denominator or a non-finite
+    step, and every row when n < 3, are solved by ``dense(rows)``, which
+    returns their steps and singular flags.  Returns (S, singular).
     """
-    B, n = X.shape
+    B, n = diag.shape
     if n < 3:  # the corners fall on the off-diagonals
-        return _dense_solve(m, X, F)
-    sub = -m.a  # the superdiagonal is -1 and is written out below
-    diag = m.dp(X)
+        return dense(np.ones(B, dtype=bool))
+    sub, sup = np.reshape(sub, -1), np.reshape(sup, -1)
     gamma = -diag[:, 0]
     gamma[gamma == 0] = 1.0
     rhs = np.zeros((n, 2, B), dtype=complex)
     rhs[:, 0] = F.T
     rhs[0, 1] = gamma
-    rhs[-1, 1] = -1.0
+    rhs[-1, 1] = sup
     piv = diag.T.copy()
     piv[0] -= gamma
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         v_last = sub / gamma
-        piv[-1] += v_last
+        piv[-1] -= sup * v_last
         for i in range(1, n):
             f = sub / piv[i - 1]
-            piv[i] += f
+            piv[i] -= f * sup
             rhs[i] -= f * rhs[i - 1]
         rhs[-1] /= piv[-1]
         for i in range(n - 2, -1, -1):
-            rhs[i] += rhs[i + 1]
+            rhs[i] -= sup * rhs[i + 1]
             rhs[i] /= piv[i]
         (y0, z0), (y1, z1) = rhs[0], rhs[-1]
         vz = z0 + v_last * z1
         den = 1.0 + vz
         S = (rhs[:, 0] - rhs[:, 1] * ((y0 + v_last * y1) / den)).T
-        scale = np.abs(diag).max(axis=1) + abs(sub) + 1.0
-        dense = ((np.abs(piv).min(axis=0) < _FALLBACK_RTOL * scale)
-                 | (np.abs(den) < _FALLBACK_RTOL * (1.0 + np.abs(vz)))
-                 | ~np.isfinite(S).all(axis=1))
+        scale = np.abs(diag).max(axis=1) + np.abs(sub) + np.abs(sup)
+        fallback = ((np.abs(piv).min(axis=0) < _FALLBACK_RTOL * scale)
+                    | (np.abs(den) < _FALLBACK_RTOL * (1.0 + np.abs(vz)))
+                    | ~np.isfinite(S).all(axis=1))
     bad = np.zeros(B, dtype=bool)
-    if dense.any():
-        S[dense], bad[dense] = _dense_solve(m, X[dense], F[dense])
+    if fallback.any():
+        S[fallback], bad[fallback] = dense(fallback)
     return S, bad
+
+
+def _solve_batch(m: HenonMap, X: np.ndarray, F: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Newton steps S with J(X) S = F row by row; rows with singular J are flagged."""
+    m = _as_rows(m, len(X))
+    return _band_solve(m.dp(X), -m.a, -1.0, F,
+                       lambda rows: _dense_solve(m.take(rows), X[rows], F[rows]))
 
 
 def _newton_batch(
@@ -199,18 +274,22 @@ def _newton_batch(
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Damped Newton on a batch of cyclic orbit vectors.
 
-    Returns (X, converged, singular, residual_norms).  Rows converge when
-    the residual sup-norm drops below ``tol`` and further steps stop
-    improving (iteration continues to the round-off floor so certified
-    orbits carry residuals near machine precision).  Each step is solved
-    in O(n) per row by ``_solve_batch``; a row is singular when its dense
-    fallback solve finds the Jacobian exactly singular.
+    ``m`` is one map or a ``_MapRows`` batch with a map per row.  Returns
+    (X, converged, singular, residual_norms).  Rows converge when the
+    residual sup-norm drops below ``tol`` and further steps stop improving
+    (iteration continues to the round-off floor so certified orbits carry
+    residuals near machine precision).  Each step is solved in O(n) per
+    row by ``_solve_batch``; a row is singular when its dense fallback
+    finds the Jacobian singular to working precision.
     """
     X = np.array(X, dtype=complex)
     B, n = X.shape
+    m = _as_rows(m, B)
     if safety is None:
-        safety = 2.0 * m.filtration_radius
-    floor = _residual_floor(m)
+        safety = 2.0 * m.filtration_radius[:, 0]
+    safety = np.broadcast_to(safety, (B,))
+    floor = _residual_floor(m)[:, 0]
+    target = np.maximum(tol, floor)
 
     rn = np.abs(cyclic_residual(m, X)).max(axis=1)
     done = np.zeros(B, dtype=bool)
@@ -221,20 +300,20 @@ def _newton_batch(
         act = np.flatnonzero(~done & ~dead)
         if act.size == 0:
             break
-        Xa = X[act]
-        Fa = cyclic_residual(m, Xa)
-        S, bad = _solve_batch(m, Xa, Fa)
+        ma, Xa = m.take(act), X[act]
+        Fa = cyclic_residual(ma, Xa)
+        S, bad = _solve_batch(ma, Xa, Fa)
         if bad.any():
             idx = act[bad]
             dead[idx] = True
             singular[idx] = True
             keep = ~bad
-            act, Xa, S = act[keep], Xa[keep], S[keep]
+            act, Xa, S, ma = act[keep], Xa[keep], S[keep], ma.take(keep)
             if act.size == 0:
                 continue
         r0 = rn[act]
         cand = Xa - S
-        rc = np.abs(cyclic_residual(m, cand)).max(axis=1)
+        rc = np.abs(cyclic_residual(ma, cand)).max(axis=1)
         worse = rc >= r0
         t = 1.0
         for _ in range(3):
@@ -242,18 +321,18 @@ def _newton_batch(
                 break
             t *= 0.5
             cand[worse] = Xa[worse] - t * S[worse]
-            rc[worse] = np.abs(cyclic_residual(m, cand[worse])).max(axis=1)
+            rc[worse] = np.abs(cyclic_residual(ma.take(worse), cand[worse])).max(axis=1)
             worse = worse & (rc >= r0)
         stuck = worse  # no damping factor improved: at the attainable floor
-        done[act[stuck & (r0 <= max(tol, floor))]] = True
-        dead[act[stuck & (r0 > max(tol, floor))]] = True
+        done[act[stuck & (r0 <= target[act])]] = True
+        dead[act[stuck & (r0 > target[act])]] = True
         moved = ~stuck
         mi = act[moved]
         X[mi] = cand[moved]
         rn[mi] = rc[moved]
-        out = np.abs(X[mi]).max(axis=1) > safety
+        out = np.abs(X[mi]).max(axis=1) > safety[mi]
         dead[mi[out]] = True
-        done[mi[~out] [rn[mi[~out]] <= floor]] = True
+        done[mi[~out][rn[mi[~out]] <= floor[mi[~out]]]] = True
     # rows that ran out of steps but already satisfy tol still count
     done |= (~dead) & (rn <= tol)
     return X, done, singular, rn
@@ -465,9 +544,17 @@ def _rotations(xs: np.ndarray) -> np.ndarray:
 
 
 def _lex_order(rows: np.ndarray) -> np.ndarray:
-    """Stable order of complex rows by their (re_0, im_0, re_1, ...) keys."""
+    """Stable order of complex rows by their (re_0, im_0, re_1, ...) keys.
+
+    The keys are first compared rounded to 30 significant bits, so values
+    that differ only by round-off (the equal real parts of a conjugate
+    pair, say) tie and the next key decides; the full keys break the ties
+    that remain.
+    """
     keys = np.stack((rows.real, rows.imag), axis=-1).reshape(len(rows), 2 * rows.shape[1])
-    return np.lexsort(keys.T[::-1])
+    mant, expo = np.frexp(keys)
+    coarse = np.ldexp(np.round(np.ldexp(mant, 30)), expo - 30)
+    return np.lexsort(np.concatenate((coarse, keys), axis=1).T[::-1])
 
 
 def rotation_distance(u: np.ndarray, v: np.ndarray) -> float:
@@ -543,39 +630,237 @@ class PeriodSpectrum:
 
 
 # ---------------------------------------------------------------------------
-# multistart enumeration
+# necklace homotopy
 # ---------------------------------------------------------------------------
 
-class _Bucket:
-    """Kept orbits of one exact period, indexed by Re(sum x_k) for lookup."""
+def _lyndon_words(d: int, k: int) -> list[tuple[int, ...]]:
+    """Lyndon words of length k over {0, ..., d-1}, in lexicographic order (Duval).
 
-    __slots__ = ("orbits", "s1r", "order")
-
-    def __init__(self) -> None:
-        self.orbits: list[dict] = []
-        self.s1r: list[float] = []   # sorted Re(s1)
-        self.order: list[int] = []   # orbit index parallel to s1r
-
-    def near(self, s1: complex, window: float):
-        lo = bisect_left(self.s1r, s1.real - window)
-        hi = bisect_right(self.s1r, s1.real + window)
-        for t in range(lo, hi):
-            yield self.orbits[self.order[t]]
-
-    def add(self, rec: dict) -> None:
-        i = len(self.orbits)
-        self.orbits.append(rec)
-        pos = bisect_left(self.s1r, rec["s1"].real)
-        self.s1r.insert(pos, rec["s1"].real)
-        self.order.insert(pos, i)
+    One per primitive necklace, so there are (1/k) sum_{j|k} mu(k/j) d^j.
+    """
+    words, w = [], [-1]
+    while w:
+        w[-1] += 1
+        if len(w) == k:
+            words.append(tuple(w))
+        m = len(w)
+        while len(w) < k:
+            w.append(w[-m])
+        while w and w[-1] == d - 1:
+            w.pop()
+    return words
 
 
-def _seed_batch(m: HenonMap, n: int, count: int, seed_material: tuple) -> np.ndarray:
-    rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed_material)))
-    R = m.filtration_radius
-    r = R * np.sqrt(rng.random((count, n)))
-    theta = 2.0 * np.pi * rng.random((count, n))
-    return r * np.exp(1j * theta)
+def _gamma(seed: tuple, k: int, attempt: int) -> complex:
+    """The homotopy's gamma for one length and attempt: a point of the unit circle."""
+    rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence((*seed, k, attempt))))
+    return cmath.exp(2j * math.pi * rng.random())
+
+
+def _homotopy(rows: _MapRows, gamma: complex, X: np.ndarray, t: np.ndarray):
+    """H(X, t), dH/dt and the diagonal of dH/dX for the gamma trick.
+
+    H = (1 - t) gamma (x^d - 1) + t F(x); ``t`` is a (B, 1) column.  The
+    sub- and superdiagonal of dH/dX are -t a and -t.
+    """
+    d = rows.degree
+    Xd1 = X ** (d - 1)
+    G = gamma * (X * Xd1 - 1.0)
+    F = cyclic_residual(rows, X)
+    diag = (1.0 - t) * gamma * d * Xd1 + t * rows.dp(X)
+    return (1.0 - t) * G + t * F, F - G, diag
+
+
+#: path tracking: the largest and smallest steps in t, the number of steps
+#: a batch may take, and the corrector's acceptance tests (relative to 1 + |x|)
+_DT_MAX, _DT_MIN, _TRACK_STEPS = 0.1, 1e-8, 2000
+_FIRST_CORRECTION, _LAST_CORRECTION = 1e-3, 1e-10
+
+
+def _track(rows: _MapRows, X: np.ndarray, gamma: complex) -> tuple[np.ndarray, np.ndarray]:
+    """Follow H(x, t) = 0 from the start points X at t = 0 to t = 1, row by row.
+
+    Each step predicts with RK4 on dx/dt = -H_x^-1 H_t and corrects with
+    three Newton steps at the new t.  It is accepted when the first
+    correction is small and the last one is at round-off, and its length
+    then grows by half (up to ``_DT_MAX``); otherwise it is halved, and a
+    row whose step falls below ``_DT_MIN`` fails.  Returns (X, reached):
+    the rows' last accepted points and whether they reached t = 1.
+    """
+    X = np.array(X, dtype=complex)
+    B = len(X)
+    t = np.zeros(B)
+    h = np.full(B, _DT_MAX / 4)
+    live = np.ones(B, dtype=bool)
+    reached = np.zeros(B, dtype=bool)
+    for _ in range(_TRACK_STEPS):
+        act = np.flatnonzero(live)
+        if act.size == 0:
+            break
+        r, x0, t0 = rows.take(act), X[act], t[act, None]
+        last = h[act] >= 1.0 - t[act]
+        dt = np.where(last, 1.0 - t[act], h[act])[:, None]
+        bad = np.zeros(act.size, dtype=bool)
+
+        def step(x, tt, rhs):
+            """-H_x^-1 times H (rhs 0) or H_t (rhs 1) at (x, tt)."""
+            parts = _homotopy(r, gamma, x, tt)
+            diag, sub, sup, F = parts[2], -tt * r.a, -tt, parts[rhs]
+            S, singular = _band_solve(diag, sub, sup, F, lambda i: _lapack_solve(
+                _band_matrix(diag[i], sub[i], sup[i]), F[i]))
+            bad[singular] = True
+            return -S
+
+        with np.errstate(all="ignore"):
+            k1 = step(x0, t0, 1)
+            k2 = step(x0 + 0.5 * dt * k1, t0 + 0.5 * dt, 1)
+            k3 = step(x0 + 0.5 * dt * k2, t0 + 0.5 * dt, 1)
+            k4 = step(x0 + dt * k3, t0 + dt, 1)
+            x = x0 + dt / 6.0 * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+            t1 = np.where(last, 1.0, t0[:, 0] + dt[:, 0])[:, None]
+            sizes = []
+            for _ in range(3):
+                S = step(x, t1, 0)
+                x = x + S
+                sizes.append(np.abs(S).max(axis=1))
+            scale = 1.0 + np.abs(x).max(axis=1)
+            good = (~bad & np.isfinite(x).all(axis=1)
+                    & (sizes[0] <= _FIRST_CORRECTION * scale)
+                    & (sizes[2] <= _LAST_CORRECTION * scale))
+        acc, rej = act[good], act[~good]
+        X[acc] = x[good]
+        t[acc] = t1[good, 0]
+        h[acc] = np.minimum(1.5 * h[acc], _DT_MAX)
+        h[rej] *= 0.5
+        finished = acc[last[good]]
+        reached[finished] = True
+        live[finished] = False
+        live[rej[h[rej] < _DT_MIN]] = False
+    return X, reached
+
+
+def _track_and_check(maps: list[HenonMap], owner: np.ndarray, starts: np.ndarray,
+                     gamma: complex, tols: Tolerances) -> tuple[list, list]:
+    """Track one path per row, then polish and check every endpoint.
+
+    Row i belongs to ``maps[owner[i]]``.  An endpoint passes when Newton
+    polishes it to a residual of at most 1e-10, every proper-divisor shift
+    moves it by at least ``tols.separation`` (exact period k) and ``certify``
+    accepts its canonical rotation.  Returns (ends, failed): (owner, xs,
+    radius) for the endpoints that pass, (owner, endpoint) for the rest.
+    """
+    rows = _MapRows.stack(maps, owner)
+    X, reached = _track(rows, starts, gamma)
+    ends, failed = [], []
+    idx = np.flatnonzero(reached)
+    P, done, _, rn = _newton_batch(rows.take(idx), X[idx], tols.newton)
+    X[idx] = P
+    ok = np.zeros(len(X), dtype=bool)
+    ok[idx] = done & (rn <= 1e-10)
+    for i in range(len(X)):
+        if ok[i]:
+            gaps = _period_and_gaps(X[i], tols.dedup)[1].values()
+            if min(gaps, default=math.inf) >= tols.separation:
+                w = canonical_rotation(X[i])
+                certified, rho = certify(maps[owner[i]], w, tols)
+                if certified:
+                    ends.append((owner[i], w, rho))
+                    continue
+        failed.append((owner[i], X[i]))
+    return ends, failed
+
+
+def _merge(kept: list, new: list, tols: Tolerances) -> None:
+    """Append to ``kept`` each new certified orbit (xs, radius) that is no rotation of an earlier one.
+
+    Orbits are compared only when their coordinate sums, which rotation
+    leaves alone, lie within k ``tols.dedup``.  Two certified orbits closer
+    than ``tols.dedup`` but further apart than the sum of their radii
+    cannot be told apart: AmbiguousOrbitError.
+    """
+    items = kept + new
+    s1 = np.array([w.sum().real for w, _ in items])
+    order = np.argsort(s1, kind="stable")
+    window = len(items[0][0]) * tols.dedup + 1e-12
+    lo = np.searchsorted(s1[order], s1 - window, "left")
+    hi = np.searchsorted(s1[order], s1 + window, "right")
+    alive = [True] * len(kept) + [False] * len(new)
+    for i in range(len(kept), len(items)):
+        w, rho = items[i]
+        for j in order[lo[i]:hi[i]]:
+            if j < i and alive[j]:
+                dist = rotation_distance(w, items[j][0])
+                if dist < tols.dedup:
+                    if dist > rho + items[j][1]:
+                        raise AmbiguousOrbitError(
+                            f"certified orbits separated by {dist:.3e}, inside the dedup scale")
+                    break
+        else:
+            alive[i] = True
+            kept.append(items[i])
+
+
+#: tracking attempts per map and length before its catalogue is reported incomplete
+_ATTEMPTS = 3
+
+
+def _catalogue(maps: list[HenonMap], ks, rng_seed, tols: Tolerances, budget: float = math.inf):
+    """The orbits of exact period k, for each k in ``ks``, of every map: one path per necklace.
+
+    All the maps' paths of one length are tracked as one batch.  A map
+    whose certified orbits of length k fall short of the necklace count
+    (a path failed, or two paths ended on one orbit) has all its length-k
+    paths tracked again with the gamma of the next attempt, and the orbits
+    of all attempts are merged.  Returns (orbits, complete, paths,
+    unresolved): orbits[i][k] are the classified orbits of maps[i] in
+    canonical rotation and lexicographic order; complete[i] says whether
+    every length reached its count; ``paths`` counts tracked paths,
+    retracks included, and stops at ``budget``; unresolved[i] holds the
+    failed endpoints of the last attempt of each length still short.
+    """
+    seed = rng_seed if isinstance(rng_seed, tuple) else (rng_seed,)
+    d = maps[0].degree
+    kept = [{k: [] for k in ks} for _ in maps]
+    complete = np.ones(len(maps), dtype=bool)
+    unresolved: list[list[np.ndarray]] = [[] for _ in maps]
+    paths = 0
+    for k in ks:
+        starts = np.exp(2j * np.pi / d * np.array(_lyndon_words(d, k)))
+        need = len(starts)
+        todo, failed = np.arange(len(maps)), []
+        for attempt in range(_ATTEMPTS):
+            if paths + need * todo.size > budget:
+                break
+            owner = np.repeat(todo, need)
+            paths += owner.size
+            ends, failed = _track_and_check(maps, owner, np.tile(starts, (todo.size, 1)),
+                                            _gamma(seed, k, attempt), tols)
+            new: dict[int, list] = {}
+            for i, w, rho in ends:
+                new.setdefault(i, []).append((w, rho))
+            for i, orbits in new.items():
+                _merge(kept[i][k], orbits, tols)
+            counts = np.array([len(kept[i][k]) for i in todo])
+            if (counts > need).any():
+                raise AmbiguousOrbitError(f"{counts.max()} certified orbits of period {k} "
+                                          f"exceed the {need} necklaces: one orbit was kept twice")
+            todo = todo[counts < need]
+            if todo.size == 0:
+                break
+        complete[todo] = False
+        for i, x in failed:
+            if i in todo:
+                unresolved[i].append(x)
+    orbits = []
+    for i, m in enumerate(maps):
+        per_k = {}
+        for k in ks:
+            recs = kept[i][k]
+            order = _lex_order(np.array([w for w, _ in recs]).reshape(-1, k)) if recs else []
+            per_k[k] = [classify(m, recs[j][0], tols, certified=True,
+                                 certificate_radius=recs[j][1]) for j in order]
+        orbits.append(per_k)
+    return orbits, complete, paths, unresolved
 
 
 def enumerate_fix(
@@ -583,142 +868,35 @@ def enumerate_fix(
     n: int,
     budget: int | None = None,
     rng_seed: int | tuple = DEFAULT_RNG_SEED,
-    workers: int = 1,
     tols: Tolerances = DEFAULT_TOLERANCES,
 ) -> PeriodSpectrum:
-    """Multistart enumeration of all fixed points of f^n.
+    """All fixed points of f^n, by exact period, from the necklace homotopy.
 
-    Seeds are uniform in the filtration polydisk; each is refined by
-    damped Newton on the cyclic system, averaged over its exact-period
-    repeats and looked up up to rotation; only a new orbit is re-polished
-    at its exact period and certified.  Stops early once the point count
-    reaches d^n; a count above d^n means a failed dedup and raises
-    AmbiguousOrbitError.  Output is deterministic for a given rng_seed
-    regardless of the worker count: wave composition is fixed and results
-    are merged in batch order, then sorted lexicographically.
+    For each divisor k of n one path per Lyndon word of length k is
+    tracked; each certified endpoint is one orbit of exact period k.
+    ``budget`` caps the number of tracked paths, retracks included (default
+    1000 d^n, never below d^n).  The spectrum is complete when every period
+    reached its necklace count, which makes d^n distinct, certified,
+    simple points.  The gamma of each attempt derives from
+    (rng_seed, k, attempt), so output is deterministic.
     """
     if n < 1:
         raise ValueError("period n must be >= 1")
-    d = m.degree
-    target = d**n
+    target = m.degree**n
     if budget is None:
         budget = 1000 * target
     if budget < target:
         raise ValueError(f"budget {budget} below d^n = {target}")
-
-    sub_size = int(min(4096, max(128, 4 * target)))
-    subs_per_wave = 8
-    safety = 2.0 * m.filtration_radius
-    buckets: dict[int, _Bucket] = {}
-    unresolved: list[np.ndarray] = []
-    total = 0
-    seeds_used = 0
-    wave = 0
-
-    seed_prefix = rng_seed if isinstance(rng_seed, tuple) else (rng_seed,)
-
-    def run_sub(args):
-        widx, sidx, count = args
-        X = _seed_batch(m, n, count, (*seed_prefix, n, widx, sidx))
-        X, done, _, rn = _newton_batch(m, X, tols.newton, 60, safety)
-        keep = done & (rn < 10.0 * tols.newton)
-        return X[keep]
-
-    pool = ThreadPoolExecutor(max_workers=max(1, workers)) if workers > 1 else None
-    try:
-        while total < target and seeds_used < budget:
-            jobs = []
-            for s in range(subs_per_wave):
-                count = min(sub_size, budget - seeds_used)
-                if count <= 0:
-                    break
-                jobs.append((wave, s, count))
-                seeds_used += count
-            if not jobs:
-                break
-            if pool is not None:
-                results = list(pool.map(run_sub, jobs))
-            else:
-                results = [run_sub(j) for j in jobs]
-            for block in results:
-                for vec in block:
-                    total += _absorb_candidate(m, n, vec, buckets, unresolved, tols)
-                    if total >= target:
-                        break
-                if total >= target:
-                    break
-            wave += 1
-    finally:
-        if pool is not None:
-            pool.shutdown(wait=False)
-
-    if total > target:
-        raise AmbiguousOrbitError(f"{total} certified points exceed d^n = {target}: "
-                                  "one orbit was kept twice")
-    orbits: list[PeriodicOrbit] = []
-    for k in sorted(buckets):
-        recs = buckets[k].orbits
-        for i in _lex_order(np.array([r["xs"] for r in recs]).reshape(-1, k)):
-            rec = recs[i]
-            orbits.append(
-                classify(m, rec["xs"], tols, certified=True, certificate_radius=rec["radius"])
-            )
+    ks = _divisors(n)
+    orbits, complete, paths, unresolved = _catalogue([m], ks, rng_seed, tols, budget)
     return PeriodSpectrum(
         map=m,
         n=n,
-        orbits=orbits,
-        complete=(total == target),
-        budget_used=seeds_used,
-        unresolved=unresolved,
+        orbits=[o for k in ks for o in orbits[0][k]],
+        complete=bool(complete[0]),
+        budget_used=paths,
+        unresolved=unresolved[0],
     )
-
-
-def _absorb_candidate(
-    m: HenonMap,
-    n: int,
-    vec: np.ndarray,
-    buckets: dict[int, _Bucket],
-    unresolved: list[np.ndarray],
-    tols: Tolerances,
-) -> int:
-    """Look up one converged vector, polish and certify it if new; returns points added to Fix_n."""
-    # exact-period reduction: genuine k-periodic vectors repeat to round-off
-    k, gaps = _period_and_gaps(vec, tols.dedup)
-    if k == n and any(tols.dedup <= gap < tols.separation for gap in gaps.values()):
-        unresolved.append(np.array(vec))
-        return 0
-    w = vec.reshape(n // k, k).mean(axis=0)
-    bucket = buckets.setdefault(k, _Bucket())
-    window = k * tols.dedup + 1e-12
-    dmin, nearest = math.inf, None
-    for rec in bucket.near(complex(w.sum()), window):
-        dv = rotation_distance(w, rec["xs"])
-        if dv < dmin:
-            dmin, nearest = dv, rec
-    if dmin < tols.dedup:
-        # duplicate; sanity-check the merge against the certificate scale
-        if dmin > max(100.0 * nearest["radius"], 1e-10):
-            ok, rho = certify(m, w, tols)
-            if ok and dmin > rho + nearest["radius"]:
-                raise AmbiguousOrbitError(
-                    f"certified orbits separated by {dmin:.3e}, inside the dedup scale"
-                )
-        return 0
-    if k < n:
-        try:
-            w = _reduce_to_period(m, vec, k, tols)
-        except NewtonFailure:
-            return 0
-    if float(np.abs(cyclic_residual(m, w)).max()) > 1e-10:
-        return 0
-    w = canonical_rotation(w)
-    ok, rho = certify(m, w, tols)
-    if not ok:
-        if all(rotation_distance(w, u) >= tols.dedup for u in unresolved if u.shape[0] == k):
-            unresolved.append(np.array(w))
-        return 0
-    bucket.add({"xs": w, "s1": complex(w.sum()), "radius": rho})
-    return k
 
 
 # ---------------------------------------------------------------------------

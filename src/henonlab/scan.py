@@ -1,10 +1,11 @@
 """Parameter-disk scans: Lyapunov field, harmonicity defect, sink detectors.
 
 A holomorphic one-parameter family is sampled on a square grid covering
-a disk; each cell enumerates all periods k <= n, records the finite-n
-Lyapunov average over the saddle subset, counts sinks and elliptic
-flags, and the discrete Laplacian of the Lyapunov field measures the
-harmonicity defect tied to sink creation.
+a disk; the orbits of all periods k <= n are found for every cell at
+once, each cell records the finite-n Lyapunov average over the saddle
+subset and counts sinks and elliptic flags, and the discrete Laplacian
+of the Lyapunov field measures the harmonicity defect tied to sink
+creation.
 """
 
 from __future__ import annotations
@@ -16,7 +17,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .maps import HenonMap
-from .orbits import DEFAULT_RNG_SEED, DEFAULT_TOLERANCES, Tolerances, enumerate_fix
+from .orbits import (DEFAULT_RNG_SEED, DEFAULT_TOLERANCES, PeriodSpectrum, Tolerances,
+                     _catalogue, _divisors)
 from .exponents import lambda_estimate
 
 
@@ -102,67 +104,52 @@ class ScanField:
             self.defect = np.full(self.c.shape, np.nan)
 
 
-def _cell_job(family: FamilySpec, n: int, c: complex, budget_factor: int,
-              cell_seed: tuple, tols: Tolerances):
-    m = family.map_at(c)
-    d = m.degree
-    spectra = {}
-    for k in range(1, n + 1):
-        spectra[k] = enumerate_fix(
-            m, k, budget=budget_factor * d**k, rng_seed=cell_seed, tols=tols,
-        )
-    complete = all(s.complete for s in spectra.values())
-    est = lambda_estimate(spectra[n], "sper")
-    prev = lambda_estimate(spectra[n - 1], "sper") if n > 1 else est
-    sinks = 0
-    elliptic = 0
-    a_mod_one = abs(abs(m.a) - 1.0) <= 1e-9
-    for k, s in spectra.items():
-        for o in s.orbits:
-            if o.n != k:
-                continue  # exact-period-k orbits only; avoids double counting
-            if o.kind == "sink":
-                sinks += 1
-            if a_mod_one and o.kind == "marginal":
-                lu, ls = abs(o.lambda_u), abs(o.lambda_s)
-                if abs(lu - 1.0) <= tols.eps_hyp and abs(ls - 1.0) <= tols.eps_hyp:
-                    elliptic += 1
-    lam = est.lambda_n if est.lambda_n is not None else math.nan
-    lam_prev = prev.lambda_n if prev.lambda_n is not None else math.nan
-    return lam, lam_prev, complete, sinks, elliptic
-
-
 def scan(
     family: FamilySpec,
     n: int,
-    budget_factor: int = 400,
     rng_seed: int = DEFAULT_RNG_SEED,
     tols: Tolerances = DEFAULT_TOLERANCES,
 ) -> ScanField:
-    """Run the per-cell enumeration over the grid and fill the defect column.
+    """Catalogue every grid cell and fill the defect column.
 
     Every grid cell of the bounding square is computed (output rows cover
     the full grid); the disk mask only restricts which cells enter the
-    Laplacian statistics.  Cells are independent, each with an rng stream
-    derived from (rng_seed, cell index), so reruns are byte-identical.
+    Laplacian statistics.  The orbits of each exact period k <= n come from
+    one necklace-homotopy batch over all cells; Fix_n and Fix_{n-1} are
+    their unions over the divisors.  The homotopy's gamma derives from
+    rng_seed, so reruns are byte-identical.
     """
     if n < 1:
         raise ValueError("period n must be >= 1")
     cs = family.grid()
     g = family.grid_size
-    lam = np.full((g, g), np.nan)
-    lam_prev = np.full((g, g), np.nan)
-    complete = np.zeros((g, g), dtype=bool)
-    sinks = np.zeros((g, g), dtype=int)
-    elliptic = np.zeros((g, g), dtype=int)
-    for i in range(g):
-        for j in range(g):
-            l, lp, comp, s, e = _cell_job(family, n, complex(cs[i, j]), budget_factor,
-                                          (rng_seed, i, j), tols)
-            lam[i, j], lam_prev[i, j], complete[i, j] = l, lp, comp
-            sinks[i, j], elliptic[i, j] = s, e
-    fld = ScanField(family=family, n=n, c=cs, lambda_n=lam, lambda_prev=lam_prev,
-                    complete=complete, n_sinks=sinks, n_elliptic=elliptic)
+    maps = [family.map_at(c) for c in cs.ravel()]
+    orbits, complete, _, _ = _catalogue(maps, range(1, n + 1), rng_seed, tols)
+    lam = np.full(g * g, np.nan)
+    lam_prev = np.full(g * g, np.nan)
+    sinks = np.zeros(g * g, dtype=int)
+    elliptic = np.zeros(g * g, dtype=int)
+    for i, (m, per_k) in enumerate(zip(maps, orbits)):
+        def fix(p):
+            return PeriodSpectrum(map=m, n=p, orbits=[o for k in _divisors(p) for o in per_k[k]],
+                                  complete=bool(complete[i]))
+
+        est = lambda_estimate(fix(n), "sper")
+        prev = lambda_estimate(fix(n - 1), "sper") if n > 1 else est
+        a_mod_one = abs(abs(m.a) - 1.0) <= 1e-9
+        for o in (o for os in per_k.values() for o in os):
+            if o.kind == "sink":
+                sinks[i] += 1
+            if a_mod_one and o.kind == "marginal":
+                lu, ls = abs(o.lambda_u), abs(o.lambda_s)
+                if abs(lu - 1.0) <= tols.eps_hyp and abs(ls - 1.0) <= tols.eps_hyp:
+                    elliptic[i] += 1
+        lam[i] = est.lambda_n if est.lambda_n is not None else math.nan
+        lam_prev[i] = prev.lambda_n if prev.lambda_n is not None else math.nan
+    shape = (g, g)
+    fld = ScanField(family=family, n=n, c=cs, lambda_n=lam.reshape(shape),
+                    lambda_prev=lam_prev.reshape(shape), complete=complete.reshape(shape),
+                    n_sinks=sinks.reshape(shape), n_elliptic=elliptic.reshape(shape))
     laplacian_defect(fld)
     return fld
 

@@ -7,8 +7,6 @@ import pytest
 
 import henonlab as hl
 
-WORKERS = 8
-
 #: wall-clock seconds of the expensive session runs, for the runtime gates
 TIMINGS = {}
 
@@ -31,7 +29,7 @@ def near_1d_map():
 @pytest.fixture(scope="session")
 def horseshoe_spectra(horseshoe_map):
     t0 = time.perf_counter()
-    out = {n: hl.enumerate_fix(horseshoe_map, n, workers=WORKERS)
+    out = {n: hl.enumerate_fix(horseshoe_map, n)
            for n in range(1, 11)}
     TIMINGS["horseshoe_spectra"] = time.perf_counter() - t0
     return out
@@ -39,13 +37,13 @@ def horseshoe_spectra(horseshoe_map):
 
 @pytest.fixture(scope="session")
 def mixed_spectra(mixed_map):
-    return {n: hl.enumerate_fix(mixed_map, n, workers=WORKERS)
+    return {n: hl.enumerate_fix(mixed_map, n)
             for n in range(1, 11)}
 
 
 @pytest.fixture(scope="session")
 def near_1d_spectrum(near_1d_map):
-    return hl.enumerate_fix(near_1d_map, 8, workers=WORKERS)
+    return hl.enumerate_fix(near_1d_map, 8)
 
 
 @pytest.fixture(scope="session")

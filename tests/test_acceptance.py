@@ -10,7 +10,7 @@ import math
 import numpy as np
 
 import henonlab as hl
-from conftest import TIMINGS, WORKERS
+from conftest import TIMINGS
 
 LOG2 = math.log(2.0)
 
@@ -161,14 +161,11 @@ def test_criterion_12_determinism(horseshoe_map, horseshoe_spectra,
                                   horseshoe_family, sink_family,
                                   horseshoe_scan, sink_scan):
     base = {n: hl.spectrum_to_json(s) for n, s in horseshoe_spectra.items()}
-    for workers in (1, 4):
-        for n in range(1, 11):
-            rerun = hl.enumerate_fix(horseshoe_map, n, workers=workers)
-            assert hl.spectrum_to_json(rerun) == base[n], \
-                f"enumeration differs at n={n}, workers={workers}"
+    for n in range(1, 11):
+        rerun = hl.enumerate_fix(horseshoe_map, n)
+        assert hl.spectrum_to_json(rerun) == base[n], f"enumeration differs at n={n}"
     scans = ((horseshoe_family, hl.scan_to_csv(horseshoe_scan)),
              (sink_family, hl.scan_to_csv(sink_scan)))
     for family, want in scans:
         assert hl.scan_to_csv(hl.scan(family, n=6)) == want, "scan differs on a rerun"
-    _report(12, f"byte-identical enumerations for 1, 4 and {WORKERS} workers, "
-                "byte-identical scan reruns")
+    _report(12, "byte-identical enumeration and scan reruns")

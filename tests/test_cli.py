@@ -77,7 +77,7 @@ class TestCache:
         fam = tmp_path / "fam.json"
         fam.write_text(json.dumps(FAMILY_SPEC))
         cache = tmp_path / "cache"
-        args = ["scan", "--family", str(fam), "--n", "2", "--budget-factor", "300"]
+        args = ["scan", "--family", str(fam), "--n", "2"]
         assert main([*args, "--out", str(tmp_path / "fresh.csv")]) == 0
         assert main([*args, "--cache-dir", str(cache), "--out", str(tmp_path / "first.csv")]) == 0
         (entry,) = cache.iterdir()
@@ -178,8 +178,7 @@ class TestScan:
         fam = tmp_path / "fam.json"
         fam.write_text(json.dumps(FAMILY_SPEC))
         out = tmp_path / "scan.csv"
-        rc = main(["scan", "--family", str(fam), "--n", "2",
-                   "--budget-factor", "300", "--out", str(out)])
+        rc = main(["scan", "--family", str(fam), "--n", "2", "--out", str(out)])
         assert rc == 0
         lines = out.read_text().strip().split("\n")
         assert len(lines) == 26

@@ -3,6 +3,7 @@ enumeration, classification and the exact-period decomposition."""
 
 import json
 import math
+import time
 
 import mpmath as mp
 import numpy as np
@@ -67,12 +68,13 @@ class TestNewtonRefine:
         with pytest.raises(ValueError):
             hl.newton_refine(MIXED, np.array([1.4 + 0j]), tol=0.0)
 
-    @pytest.mark.parametrize("n", [1, 2, 4, 6])
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 6])
     def test_double_fixed_point_is_singular(self, n):
         # x* = 0.75 is a double root of p(x) = (1 + a) x for p = x^2 + 0.5625,
         # a = 0.5, so p'(x*) = 1 + a and the cyclic Jacobian at the constant
         # vector is singular for every n.  (At n = 3 LAPACK's last pivot
-        # rounds to a nonzero value and the root is returned as converged.)
+        # rounds to a nonzero value, so singularity is judged by the
+        # singular values, not by an exactly zero pivot.)
         m = hl.quadratic_map(0.5625, 0.5)
         with pytest.raises(hl.NewtonSingular):
             hl.newton_refine(m, np.full(n, 0.75 + 0j))
@@ -167,6 +169,20 @@ class TestVectorUtilities:
             assert np.array_equal(hl.canonical_rotation(np.roll(v, r)),
                                   hl.canonical_rotation(v))
 
+    def test_order_survives_one_ulp(self):
+        # conjugate pairs of a real-parameter map have equal real parts up to
+        # round-off; neither their places nor the chosen rotations may move
+        # when every coordinate moves by one ulp
+        rng = np.random.default_rng(7)
+        s = hl.enumerate_fix(MIXED, 8)
+        for k in sorted({o.n for o in s.orbits}):
+            xs = np.array([o.xs for o in s.orbits if o.n == k])
+            toward = np.where(rng.random((2,) + xs.shape) < 0.5, -np.inf, np.inf)
+            bumped = np.nextafter(xs.real, toward[0]) + 1j * np.nextafter(xs.imag, toward[1])
+            assert np.array_equal(hl.orbits._lex_order(bumped), np.arange(len(xs)))
+            for row in bumped:
+                assert hl.orbits._lex_order(hl.orbits._rotations(row))[0] == 0
+
     def test_vector_period_detects_repeats(self):
         v = np.array([1.0 + 0j, 2.0, 1.0, 2.0])
         assert hl.vector_period(v, 1e-8) == 2
@@ -207,11 +223,11 @@ class TestEnumerate:
             assert any(hl.rotation_distance(conj, q.xs) < 1e-8
                        for q in s.orbits if q.n == o.n)
 
-    def test_determinism_across_workers(self):
+    def test_determinism_across_reruns(self):
         m = hl.quadratic_map(-6.0, 0.3)
-        j1 = hl.spectrum_to_json(hl.enumerate_fix(m, 5, workers=1))
-        j4 = hl.spectrum_to_json(hl.enumerate_fix(m, 5, workers=4))
-        assert j1 == j4
+        j1 = hl.spectrum_to_json(hl.enumerate_fix(m, 5))
+        j2 = hl.spectrum_to_json(hl.enumerate_fix(m, 5))
+        assert j1 == j2
 
     def test_budget_guard(self):
         with pytest.raises(ValueError):
@@ -222,25 +238,75 @@ class TestEnumerate:
             hl.enumerate_fix(MIXED, 0)
 
     def test_over_count_raises(self, horseshoe_map, monkeypatch):
-        # with every candidate taken for a new orbit, Fix_4 is over-counted
+        # an orbit handed back twice and not recognised as one is over-counted
         monkeypatch.setattr(hl.orbits, "rotation_distance", lambda *args, **kw: math.inf)
+        track = hl.orbits._track_and_check
+
+        def doubled(*args):
+            ends, failed = track(*args)
+            return ends + ends[:1], failed
+
+        monkeypatch.setattr(hl.orbits, "_track_and_check", doubled)
         with pytest.raises(hl.AmbiguousOrbitError):
             hl.enumerate_fix(horseshoe_map, 4)
 
-    def test_only_new_orbits_are_repolished(self, mixed_map, monkeypatch):
-        calls = []
-        refine = hl.orbits.newton_refine
+    @staticmethod
+    def _dropping(monkeypatch, every_attempt, length=4):
+        """Make the tracking of one length hand back one orbit twice in place of another.
 
-        def counting_refine(*args, **kwargs):
-            calls.append(args[1].shape[0])
-            return refine(*args, **kwargs)
+        The orbit lost is the second endpoint of attempt 0; with
+        ``every_attempt`` it is lost on every retrack as well.
+        """
+        track = hl.orbits._track_and_check
+        lost, lengths = [], []
 
-        monkeypatch.setattr(hl.orbits, "newton_refine", counting_refine)
-        s = hl.enumerate_fix(mixed_map, 8)
-        assert s.complete
-        # one re-polish per lower-period orbit, at that orbit's length
-        assert sorted(calls) == sorted(o.n for o in s.orbits if o.n < 8)
-        assert len(calls) == 6
+        def jumping(maps, owner, starts, gamma, tols):
+            ends, failed = track(maps, owner, starts, gamma, tols)
+            lengths.append(starts.shape[1])
+            if starts.shape[1] == length and (every_attempt or not lost):
+                if not lost:
+                    lost.append(ends[1][1])
+                keep = [e for e in ends if hl.rotation_distance(e[1], lost[0]) >= 1e-8]
+                ends = keep + [keep[0]] * (len(ends) - len(keep))
+            return ends, failed
+
+        monkeypatch.setattr(hl.orbits, "_track_and_check", jumping)
+        return lengths
+
+    def test_jumped_path_is_retracked(self, horseshoe_map, monkeypatch):
+        clean = hl.enumerate_fix(horseshoe_map, 4)
+        lengths = self._dropping(monkeypatch, every_attempt=False)
+        s = hl.enumerate_fix(horseshoe_map, 4)
+        assert lengths == [1, 2, 4, 4]
+        assert s.complete and s.counts == clean.counts
+        assert s.budget_used == clean.budget_used + 3  # the three length-4 paths again
+        for o in s.orbits:
+            assert min(hl.rotation_distance(o.xs, q.xs) - q.certificate_radius
+                       for q in clean.orbits if q.n == o.n) <= o.certificate_radius
+
+    def test_persistent_fault_leaves_spectrum_incomplete(self, horseshoe_map, monkeypatch):
+        lengths = self._dropping(monkeypatch, every_attempt=True)
+        s = hl.enumerate_fix(horseshoe_map, 4)
+        assert lengths == [1, 2, 4, 4, 4]
+        assert not s.complete
+        assert s.counts["per"] == {1: 2, 2: 2, 4: 8}
+        assert s.budget_used == 2 + 1 + 3 * 3
+
+    def test_budget_caps_tracked_paths(self, horseshoe_map, monkeypatch):
+        # Fix_1 tracks both fixed points; a retrack of both needs a budget of 4
+        for budget, complete, used in ((3, False, 2), (4, True, 4)):
+            with monkeypatch.context() as patch:
+                self._dropping(patch, every_attempt=False, length=1)
+                s = hl.enumerate_fix(horseshoe_map, 1, budget=budget)
+            assert (s.complete, s.budget_used) == (complete, used)
+
+    def test_degenerate_map_is_incomplete_quickly(self):
+        # the origin of p = x^2, a = 1 is elliptic with multipliers +-i, so it
+        # is a multiple fixed point of f^4 and length-4 paths end on it
+        t0 = time.perf_counter()
+        s = hl.enumerate_fix(hl.quadratic_map(0.0, 1.0), 4)
+        assert not s.complete and s.unresolved
+        assert time.perf_counter() - t0 < 20.0
 
     def test_select_classes(self, mixed_spectra):
         s = mixed_spectra[2]

@@ -171,3 +171,48 @@ def test_cyclic_tridiagonal_solve_matches_dense(m, n, B, radius, seed):
         Jinv = np.linalg.inv(hl.cyclic_jacobian(mm, XX[ok]))
         scale = np.abs(Jinv).sum(axis=2).max(axis=1) * np.abs(F[ok]).max(axis=1)
         assert np.all(np.abs(S[ok] - S_ref[ok]).max(axis=1) <= 1e-10 * scale)
+
+
+def _mobius(q):
+    sign, p = 1, 2
+    while p * p <= q:
+        if q % p == 0:
+            q //= p
+            if q % p == 0:
+                return 0
+            sign = -sign
+        p += 1
+    return -sign if q > 1 else sign
+
+
+def _necklaces(d, k):
+    """Primitive necklaces of length k over d letters: (1/k) sum_{j|k} mu(k/j) d^j."""
+    return sum(_mobius(k // j) * d**j for j in range(1, k + 1) if k % j == 0) // k
+
+
+def test_lyndon_word_counts():
+    for d in (2, 3, 4):
+        for k in range(1, 11):
+            words = hl.orbits._lyndon_words(d, k)
+            assert len(words) == len(set(words)) == _necklaces(d, k)
+            if d**k <= 4096:  # each word is below its proper rotations
+                assert all(w < w[r:] + w[:r] for w in words for r in range(1, k))
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.integers(2, 4), st.integers(0, 2**32 - 1), st.data())
+def test_necklace_catalogue_of_random_maps(d, seed, data):
+    # a generic map: Gaussian coefficients, complex a with 0.1 <= |a| <= 1.5
+    n = data.draw(st.integers(1, {2: 6, 3: 4, 4: 3}[d]))
+    rng = np.random.default_rng(seed)
+    coeffs = rng.normal(size=d) + 1j * rng.normal(size=d)
+    a = rng.uniform(0.1, 1.5) * cmath.exp(2j * cmath.pi * rng.random())
+    s = hl.enumerate_fix(hl.HenonMap(coeffs=tuple(coeffs), a=a), n)
+    assert s.complete
+    assert s.counts["per"] == {k: k * _necklaces(d, k) for k in range(1, n + 1) if n % k == 0}
+    assert s.counts["fix"] == d**n
+    for i, o in enumerate(s.orbits):
+        assert o.certified and o.residual < 1e-10
+        for q in s.orbits[i + 1:]:
+            if q.n == o.n:
+                assert hl.rotation_distance(o.xs, q.xs) > o.certificate_radius + q.certificate_radius

@@ -85,7 +85,7 @@ class TestHarmonicFit:
 
 @pytest.fixture(scope="module")
 def small_scan():
-    return hl.scan(SMALL, n=2, budget_factor=300)
+    return hl.scan(SMALL, n=2)
 
 
 class TestScan:
@@ -102,7 +102,7 @@ class TestScan:
         assert inner.size > 0 and (inner >= 0).all()
 
     def test_determinism_across_reruns(self, small_scan):
-        again = hl.scan(SMALL, n=2, budget_factor=300)
+        again = hl.scan(SMALL, n=2)
         assert hl.scan_to_csv(again) == hl.scan_to_csv(small_scan)
 
     def test_csv_layout(self, small_scan):
@@ -118,7 +118,7 @@ class TestScan:
     def test_volume_preserving_guard(self):
         fam = hl.FamilySpec(coeffs=(0.0 + 0.0j, 0.0), a=1.0, center=0.0 + 0.0j,
                             radius=0.05, grid_size=5)
-        fld = hl.scan(fam, n=1, budget_factor=300)
+        fld = hl.scan(fam, n=1)
         assert (fld.n_sinks == 0).all()
         assert fld.n_elliptic[2, 2] >= 1  # the multiplier pair +-i at c = 0
 
