@@ -206,6 +206,10 @@ def _dense_solve(m: HenonMap, X: np.ndarray, F: np.ndarray) -> tuple[np.ndarray,
 #: its scale, sends the row to the dense solve
 _FALLBACK_RTOL = 1e-6
 
+#: so does |v.z| above this: the correction then cancels parts of y and z
+#: that much larger than the step, and with them as many units of roundoff
+_CANCEL_MAX = 1e4
+
 
 def _band_solve(diag: np.ndarray, sub, sup, F: np.ndarray, dense) -> tuple[np.ndarray, np.ndarray]:
     """Solves of the cyclic tridiagonal systems J S = F, one per row, in O(n) each.
@@ -217,9 +221,16 @@ def _band_solve(diag: np.ndarray, sub, sup, F: np.ndarray, dense) -> tuple[np.nd
     is 0) and sup sub / gamma, u = (gamma, 0, ..., 0, sup) and
     v = (1, 0, ..., 0, sub / gamma).  Thomas elimination solves A y = F and
     A z = u together, and S = y - z (v.y) / (1 + v.z) (Numerical Recipes,
-    section 2.7).  Rows with a tiny pivot or denominator or a non-finite
-    step, and every row when n < 3, are solved by ``dense(rows)``, which
-    returns their steps and singular flags.  Returns (S, singular).
+    section 2.7).  When A is nearly singular although J is not (J close to
+    a cyclic shift), y and z are large and the correction cancels them;
+    |v.z| then is large as well.  Rows with a tiny pivot or denominator, a
+    large |v.z| or a non-finite step, and every row when n < 3, are solved
+    by ``dense(rows)``, which returns their steps and singular flags.
+    Returns (S, singular).
+
+    The bands and F may also be object arrays of mpmath numbers, which
+    raise on a zero divisor where doubles give inf or nan: then every row
+    takes the dense solve.
     """
     B, n = diag.shape
     if n < 3:  # the corners fall on the off-diagonals
@@ -227,31 +238,38 @@ def _band_solve(diag: np.ndarray, sub, sup, F: np.ndarray, dense) -> tuple[np.nd
     sub, sup = np.reshape(sub, -1), np.reshape(sup, -1)
     gamma = -diag[:, 0]
     gamma[gamma == 0] = 1.0
-    rhs = np.zeros((n, 2, B), dtype=complex)
+    rhs = np.zeros((n, 2, B), dtype=F.dtype)
     rhs[:, 0] = F.T
     rhs[0, 1] = gamma
     rhs[-1, 1] = sup
     piv = diag.T.copy()
     piv[0] -= gamma
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        v_last = sub / gamma
-        piv[-1] -= sup * v_last
-        for i in range(1, n):
-            f = sub / piv[i - 1]
-            piv[i] -= f * sup
-            rhs[i] -= f * rhs[i - 1]
-        rhs[-1] /= piv[-1]
-        for i in range(n - 2, -1, -1):
-            rhs[i] -= sup * rhs[i + 1]
-            rhs[i] /= piv[i]
-        (y0, z0), (y1, z1) = rhs[0], rhs[-1]
-        vz = z0 + v_last * z1
-        den = 1.0 + vz
-        S = (rhs[:, 0] - rhs[:, 1] * ((y0 + v_last * y1) / den)).T
+        try:
+            v_last = sub / gamma
+            piv[-1] -= sup * v_last
+            for i in range(1, n):
+                f = sub / piv[i - 1]
+                piv[i] -= f * sup
+                rhs[i] -= f * rhs[i - 1]
+            rhs[-1] /= piv[-1]
+            for i in range(n - 2, -1, -1):
+                rhs[i] -= sup * rhs[i + 1]
+                rhs[i] /= piv[i]
+            (y0, z0), (y1, z1) = rhs[0], rhs[-1]
+            vz = z0 + v_last * z1
+            den = 1.0 + vz
+            S = (rhs[:, 0] - rhs[:, 1] * ((y0 + v_last * y1) / den)).T
+        except ZeroDivisionError:
+            return dense(np.ones(B, dtype=bool))
+        # mpmath moduli never overflow, so only nan fails the object-array test
+        finite = np.isfinite(S) if S.dtype != object else np.abs(S) < np.inf
         scale = np.abs(diag).max(axis=1) + np.abs(sub) + np.abs(sup)
+        avz = np.abs(vz)
         fallback = ((np.abs(piv).min(axis=0) < _FALLBACK_RTOL * scale)
-                    | (np.abs(den) < _FALLBACK_RTOL * (1.0 + np.abs(vz)))
-                    | ~np.isfinite(S).all(axis=1))
+                    | (np.abs(den) < _FALLBACK_RTOL * (1.0 + avz))
+                    | (avz > _CANCEL_MAX)
+                    | ~finite.all(axis=1))
     bad = np.zeros(B, dtype=bool)
     if fallback.any():
         S[fallback], bad[fallback] = dense(fallback)

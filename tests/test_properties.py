@@ -4,9 +4,11 @@ import cmath
 
 import mpmath as mp
 import numpy as np
-from hypothesis import given, settings, strategies as st
+import pytest
+from hypothesis import example, given, settings, strategies as st
 
 import henonlab as hl
+from henonlab import verify
 
 finite = st.floats(-5.0, 5.0, allow_nan=False)
 cvec = st.lists(st.tuples(finite, finite), min_size=1, max_size=6).map(
@@ -171,6 +173,38 @@ def test_cyclic_tridiagonal_solve_matches_dense(m, n, B, radius, seed):
         Jinv = np.linalg.inv(hl.cyclic_jacobian(mm, XX[ok]))
         scale = np.abs(Jinv).sum(axis=2).max(axis=1) * np.abs(F[ok]).max(axis=1)
         assert np.all(np.abs(S[ok] - S_ref[ok]).max(axis=1) <= 1e-10 * scale)
+
+
+@settings(max_examples=40, deadline=None)
+@given(henon_maps, st.integers(1, 16), st.floats(0.1, 3.0), st.integers(0, 2**32 - 1))
+# J close to a cyclic shift: the Sherman-Morrison correction cancels ~1e6 times the step
+@example(hl.HenonMap(coeffs=(0j, 0j), a=0.0625), 12, 0.125, 0)
+def test_cyclic_tridiagonal_solve_in_extended_precision(m, n, radius, seed):
+    # the same O(n) solve on object arrays of mpmath numbers, as used by
+    # verify.refine_orbit_hp, against a dense mp.lu_solve
+    dps = 40
+    rng = np.random.default_rng(seed)
+    x = radius * (rng.normal(size=n) + 1j * rng.normal(size=n))
+    m0 = hl.HenonMap(coeffs=(m.coeffs[0], 0.0, *m.coeffs[2:]), a=m.a)
+    x0 = x.copy()
+    x0[0] = 0.0                   # p'(x_0) = 0 exactly
+    cases = [(m, x), (m0, x0)]
+    if n % 2 == 0:
+        cases.append((m0, np.zeros(n, dtype=complex)))   # last Thomas pivot 0, J regular
+    with mp.workdps(dps):
+        for mm, xx in cases:
+            z = np.array([mp.mpc(complex(v)) for v in xx], dtype=object)
+            F = hl.cyclic_residual(mm, z)
+            J = mp.matrix(hl.cyclic_jacobian(mm, z))
+            try:
+                ref = mp.lu_solve(J, mp.matrix(F))
+            except ZeroDivisionError:   # J singular to working precision
+                with pytest.raises(ZeroDivisionError):
+                    verify._newton_step_hp(mm, z)
+                continue
+            S = verify._newton_step_hp(mm, z)
+            scale = mp.mnorm(mp.inverse(J), "inf") * max(abs(f) for f in F)
+            assert max(abs(s - r) for s, r in zip(S, ref)) <= mp.mpf(10) ** (5 - dps) * scale
 
 
 def _mobius(q):

@@ -1,0 +1,161 @@
+"""Extended-precision verify layer: the mpmath re-polish and the escape-rate
+potentials against straightforward references kept here."""
+
+import math
+
+import mpmath as mp
+import numpy as np
+import pytest
+
+import henonlab as hl
+from henonlab import verify
+from henonlab.maps import ESCAPE_THRESHOLD
+
+HORSESHOE = hl.quadratic_map(-6.0, 0.3)
+MIXED = hl.quadratic_map(0.0, 0.5)
+CUBIC = hl.HenonMap(coeffs=(0.3 + 0.2j, -1.5, 0.1j), a=0.4 - 0.3j)
+
+
+def _refine_dense(m, xs, dps=60, steps=6):
+    """Newton re-polish with a dense mp.lu_solve and a fixed number of steps."""
+    with mp.workdps(dps):
+        z = np.array([mp.mpc(complex(v)) for v in xs], dtype=object)
+        for _ in range(steps):
+            s = mp.lu_solve(mp.matrix(hl.cyclic_jacobian(m, z)), mp.matrix(hl.cyclic_residual(m, z)))
+            z = z - np.array(list(s), dtype=object)
+        return list(z)
+
+
+def _green_reference(m, x, y, forward, max_iter):
+    """Escape-rate loop straight from the definition: HenonMap.p on mpmath
+    numbers and the exact modulus at every step."""
+    d = m.degree
+    a = mp.mpc(m.a)
+    n = 0
+    while n <= max_iter:
+        mag = abs(x if forward else y)
+        if mag > ESCAPE_THRESHOLD:
+            return float(mp.log(mag) / mp.mpf(d) ** n)
+        if forward:
+            x, y = m.p(x) - a * y, x
+        else:
+            x, y = y, (m.p(y) - x) / a
+        n += 1
+    return 0.0
+
+
+def _reference_greens(m, pt, max_iter=100, dps=60):
+    with mp.workdps(dps):
+        x, y = (v if isinstance(v, mp.mpc) else mp.mpc(v) for v in pt)
+        return (_green_reference(m, x, y, True, max_iter),
+                _green_reference(m, x, y, False, max_iter))
+
+
+class TestRefine:
+    @pytest.mark.parametrize("which", ["horseshoe", "mixed"])
+    def test_fix8_matches_dense_reference(self, which, horseshoe_spectra, mixed_spectra):
+        s = {"horseshoe": horseshoe_spectra, "mixed": mixed_spectra}[which][8]
+        self._check(s)
+
+    def test_cubic_fix5_matches_dense_reference(self):
+        s = hl.enumerate_fix(CUBIC, 5)
+        assert s.complete
+        self._check(s)
+
+    @staticmethod
+    def _check(s, dps=60):
+        for o in s.orbits:
+            z = verify.refine_orbit_hp(s.map, o.xs, dps=dps)
+            ref = _refine_dense(s.map, o.xs, dps=dps)
+            with mp.workdps(dps):
+                assert max(abs(u - v) for u, v in zip(z, ref)) <= mp.mpf(10) ** (5 - dps)
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 6])
+    def test_double_fixed_point_raises(self, n):
+        # x* = 0.75 is a double fixed point of p = x^2 + 0.5625, a = 0.5: the
+        # cyclic Jacobian at the constant vector is singular for every n
+        with pytest.raises(ZeroDivisionError):
+            verify.refine_orbit_hp(hl.quadratic_map(0.5625, 0.5), np.full(n, 0.75 + 0j))
+
+    def test_stops_once_converged(self, horseshoe_spectra, monkeypatch):
+        steps = []
+        step = verify._newton_step_hp
+        monkeypatch.setattr(verify, "_newton_step_hp", lambda m, z: steps.append(1) or step(m, z))
+        s = horseshoe_spectra[8]
+        for o in s.orbits:
+            verify.refine_orbit_hp(s.map, o.xs)
+        assert len(steps) < 5 * len(s.orbits)
+
+
+def _escaping_points(rng, count):
+    """Points spread over many scales, so they escape after varied numbers of steps."""
+    r = 10.0 ** rng.uniform(-1, 7.5, size=(count, 2))
+    ph = np.exp(2j * math.pi * rng.uniform(size=(count, 2)))
+    return [(complex(u), complex(v)) for u, v in r * ph]
+
+
+def _edge_points():
+    """|Re| = |Im| just above and below T/sqrt(2) (|v| = T) and 0.7 T (the screen)."""
+    pts = []
+    with mp.workdps(60):
+        for base in (mp.mpf(ESCAPE_THRESHOLD) / mp.sqrt(2), mp.mpf(0.7 * ESCAPE_THRESHOLD)):
+            for rel in (-1e-40, -1e-15, 0, 1e-15, 1e-40):
+                e = base * (1 + mp.mpf(rel))
+                for sx, sy in ((1, 1), (-1, 1), (1, -1)):
+                    v = mp.mpc(sx * e, sy * e)
+                    pts += [(v, mp.mpc(0.5, 0.25)), (mp.mpc(0.5, 0.25), v), (v, v)]
+    return pts
+
+
+class TestGreens:
+    @pytest.mark.parametrize("m", [HORSESHOE, MIXED, CUBIC], ids=["horseshoe", "mixed", "cubic"])
+    def test_bit_identical_to_reference(self, m):
+        rng = np.random.default_rng(1729)
+        pts = _escaping_points(rng, 60) + _edge_points()
+        # bounded points: re-polished periodic orbits, which escape only
+        # after ~dps digits of precision are used up
+        for o in hl.enumerate_fix(m, 4).orbits:
+            z = verify.refine_orbit_hp(m, o.xs)
+            pts += [(z[k], z[k - 1]) for k in range(len(z))]
+        # input types: numpy numbers, and mpc carrying more digits than dps
+        pts.append((np.complex128(0.3 - 0.1j), np.complex128(-0.2j)))
+        with mp.workdps(90):
+            pts.append((mp.mpc(1) / 3, mp.mpc(2, 1) / 7))
+        got = [(verify.green_plus_hp(m, pt), verify.green_minus_hp(m, pt)) for pt in pts]
+        assert [pt for pt, g in zip(pts, got) if g != _reference_greens(m, pt)] == []
+        # escapes after many different numbers of steps: G = log|x_n| / d^n
+        steps = {round(math.log(math.log(ESCAPE_THRESHOLD) / g, m.degree)) for g in sum(got, ()) if g > 0}
+        assert len(steps) >= 4
+
+    def test_real_mpf_point_keeps_its_digits(self, horseshoe_spectra):
+        # a real horseshoe orbit polished to 60 digits: its coordinates as
+        # mpf and as mpc must give the same potentials; rounding the mpf
+        # to double would make the backward orbit escape within ~25 steps
+        s = horseshoe_spectra[8]
+        o = next(o for o in s.orbits if not np.iscomplex(o.xs).any())
+        z = verify.refine_orbit_hp(s.map, o.xs)
+        assert all(v.imag == 0 for v in z)
+        for k in range(len(z)):
+            as_mpc, as_mpf = (z[k], z[k - 1]), (z[k].real, z[k - 1].real)
+            for g in (verify.green_plus_hp, verify.green_minus_hp):
+                assert g(s.map, as_mpf) == g(s.map, as_mpc) < 1e-12
+
+    @pytest.mark.parametrize("max_iter", [0, -5])
+    @pytest.mark.parametrize("g", [verify.green_plus_hp, verify.green_minus_hp])
+    def test_rejects_max_iter_below_one(self, g, max_iter):
+        with pytest.raises(ValueError):
+            g(MIXED, (0.5 + 0j, 0.25 + 0j), max_iter=max_iter)
+
+    @pytest.mark.parametrize("max_iter", [0, -5])
+    def test_orbit_greens_reject_max_iter_below_one(self, max_iter):
+        with pytest.raises(ValueError):
+            verify.orbit_greens_hp(MIXED, np.array([0.0 + 0j]), max_iter=max_iter)
+
+    def test_orbit_greens_are_pointwise_maxima(self, mixed_spectra):
+        s = mixed_spectra[6]
+        for o in s.orbits[:4]:
+            z = verify.refine_orbit_hp(s.map, o.xs)
+            pts = [(z[k], z[k - 1]) for k in range(len(z))]
+            refs = [_reference_greens(s.map, pt) for pt in pts]
+            expected = (max(r[0] for r in refs), max(r[1] for r in refs))
+            assert verify.orbit_greens_hp(s.map, o.xs) == expected
