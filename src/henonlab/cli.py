@@ -24,7 +24,9 @@ from .exponents import lambda_estimate
 from .orbits import (
     DEFAULT_RNG_SEED,
     Tolerances,
-    classify,
+    _by_length,
+    _certify_rows,
+    _classify_rows,
     enumerate_fix,
     spectrum_from_file,
     spectrum_to_dict,
@@ -140,7 +142,10 @@ def cmd_enumerate(args) -> int:
 def cmd_classify(args) -> int:
     spec = spectrum_from_file(args.spectrum)
     tols = _tolerances(args)
-    orbits = [classify(spec.map, o.xs, tols) for o in spec.orbits]
+    orbits = list(spec.orbits)
+    for idx, X in _by_length(spec.orbits):
+        for i, o in zip(idx, _classify_rows(spec.map, X, *_certify_rows(spec.map, X, tols), tols)):
+            orbits[i] = o
     refreshed = PeriodSpectrum(map=spec.map, n=spec.n, orbits=orbits, complete=spec.complete)
     _write_out(args.out, spectrum_to_json(refreshed) + "\n", None)
     return 0

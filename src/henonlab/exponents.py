@@ -3,7 +3,8 @@
 Two routes to the finite-n average are kept side by side as a built-in
 cross-check: the multiplier route sums log|lambda_u| per point, the
 cocycle route sums log of the expansion of Df along unstable directions
-pushed around each orbit (which telescopes to the same quantity).
+pushed around each orbit (which telescopes to the same quantity).  Both
+run over all orbits of one length at once.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .maps import HenonMap
-from .orbits import PeriodSpectrum, PeriodicOrbit, monodromy, _scaled_eigenpair
+from .orbits import PeriodSpectrum, PeriodicOrbit, _by_length, _eigenpair_rows, _monodromy_rows
 
 
 @dataclass
@@ -39,21 +40,35 @@ def _fix_phase(v: np.ndarray) -> np.ndarray:
     return v / ph
 
 
-def _dominant_eigenvector(M: np.ndarray, lam: complex) -> np.ndarray:
-    """Eigenvector of a 2x2 matrix for eigenvalue lam, stable branch."""
-    c1 = np.array([M[0, 1], lam - M[0, 0]], dtype=complex)
-    c2 = np.array([lam - M[1, 1], M[1, 0]], dtype=complex)
-    v = c1 if np.linalg.norm(c1) >= np.linalg.norm(c2) else c2
-    nrm = np.linalg.norm(v)
-    if nrm == 0.0:
+def _unstable_rows(m: HenonMap, X: np.ndarray, steps: int) -> tuple[np.ndarray, np.ndarray]:
+    """Unit eigenvectors for lambda_u at point 0 of each row of X (B, n), pushed ``steps`` points on.
+
+    Returns the unit vectors (B, 2) reached and the sums of the logs of the
+    expansions on the way.  Of the eigenvector candidates (M_01, lambda_u -
+    M_00) and (lambda_u - M_11, M_10) of the monodromy, the longer is taken.
+    """
+    M, log_scale = _monodromy_rows(m, X)
+    lam = _eigenpair_rows(M, log_scale)[0]
+    c1 = np.stack((M[:, 0, 1], lam - M[:, 0, 0]), axis=1)
+    c2 = np.stack((lam - M[:, 1, 1], M[:, 1, 0]), axis=1)
+    n1, n2 = np.linalg.norm(c1, axis=1), np.linalg.norm(c2, axis=1)
+    nrm = np.where(n1 >= n2, n1, n2)
+    if (nrm == 0.0).any():
         raise ValueError("defective monodromy matrix: no eigenvector basis")
-    return v / nrm
+    V, total = np.where((n1 >= n2)[:, None], c1, c2) / nrm[:, None], np.zeros(len(X))
+    dp, a = m.dp(X), np.reshape(m.a, -1)
+    for k in range(steps):
+        # Df(p_k) v = (p'(x_k) v_0 - a v_1, v_0)
+        W = np.stack((dp[:, k] * V[:, 0] - a * V[:, 1], V[:, 0]), axis=1)
+        nrm = np.linalg.norm(W, axis=1)
+        total += np.log(nrm)
+        V = W / nrm[:, None]
+    return V, total
 
 
-def _direction_at_start(m: HenonMap, orbit: PeriodicOrbit) -> np.ndarray:
-    M, log_scale = monodromy(m, orbit.xs, start=0)
-    l1, _, _, _ = _scaled_eigenpair(M, log_scale)
-    return _dominant_eigenvector(M, l1)
+def _psi_sum_rows(m: HenonMap, X: np.ndarray) -> np.ndarray:
+    """``orbit_psi_sum`` for each row of X (B, n)."""
+    return _unstable_rows(m, X, X.shape[1])[1]
 
 
 def unstable_direction(m: HenonMap, orbit: PeriodicOrbit, index: int = 0) -> UnstableDirection:
@@ -65,12 +80,8 @@ def unstable_direction(m: HenonMap, orbit: PeriodicOrbit, index: int = 0) -> Uns
     if orbit.kind != "saddle":
         raise ValueError(f"unstable direction requires a saddle orbit, got {orbit.kind!r}")
     index %= orbit.n
-    v = _direction_at_start(m, orbit)
-    pts = orbit.points
-    for i in range(index):
-        v = m.jacobian(pts[i]) @ v
-        v = v / np.linalg.norm(v)
-    return UnstableDirection(base=pts[index], dir=v)
+    V, _ = _unstable_rows(m, np.asarray(orbit.xs, dtype=complex).reshape(1, -1), index)
+    return UnstableDirection(base=orbit.points[index], dir=V[0])
 
 
 def psi(m: HenonMap, u: UnstableDirection) -> float:
@@ -81,14 +92,7 @@ def psi(m: HenonMap, u: UnstableDirection) -> float:
 
 def orbit_psi_sum(m: HenonMap, orbit: PeriodicOrbit) -> float:
     """Sum of the expansion logs around the orbit; telescopes to log|lambda_u|."""
-    v = _direction_at_start(m, orbit)
-    total = 0.0
-    for pt in orbit.points:
-        w = m.jacobian(pt) @ v
-        nrm = float(np.linalg.norm(w))
-        total += math.log(nrm)
-        v = w / nrm
-    return total
+    return float(_psi_sum_rows(m, np.asarray(orbit.xs, dtype=complex).reshape(1, -1))[0])
 
 
 @dataclass
@@ -127,12 +131,7 @@ def lambda_estimate(spectrum: PeriodSpectrum, which: str = "sper") -> LyapunovEs
                                 lambda_n=None, chi_sum_form=None, psi_sum_form=None)
     # deterministic summation order: spectra are already sorted canonically
     chi_sum = weight * math.fsum(o.n * o.chi for o in orbits)
-    psi_sum = weight * math.fsum(orbit_psi_sum(spectrum.map, o) for o in orbits)
-    return LyapunovEstimate(
-        n=n,
-        which=which,
-        point_count=count,
-        lambda_n=chi_sum,
-        chi_sum_form=chi_sum,
-        psi_sum_form=psi_sum,
-    )
+    psi_sum = weight * math.fsum(
+        t for _, X in _by_length(orbits) for t in _psi_sum_rows(spectrum.map, X).tolist())
+    return LyapunovEstimate(n=n, which=which, point_count=count, lambda_n=chi_sum,
+                            chi_sum_form=chi_sum, psi_sum_form=psi_sum)

@@ -42,12 +42,8 @@ def empirical_measure(spectrum: PeriodSpectrum, which: str = "fix") -> Empirical
     """nu_n = d^-n sum of point masses over the selected subset of Fix_n."""
     d = spectrum.map.degree
     w = d ** (-float(spectrum.n))
-    pts = []
-    for o in spectrum.select(which):
-        pts.extend(o.points)
-    if not pts:
-        return EmpiricalMeasure(np.empty((0, 2), dtype=complex), np.empty(0))
-    points = np.array(pts, dtype=complex)
+    points = np.concatenate([np.empty((0, 2), dtype=complex)] + [
+        np.column_stack((o.xs, np.roll(o.xs, 1))) for o in spectrum.select(which)])
     return EmpiricalMeasure(points, np.full(points.shape[0], w))
 
 
@@ -85,10 +81,6 @@ def moments(m: EmpiricalMeasure, max_order: int) -> dict[tuple[int, int], comple
     """Mixed moments sum_i w_i x_i^j y_i^k for all 0 <= j + k <= max_order."""
     if max_order < 1:
         raise ValueError("max_order must be >= 1")
-    out: dict[tuple[int, int], complex] = {}
-    x = m.points[:, 0] if m.points.size else np.empty(0, dtype=complex)
-    y = m.points[:, 1] if m.points.size else np.empty(0, dtype=complex)
-    for j, k in moment_orders(max_order):
-        out[(j, k)] = complex(np.sum(m.weights * x**j * y**k)) if x.size else 0.0 + 0j
-    return out
+    x, y = m.points[:, 0], m.points[:, 1]
+    return {(j, k): complex(np.sum(m.weights * x**j * y**k)) for j, k in moment_orders(max_order)}
 

@@ -19,7 +19,8 @@ multiplicity, and the start system x_k^d = 1 shares its cyclic symmetry,
 so one path per primitive necklace (Lyndon word of length k over the d-th
 roots of unity) reaches one orbit of exact period k.  Paths are tracked in
 batches whose rows may belong to different maps, so a parameter scan
-tracks every grid cell at once.
+tracks every grid cell at once.  Certificates, monodromies and multipliers
+run over all orbits of one length at once; ``certify`` etc. are one-row calls.
 """
 
 from __future__ import annotations
@@ -103,8 +104,8 @@ class _MapRows:
     """The maps of a batch, one per row.
 
     ``coeffs[j]``, ``a`` and ``filtration_radius`` are (B, 1) columns, and
-    ``p``/``dp`` are HenonMap's own Horner loops, which broadcast them over
-    the rows; so one batch can hold the cells of a whole parameter scan.
+    HenonMap's own ``p``, ``dp`` and ``d2p_bound`` broadcast them over the
+    rows; so one batch can hold the cells of a whole parameter scan.
     """
 
     coeffs: tuple
@@ -114,6 +115,7 @@ class _MapRows:
     degree = HenonMap.degree
     p = HenonMap.p
     dp = HenonMap.dp
+    d2p_bound = HenonMap.d2p_bound
 
     @classmethod
     def stack(cls, maps: list[HenonMap], owner: np.ndarray) -> "_MapRows":
@@ -397,6 +399,48 @@ def _residual_rounding(m: HenonMap, xs: np.ndarray) -> np.ndarray:
     return 4 * (d + 2) * np.finfo(float).eps * terms
 
 
+#: Jacobian entries per stacked inverse (64 KB); a stack of a whole length grows the heap
+_STACK_ENTRIES = 4096
+
+
+def _certify_rows(m: HenonMap, X: np.ndarray,
+                  tols: Tolerances = DEFAULT_TOLERANCES) -> tuple[np.ndarray, np.ndarray]:
+    """``certify`` for each row of X (B, n): (certified, radius), radius 0 where not.
+
+    ``m`` is one map or a ``_MapRows`` batch.  The Jacobians of a block of
+    rows are inverted as one stack; if LAPACK finds one exactly singular,
+    the block is inverted row by row, so a singular row rejects only itself.
+    """
+    step = max(1, _STACK_ENTRIES // X.shape[1] ** 2)
+    if len(X) > step:
+        rows = _as_rows(m, len(X))
+        parts = [_certify_rows(rows.take(slice(i, i + step)), X[i:i + step], tols)
+                 for i in range(0, len(X), step)]
+        return tuple(np.concatenate(p) for p in zip(*parts))
+    F, J = cyclic_residual(m, X), cyclic_jacobian(m, X)
+    ok = np.isfinite(F).all(axis=1)
+    try:
+        Jinv = np.linalg.inv(J)
+    except np.linalg.LinAlgError:
+        Jinv = np.zeros_like(J)
+        for i in np.flatnonzero(ok):
+            try:
+                Jinv[i] = np.linalg.inv(J[i])
+            except np.linalg.LinAlgError:
+                ok[i] = False
+    abs_inv, top = np.abs(Jinv), np.abs(X).max(axis=1)
+    with np.errstate(all="ignore"):
+        err = np.where(ok[:, None], np.abs(F) + _residual_rounding(m, X), 0.0)
+        eta = (abs_inv * err[:, None, :]).sum(axis=2).max(axis=1)
+        beta = abs_inv.sum(axis=2).max(axis=1)
+        L = np.reshape(m.d2p_bound(top[:, None] + tols.certify_ball), -1)
+        h = beta * L * eta
+        rho = (1.0 - np.sqrt(1.0 - 2.0 * h)) / (beta * L)
+    ok &= (L > 0.0) & np.isfinite(beta) & (h <= 0.5) & (rho <= tols.certify_ball)
+    # floating representation of xs itself is only good to machine precision
+    return ok, np.where(ok, np.maximum(rho, np.finfo(float).eps * (1.0 + top)), 0.0)
+
+
 def certify(m: HenonMap, xs: np.ndarray, tols: Tolerances = DEFAULT_TOLERANCES) -> tuple[bool, float]:
     """Decide whether a unique true orbit lies near ``xs``.
 
@@ -405,31 +449,10 @@ def certify(m: HenonMap, xs: np.ndarray, tols: Tolerances = DEFAULT_TOLERANCES) 
     the Lipschitz bound for the Jacobian on the ball of radius
     ``tols.certify_ball`` (driven by max |p''| there), h = beta L eta <= 1/2
     guarantees a unique zero within rho = (1 - sqrt(1 - 2h)) / (beta L).
+    Returns (certified, rho), (False, 0.0) when the test fails.
     """
-    xs = np.atleast_1d(np.asarray(xs, dtype=complex))
-    F = cyclic_residual(m, xs)
-    if not np.all(np.isfinite(F)):
-        return False, 0.0
-    J = cyclic_jacobian(m, xs)
-    try:
-        Jinv = np.linalg.inv(J)
-    except np.linalg.LinAlgError:
-        return False, 0.0
-    abs_inv = np.abs(Jinv)
-    eta = float((abs_inv @ (np.abs(F) + _residual_rounding(m, xs))).max())
-    beta = float(abs_inv.sum(axis=1).max())
-    L = m.d2p_bound(float(np.abs(xs).max()) + tols.certify_ball)
-    if L <= 0.0 or not math.isfinite(beta):
-        return False, 0.0
-    h = beta * L * eta
-    if h > 0.5:
-        return False, 0.0
-    rho = (1.0 - math.sqrt(1.0 - 2.0 * h)) / (beta * L)
-    if rho > tols.certify_ball:
-        return False, 0.0
-    # floating representation of xs itself is only good to machine precision
-    rho = max(rho, np.finfo(float).eps * (1.0 + float(np.abs(xs).max())))
-    return True, rho
+    ok, rho = _certify_rows(m, np.asarray(xs, dtype=complex).reshape(1, -1), tols)
+    return bool(ok[0]), float(rho[0])
 
 
 # ---------------------------------------------------------------------------
@@ -459,43 +482,85 @@ class PeriodicOrbit:
         return self.n * self.chi
 
 
+def _by_length(orbits: list) -> list[tuple[list[int], np.ndarray]]:
+    """(indices, their stacked xs) for each orbit length, indices in list order."""
+    groups: dict[int, list[int]] = {}
+    for i, o in enumerate(orbits):
+        groups.setdefault(len(o.xs), []).append(i)
+    return [(idx, np.array([orbits[i].xs for i in idx], dtype=complex)) for idx in groups.values()]
+
+
+def _monodromy_rows(m: HenonMap, X: np.ndarray, start: int = 0) -> tuple[np.ndarray, np.ndarray]:
+    """``monodromy`` for each row of X (B, n): M (B, 2, 2) and log_scale (B,), rescaled row by row."""
+    B, n = X.shape
+    dp, a = m.dp(X), np.reshape(m.a, (-1, 1))
+    M, log_scale = np.tile(np.eye(2, dtype=complex), (B, 1, 1)), np.zeros(B)
+    for i in range(n):
+        # Df(p_k) = [[p'(x_k), -a], [1, 0]]: the old first row becomes the second
+        M = np.stack((dp[:, (start + i) % n, None] * M[:, 0] - a * M[:, 1], M[:, 0]), axis=1)
+        s = np.abs(M).max(axis=(1, 2))
+        big = (s > 0.0) & ((s > 1e8) | (s < 1e-8))
+        M[big] /= s[big, None, None]
+        log_scale[big] += np.log(s[big])
+    return M, log_scale
+
+
 def monodromy(m: HenonMap, xs: np.ndarray, start: int = 0) -> tuple[np.ndarray, float]:
     """Scaled product Df(p_{start+n-1}) ... Df(p_start) along the orbit.
 
     Returns (M_scaled, log_scale) with the true monodromy M_scaled * e^log_scale;
     the running rescale keeps entries bounded for long orbits.
     """
-    xs = np.atleast_1d(np.asarray(xs, dtype=complex))
-    n = xs.shape[0]
-    M = np.eye(2, dtype=complex)
-    log_scale = 0.0
-    for i in range(n):
-        k = (start + i) % n
-        A = np.array([[m.dp(xs[k]), -m.a], [1.0, 0.0]], dtype=complex)
-        M = A @ M
-        s = float(np.abs(M).max())
-        if s > 0.0 and (s > 1e8 or s < 1e-8):
-            M /= s
-            log_scale += math.log(s)
-    return M, log_scale
+    M, log_scale = _monodromy_rows(m, np.asarray(xs, dtype=complex).reshape(1, -1), start)
+    return M[0], float(log_scale[0])
 
 
-def _scaled_eigenpair(M: np.ndarray, log_scale: float) -> tuple[complex, complex, float, float]:
-    """Eigenvalues of e^log_scale * M with stable root pairing.
+def _eigenpair_rows(M: np.ndarray, log_scale: np.ndarray):
+    """Eigenvalues of e^log_scale M for each M (2, 2) of a stack, with stable root pairing.
 
     Returns (lu_scaled, ls_scaled, log_abs_lu, log_abs_ls) where the true
     multipliers are lu_scaled * e^log_scale etc.
     """
-    T = M[0, 0] + M[1, 1]
-    D = M[0, 0] * M[1, 1] - M[0, 1] * M[1, 0]
-    disc = np.lib.scimath.sqrt(T * T - 4.0 * D)
-    l1 = (T + disc) / 2.0 if abs(T + disc) >= abs(T - disc) else (T - disc) / 2.0
-    l2 = D / l1 if l1 != 0 else 0.0 + 0j
-    if abs(l2) > abs(l1):
-        l1, l2 = l2, l1
-    log_lu = math.log(abs(l1)) + log_scale if l1 != 0 else -math.inf
-    log_ls = math.log(abs(l2)) + log_scale if l2 != 0 else -math.inf
-    return complex(l1), complex(l2), log_lu, log_ls
+    T = M[:, 0, 0] + M[:, 1, 1]
+    D = M[:, 0, 0] * M[:, 1, 1] - M[:, 0, 1] * M[:, 1, 0]
+    disc = np.sqrt(T * T - 4.0 * D)
+    plus, minus = T + disc, T - disc
+    l1 = np.where(np.abs(plus) >= np.abs(minus), plus, minus) / 2.0
+    with np.errstate(divide="ignore", invalid="ignore"):
+        l2 = np.where(l1 != 0, D / l1, 0.0)
+        swap = np.abs(l2) > np.abs(l1)
+        l1, l2 = np.where(swap, l2, l1), np.where(swap, l1, l2)
+        return l1, l2, np.log(np.abs(l1)) + log_scale, np.log(np.abs(l2)) + log_scale
+
+
+def _classify_rows(m: HenonMap, X: np.ndarray, certified, radii,
+                   tols: Tolerances = DEFAULT_TOLERANCES) -> list[PeriodicOrbit]:
+    """``classify`` for each row of X (B, n), recording the given certificates."""
+    n, a = X.shape[1], np.reshape(m.a, -1)
+    residual = np.abs(cyclic_residual(m, X)).max(axis=1)
+    M, log_scale = _monodromy_rows(m, X)
+    l1, l2, log_lu, log_ls = _eigenpair_rows(M, log_scale)
+    with np.errstate(over="ignore", invalid="ignore"):
+        finite = np.abs(log_scale) < 690
+        scale = np.exp(np.where(finite, log_scale, 0.0))
+        lambda_u = np.where(finite, l1 * scale, complex(math.inf, 0))
+        lambda_s = np.where(finite, l2 * scale, 0.0)
+        # the determinant of Df^n is exactly a^n; the product of a long
+        # near-singular 2x2 chain cancels catastrophically, so the stable
+        # multiplier is pinned through the determinant in log-polar form
+        pin = np.isfinite(log_lu) & (l1 != 0)
+        log_ls = np.where(pin, n * np.log(np.abs(a)) - log_lu, log_ls)
+        arg_ls = n * np.angle(a) - np.angle(l1)
+        lambda_s = np.where(pin, np.exp(log_ls + 1j * arg_ls), lambda_s)
+    lo, hi = math.log1p(-tols.eps_hyp), math.log1p(tols.eps_hyp)
+    kind = np.select([(log_ls < lo) & (log_lu > hi), (log_ls < lo) & (log_lu < lo),
+                      (log_ls > hi) & (log_lu > hi)], [0, 1, 2], 3)
+    kinds = ("saddle", "sink", "source", "marginal")
+    return [PeriodicOrbit(n=n, xs=x, lambda_s=ls, lambda_u=lu, chi=lg / n, kind=kinds[c],
+                          residual=r, certified=bool(ok), certificate_radius=float(rho))
+            for x, ls, lu, lg, c, r, ok, rho in zip(
+                X, lambda_s.tolist(), lambda_u.tolist(), log_lu.tolist(), kind.tolist(),
+                residual.tolist(), certified, radii)]
 
 
 def classify(
@@ -505,46 +570,14 @@ def classify(
     certified: bool | None = None,
     certificate_radius: float | None = None,
 ) -> PeriodicOrbit:
-    """Build the PeriodicOrbit record (multipliers, exponent, kind)."""
-    xs = np.atleast_1d(np.asarray(xs, dtype=complex))
-    n = xs.shape[0]
-    residual = float(np.abs(cyclic_residual(m, xs)).max())
+    """Build the PeriodicOrbit record (multipliers, exponent, kind).
+
+    Without ``certified`` the orbit is certified here.
+    """
+    X = np.asarray(xs, dtype=complex).reshape(1, -1)
     if certified is None:
-        certified, certificate_radius = certify(m, xs, tols)
-    M, log_scale = monodromy(m, xs)
-    l1, l2, log_lu, log_ls = _scaled_eigenpair(M, log_scale)
-    scale = math.exp(log_scale) if abs(log_scale) < 690 else math.inf
-    lambda_u = l1 * scale if math.isfinite(scale) else complex(math.inf, 0)
-    lambda_s = l2 * scale if math.isfinite(scale) else 0.0
-    if math.isfinite(log_lu) and l1 != 0:
-        # the determinant of Df^n is exactly a^n; the product of a long
-        # near-singular 2x2 chain cancels catastrophically, so the stable
-        # multiplier is pinned through the determinant in log-polar form
-        log_ls = n * math.log(abs(m.a)) - log_lu
-        arg_ls = n * cmath.phase(m.a) - cmath.phase(l1)
-        lambda_s = cmath.exp(complex(log_ls, arg_ls))
-    chi = log_lu / n
-    eps = tols.eps_hyp
-    lo, hi = math.log1p(-eps), math.log1p(eps)
-    if log_ls < lo and log_lu > hi:
-        kind = "saddle"
-    elif log_ls < lo and log_lu < lo:
-        kind = "sink"
-    elif log_ls > hi and log_lu > hi:
-        kind = "source"
-    else:
-        kind = "marginal"
-    return PeriodicOrbit(
-        n=n,
-        xs=xs,
-        lambda_s=complex(lambda_s),
-        lambda_u=complex(lambda_u),
-        chi=chi,
-        kind=kind,
-        residual=residual,
-        certified=bool(certified),
-        certificate_radius=float(certificate_radius or 0.0),
-    )
+        certified, certificate_radius = certify(m, X[0], tols)
+    return _classify_rows(m, X, [certified], [certificate_radius or 0.0], tols)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -600,12 +633,6 @@ def _period_and_gaps(xs: np.ndarray, tol: float) -> tuple[int, dict[int, float]]
 def vector_period(xs: np.ndarray, tol: float) -> int:
     """Minimal p | n with sup_k |x_{k+p} - x_k| < tol."""
     return _period_and_gaps(xs, tol)[0]
-
-
-def _reduce_to_period(m: HenonMap, xs: np.ndarray, k: int, tols: Tolerances) -> np.ndarray:
-    """Average the n/k repeats of a k-periodic vector and re-polish the length-k result."""
-    w = xs.reshape(xs.shape[0] // k, k).mean(axis=0)
-    return newton_refine(m, w, tols.newton, 20)
 
 
 # ---------------------------------------------------------------------------
@@ -769,22 +796,21 @@ def _track_and_check(maps: list[HenonMap], owner: np.ndarray, starts: np.ndarray
     """
     rows = _MapRows.stack(maps, owner)
     X, reached = _track(rows, starts, gamma)
-    ends, failed = [], []
     idx = np.flatnonzero(reached)
     P, done, _, rn = _newton_batch(rows.take(idx), X[idx], tols.newton)
     X[idx] = P
     ok = np.zeros(len(X), dtype=bool)
     ok[idx] = done & (rn <= 1e-10)
-    for i in range(len(X)):
+    W = X.copy()
+    for i in np.flatnonzero(ok):
+        gaps = _period_and_gaps(X[i], tols.dedup)[1].values()
+        ok[i] = min(gaps, default=math.inf) >= tols.separation
         if ok[i]:
-            gaps = _period_and_gaps(X[i], tols.dedup)[1].values()
-            if min(gaps, default=math.inf) >= tols.separation:
-                w = canonical_rotation(X[i])
-                certified, rho = certify(maps[owner[i]], w, tols)
-                if certified:
-                    ends.append((owner[i], w, rho))
-                    continue
-        failed.append((owner[i], X[i]))
+            W[i] = canonical_rotation(X[i])
+    idx = np.flatnonzero(ok)
+    ok[idx], radii = _certify_rows(rows.take(idx), W[idx], tols)
+    ends = [(owner[i], W[i], rho) for i, rho in zip(idx, radii) if ok[i]]
+    failed = [(owner[i], X[i]) for i in np.flatnonzero(~ok)]
     return ends, failed
 
 
@@ -873,10 +899,10 @@ def _catalogue(maps: list[HenonMap], ks, rng_seed, tols: Tolerances, budget: flo
     for i, m in enumerate(maps):
         per_k = {}
         for k in ks:
-            recs = kept[i][k]
-            order = _lex_order(np.array([w for w, _ in recs]).reshape(-1, k)) if recs else []
-            per_k[k] = [classify(m, recs[j][0], tols, certified=True,
-                                 certificate_radius=recs[j][1]) for j in order]
+            X = np.array([w for w, _ in kept[i][k]], dtype=complex).reshape(-1, k)
+            order = _lex_order(X)
+            radii = [kept[i][k][j][1] for j in order]
+            per_k[k] = _classify_rows(m, X[order], [True] * len(order), radii, tols)
         orbits.append(per_k)
     return orbits, complete, paths, unresolved
 
@@ -938,33 +964,20 @@ def decompose_periods(spectra: dict[int, PeriodSpectrum],
         if not spectra[k].complete:
             raise ValueError(f"spectrum for divisor {k} is incomplete")
 
-    # pool the divisor points with owning orbit ids
-    pool_pts: list[complex] = []
-    pool_owner: list[tuple[int, int]] = []
-    for k in _divisors(n)[:-1]:
-        for j, o in enumerate(spectra[k].orbits):
-            if o.n == k:  # exact-period-k orbits only
-                for z in o.xs:
-                    pool_pts.append(complex(z))
-                    pool_owner.append((k, j))
-    pool = np.array(pool_pts, dtype=complex) if pool_pts else np.empty(0, dtype=complex)
-
+    # the points of the divisors' exact-period orbits, each with its orbit's id
+    pool = [(z, (k, j)) for k in _divisors(n)[:-1]
+            for j, o in enumerate(spectra[k].orbits) if o.n == k for z in o.xs]
+    pts = np.array([z for z, _ in pool], dtype=complex)
     for o in spec_n.orbits:
         for z in o.xs:
-            if pool.size:
-                dist = np.abs(pool - z)
-                hits = {pool_owner[i] for i in np.flatnonzero(dist < tols.dedup)}
-            else:
-                hits = set()
+            hits = {pool[i][1] for i in np.flatnonzero(np.abs(pts - z) < tols.dedup)}
             if len(hits) > 1:
                 raise AmbiguousOrbitError(
-                    f"point {z} matches {len(hits)} divisor orbits (tolerance collision)"
-                )
+                    f"point {z} matches {len(hits)} divisor orbits (tolerance collision)")
             matched_period = next(iter(hits))[0] if hits else n
             if matched_period != o.n:
                 raise AmbiguousOrbitError(
-                    f"orbit recorded with period {o.n} but matched divisor period {matched_period}"
-                )
+                    f"orbit recorded with period {o.n} but matched divisor period {matched_period}")
     counts = spec_n.counts
     if sum(counts["per"].values()) != counts["fix"]:
         raise AmbiguousOrbitError("disjoint-union count identity violated")
@@ -995,8 +1008,8 @@ def shadow_pseudo_orbit(
         cur = m.evaluate(cur)
     xs = newton_refine(m, seed, tols.newton)
     k = vector_period(xs, tols.dedup)
-    if k < n:
-        xs = _reduce_to_period(m, xs, k, tols)
+    if k < n:  # average the n/k repeats and re-polish the length-k vector
+        xs = newton_refine(m, xs.reshape(n // k, k).mean(axis=0), tols.newton, 20)
     ok, rho = certify(m, xs, tols)
     if not ok:
         raise NewtonSingular("refined orbit failed certification")
@@ -1045,21 +1058,12 @@ def spectrum_to_json(spec: PeriodSpectrum) -> str:
 
 def spectrum_from_dict(data: dict) -> PeriodSpectrum:
     m = HenonMap.from_spec(data["map"])
-    orbits = []
-    for od in data["orbits"]:
-        orbits.append(
-            PeriodicOrbit(
-                n=od["period"],
-                xs=np.array([complex(re, im) for re, im in od["xs"]]),
-                lambda_s=complex(od["lambda_s"][0], od["lambda_s"][1]),
-                lambda_u=complex(od["lambda_u"][0], od["lambda_u"][1]),
-                chi=od["chi"],
-                kind=od["kind"],
-                residual=od["residual"],
-                certified=od["certified"],
-                certificate_radius=od["radius"],
-            )
-        )
+    orbits = [PeriodicOrbit(n=od["period"], xs=np.array([complex(re, im) for re, im in od["xs"]]),
+                            lambda_s=complex(od["lambda_s"][0], od["lambda_s"][1]),
+                            lambda_u=complex(od["lambda_u"][0], od["lambda_u"][1]),
+                            chi=od["chi"], kind=od["kind"], residual=od["residual"],
+                            certified=od["certified"], certificate_radius=od["radius"])
+              for od in data["orbits"]]
     return PeriodSpectrum(map=m, n=data["n"], orbits=orbits, complete=data["complete"])
 
 

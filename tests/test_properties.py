@@ -1,6 +1,7 @@
 """Property-based checks of the small algebraic invariants."""
 
 import cmath
+import math
 
 import mpmath as mp
 import numpy as np
@@ -9,6 +10,8 @@ from hypothesis import example, given, settings, strategies as st
 
 import henonlab as hl
 from henonlab import verify
+from henonlab.exponents import _psi_sum_rows, _unstable_rows, orbit_psi_sum
+from henonlab.orbits import _MapRows, _certify_rows, _classify_rows, _monodromy_rows
 
 finite = st.floats(-5.0, 5.0, allow_nan=False)
 cvec = st.lists(st.tuples(finite, finite), min_size=1, max_size=6).map(
@@ -138,10 +141,19 @@ def test_cyclic_kernels_agree_across_number_types(m, v):
 
 
 def _dense_steps(m, X, F):
-    """Row-by-row LAPACK steps and the rows whose Jacobian it finds singular."""
+    """Row-by-row LAPACK steps and the rows whose Jacobian is singular to working precision.
+
+    A row is singular when sigma_min(J) <= n eps sigma_max(J), the rule
+    ``orbits._lapack_solve`` documents, or when LAPACK raises.
+    """
     J = hl.cyclic_jacobian(m, X)
+    n = X.shape[1]
     S, bad = np.zeros_like(F), np.zeros(len(X), dtype=bool)
     for i in range(len(X)):
+        sv = np.linalg.svd(J[i], compute_uv=False)
+        if not sv[-1] > n * np.finfo(float).eps * sv[0]:
+            bad[i] = True
+            continue
         try:
             S[i] = np.linalg.solve(J[i], F[i])
         except np.linalg.LinAlgError:
@@ -152,6 +164,9 @@ def _dense_steps(m, X, F):
 @settings(max_examples=60, deadline=None)
 @given(henon_maps, st.integers(1, 16), st.integers(1, 64), st.floats(0.1, 3.0),
        st.integers(0, 2**32 - 1))
+# |a| = 1 and an all-critical row: J is singular to working precision
+# (sigma_min 8.6e-174, sigma_max 2) although LAPACK solves it without raising
+@example(hl.HenonMap(coeffs=(0j, 0j), a=1 + 1.2e-173j), 4, 1, 1.0, 0)
 def test_cyclic_tridiagonal_solve_matches_dense(m, n, B, radius, seed):
     rng = np.random.default_rng(seed)
     X = radius * (rng.normal(size=(B, n)) + 1j * rng.normal(size=(B, n)))
@@ -250,3 +265,208 @@ def test_necklace_catalogue_of_random_maps(d, seed, data):
         for q in s.orbits[i + 1:]:
             if q.n == o.n:
                 assert hl.rotation_distance(o.xs, q.xs) > o.certificate_radius + q.certificate_radius
+
+
+# ---------------------------------------------------------------------------
+# the row-batched per-orbit layers against the per-orbit loops they replaced
+# ---------------------------------------------------------------------------
+
+def _loop_monodromy(m, xs, start=0):
+    n = xs.shape[0]
+    M = np.eye(2, dtype=complex)
+    log_scale = 0.0
+    for i in range(n):
+        k = (start + i) % n
+        A = np.array([[m.dp(xs[k]), -m.a], [1.0, 0.0]], dtype=complex)
+        M = A @ M
+        s = float(np.abs(M).max())
+        if s > 0.0 and (s > 1e8 or s < 1e-8):
+            M /= s
+            log_scale += math.log(s)
+    return M, log_scale
+
+
+def _loop_scaled_eigenpair(M, log_scale):
+    T = M[0, 0] + M[1, 1]
+    D = M[0, 0] * M[1, 1] - M[0, 1] * M[1, 0]
+    disc = np.lib.scimath.sqrt(T * T - 4.0 * D)
+    l1 = (T + disc) / 2.0 if abs(T + disc) >= abs(T - disc) else (T - disc) / 2.0
+    l2 = D / l1 if l1 != 0 else 0.0 + 0j
+    if abs(l2) > abs(l1):
+        l1, l2 = l2, l1
+    log_lu = math.log(abs(l1)) + log_scale if l1 != 0 else -math.inf
+    log_ls = math.log(abs(l2)) + log_scale if l2 != 0 else -math.inf
+    return complex(l1), complex(l2), log_lu, log_ls
+
+
+def _loop_multipliers(m, xs, eps):
+    """(lambda_u, lambda_s, chi, kind) as the per-orbit classify computed them."""
+    n = xs.shape[0]
+    M, log_scale = _loop_monodromy(m, xs)
+    l1, l2, log_lu, log_ls = _loop_scaled_eigenpair(M, log_scale)
+    scale = math.exp(log_scale) if abs(log_scale) < 690 else math.inf
+    lambda_u = l1 * scale if math.isfinite(scale) else complex(math.inf, 0)
+    lambda_s = l2 * scale if math.isfinite(scale) else 0.0
+    if math.isfinite(log_lu) and l1 != 0:
+        log_ls = n * math.log(abs(m.a)) - log_lu
+        lambda_s = cmath.exp(complex(log_ls, n * cmath.phase(m.a) - cmath.phase(l1)))
+    lo, hi = math.log1p(-eps), math.log1p(eps)
+    if log_ls < lo and log_lu > hi:
+        kind = "saddle"
+    elif log_ls < lo and log_lu < lo:
+        kind = "sink"
+    elif log_ls > hi and log_lu > hi:
+        kind = "source"
+    else:
+        kind = "marginal"
+    return complex(lambda_u), complex(lambda_s), log_lu / n, kind
+
+
+def _loop_psi_sum(m, xs):
+    M, log_scale = _loop_monodromy(m, xs)
+    lam = _loop_scaled_eigenpair(M, log_scale)[0]
+    c1 = np.array([M[0, 1], lam - M[0, 0]], dtype=complex)
+    c2 = np.array([lam - M[1, 1], M[1, 0]], dtype=complex)
+    v = c1 if np.linalg.norm(c1) >= np.linalg.norm(c2) else c2
+    v = v / np.linalg.norm(v)
+    total = 0.0
+    for k in range(xs.shape[0]):
+        w = m.jacobian((xs[k], xs[k - 1])) @ v
+        nrm = float(np.linalg.norm(w))
+        total += math.log(nrm)
+        v = w / nrm
+    return total
+
+
+def _loop_certify(m, xs, tols):
+    F = hl.cyclic_residual(m, xs)
+    if not np.all(np.isfinite(F)):
+        return False, 0.0
+    try:
+        Jinv = np.linalg.inv(hl.cyclic_jacobian(m, xs))
+    except np.linalg.LinAlgError:
+        return False, 0.0
+    abs_inv = np.abs(Jinv)
+    eta = float((abs_inv @ (np.abs(F) + hl.orbits._residual_rounding(m, xs))).max())
+    beta = float(abs_inv.sum(axis=1).max())
+    L = m.d2p_bound(float(np.abs(xs).max()) + tols.certify_ball)
+    if L <= 0.0 or not math.isfinite(beta):
+        return False, 0.0
+    h = beta * L * eta
+    if h > 0.5:
+        return False, 0.0
+    rho = (1.0 - math.sqrt(1.0 - 2.0 * h)) / (beta * L)
+    if rho > tols.certify_ball:
+        return False, 0.0
+    return True, max(rho, np.finfo(float).eps * (1.0 + float(np.abs(xs).max())))
+
+
+def _close(got, want, rtol, atol=0.0):
+    return abs(got - want) <= rtol * abs(want) + atol
+
+
+def _check_rows(m, X, start=0, tols=hl.orbits.DEFAULT_TOLERANCES):
+    """Each batched layer on X (B, n) against the loops, and each public one-row call bit for bit."""
+    ok, rho = _certify_rows(m, X, tols)
+    orbits = _classify_rows(m, X, ok, rho, tols)
+    M, log_scale = _monodromy_rows(m, X, start)
+    psi = _psi_sum_rows(m, X)
+    for i, xs in enumerate(X):
+        ok_ref, rho_ref = _loop_certify(m, xs, tols)
+        assert ok[i] == ok_ref and _close(rho[i], rho_ref, 1e-12)
+        lu, ls, chi, kind = _loop_multipliers(m, xs, tols.eps_hyp)
+        o = orbits[i]
+        assert o.kind == kind and o.certified == ok_ref
+        assert _close(o.lambda_u, lu, 1e-13) and _close(o.lambda_s, ls, 1e-13)
+        # chi of a marginal orbit is a log of 1 up to round-off
+        assert _close(o.chi, chi, 1e-13, 1e-15)
+        M_ref, log_scale_ref = _loop_monodromy(m, xs, start)
+        scaled = M[i] * math.exp(log_scale[i] - log_scale_ref)
+        assert np.abs(scaled - M_ref).max() <= 1e-13 * np.abs(M_ref).max()
+        assert _close(psi[i], _loop_psi_sum(m, xs), 1e-13, 1e-13)
+
+        # the public functions are one-row calls of the same code
+        assert hl.certify(m, xs, tols) == (ok[i], rho[i])
+        one = hl.classify(m, xs, tols)
+        assert one.kind == o.kind and one.certified == o.certified
+        fields = ("lambda_u", "lambda_s", "chi", "residual", "certificate_radius")
+        assert (np.array([getattr(one, f) for f in fields]).tobytes()
+                == np.array([getattr(o, f) for f in fields]).tobytes())
+        M1, log_scale1 = hl.orbits.monodromy(m, xs, start)
+        assert M1.tobytes() == M[i].tobytes() and log_scale1 == log_scale[i]
+        assert np.float64(orbit_psi_sum(m, o)).tobytes() == psi[i].tobytes()
+        if o.kind == "saddle":
+            j = start % len(xs)
+            V = _unstable_rows(m, X, j)[0]
+            u = hl.unstable_direction(m, o, j)
+            assert u.dir.tobytes() == hl.UnstableDirection(base=o.points[j], dir=V[i]).dir.tobytes()
+    return orbits, log_scale
+
+
+@settings(max_examples=20, deadline=None)
+@given(st.integers(2, 4), st.integers(0, 2**32 - 1), st.data())
+def test_batched_orbit_layers_match_loops_on_random_maps(d, seed, data):
+    # degree 2-4, Gaussian coefficients, complex a with 0.1 <= |a| <= 1.5
+    n = data.draw(st.integers(1, {2: 6, 3: 4, 4: 3}[d]))
+    start = data.draw(st.integers(0, n))
+    rng = np.random.default_rng(seed)
+    coeffs = rng.normal(size=d) + 1j * rng.normal(size=d)
+    a = rng.uniform(0.1, 1.5) * cmath.exp(2j * cmath.pi * rng.random())
+    m = hl.HenonMap(coeffs=tuple(coeffs), a=a)
+    for _, X in hl.orbits._by_length(hl.enumerate_fix(m, n).orbits):
+        _check_rows(m, X, start)
+
+
+def test_batched_orbit_layers_match_loops_across_rescales(horseshoe_spectra):
+    # Fix_10 stays below the 1e8 rescale (|lambda_u| <= 5.2e7); Fix_12 reaches
+    # 2.1e9, so its length-12 batch mixes rescaled and unrescaled rows
+    m = horseshoe_spectra[10].map
+    for s in (horseshoe_spectra[10], hl.enumerate_fix(m, 12)):
+        for _, X in hl.orbits._by_length(s.orbits):
+            _, log_scale = _check_rows(m, X, start=3)
+    assert (log_scale > 0).any() and (log_scale == 0).any()
+
+
+#: the sink family's saddle-node cell: p = x^2 + (1 + a)^2 / 4 has the
+#: double fixed point 0.75 with multipliers 1 and a, where J is exactly singular
+SADDLE_NODE = hl.quadratic_map(0.5625, 0.5)
+
+
+def test_batched_orbit_layers_match_loops_on_sink_family(sink_family):
+    kinds = set()
+    for c in (sink_family.center, sink_family.center + 0.25 + 0.25j, sink_family.center - 0.25j):
+        m = sink_family.map_at(c)
+        for _, X in hl.orbits._by_length(hl.enumerate_fix(m, 6).orbits):
+            kinds.update(o.kind for o in _check_rows(m, X, start=1)[0])
+    for X in (np.array([[0.75 + 0j]]), np.array([[0.75 + 0j, 0.75 + 0j]])):
+        kinds.update(o.kind for o in _check_rows(SADDLE_NODE, X)[0])
+    assert {"sink", "saddle", "marginal"} <= kinds
+
+
+def test_certify_batch_rejects_only_its_singular_row(horseshoe_spectra):
+    tols = hl.orbits.DEFAULT_TOLERANCES
+    horseshoe = horseshoe_spectra[1].map
+    fixed = [o.xs for o in horseshoe_spectra[1].orbits]
+    period2 = [o.xs for o in hl.enumerate_fix(SADDLE_NODE, 2).orbits if o.n == 2]
+    length10 = [o.xs for o in horseshoe_spectra[10].orbits if o.n == 10]
+    # more rows than one stacked inverse takes, so the last batch is certified in blocks
+    assert len(length10) > 2 * hl.orbits._STACK_ENTRIES // 10**2
+    batches = [
+        # rows of two maps: the horseshoe's fixed points around the double one
+        ([horseshoe, SADDLE_NODE, horseshoe], [fixed[0], [0.75], fixed[1]], 1),
+        # one map: its period-2 orbit, then its double fixed point traversed twice
+        ([SADDLE_NODE] * 2, [period2[0], [0.75, 0.75]], 1),
+        # the double fixed point traversed ten times, in the second block
+        ([horseshoe] * 50 + [SADDLE_NODE] + [horseshoe] * (len(length10) - 50),
+         length10[:50] + [[0.75] * 10] + length10[50:], 50),
+    ]
+    for maps, X, singular in batches:
+        X = np.array(X, dtype=complex)
+        rows = _MapRows.stack(maps, np.arange(len(maps)))
+        with pytest.raises(np.linalg.LinAlgError):
+            np.linalg.inv(hl.cyclic_jacobian(rows, X))
+        ok, rho = _certify_rows(rows, X, tols)
+        assert ok.tolist() == [i != singular for i in range(len(X))]
+        for i, (m, xs) in enumerate(zip(maps, X)):
+            ok_ref, rho_ref = _loop_certify(m, xs, tols)
+            assert ok[i] == ok_ref and _close(rho[i], rho_ref, 1e-12)
