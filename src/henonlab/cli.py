@@ -61,10 +61,11 @@ def _tolerances(args) -> Tolerances:
     )
 
 
-def _add_common(p) -> None:
+def _add_common(p, solves: bool) -> None:
     p.add_argument("--seed", type=int, default=DEFAULT_RNG_SEED)
-    p.add_argument("--tol-newton", type=float, default=Tolerances.newton)
-    p.add_argument("--tol-dedup", type=float, default=Tolerances.dedup)
+    if solves:  # classify only re-certifies: it reads neither tolerance
+        p.add_argument("--tol-newton", type=float, default=Tolerances.newton)
+        p.add_argument("--tol-dedup", type=float, default=Tolerances.dedup)
     p.add_argument("--eps-hyp", type=float, default=Tolerances.eps_hyp)
     p.add_argument("--out", required=True)
 
@@ -141,7 +142,7 @@ def cmd_enumerate(args) -> int:
 
 def cmd_classify(args) -> int:
     spec = spectrum_from_file(args.spectrum)
-    tols = _tolerances(args)
+    tols = Tolerances(eps_hyp=args.eps_hyp)
     orbits = list(spec.orbits)
     for idx, X in _by_length(spec.orbits):
         for i, o in zip(idx, _classify_rows(spec.map, X, *_certify_rows(spec.map, X, tols), tols)):
@@ -272,12 +273,12 @@ def build_parser() -> _Parser:
     pe.add_argument("--n", type=int, required=True)
     pe.add_argument("--budget", type=int, default=None)
     pe.add_argument("--cache-dir", default=None)
-    _add_common(pe)
+    _add_common(pe, solves=True)
     pe.set_defaults(func=cmd_enumerate)
 
     pc = sub.add_parser("classify", help="re-derive classifications from a spectrum")
     pc.add_argument("--spectrum", required=True)
-    _add_common(pc)
+    _add_common(pc, solves=False)
     pc.set_defaults(func=cmd_classify)
 
     pm = sub.add_parser("measure", help="empirical-measure convergence table")
@@ -301,7 +302,7 @@ def build_parser() -> _Parser:
     ps.add_argument("--n", type=int, default=6)
     ps.add_argument("--validate-stencil", action="store_true")
     ps.add_argument("--cache-dir", default=None)
-    _add_common(ps)
+    _add_common(ps, solves=True)
     ps.set_defaults(func=cmd_scan)
 
     pr = sub.add_parser("report", help="summarize cached runs")

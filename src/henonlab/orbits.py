@@ -10,8 +10,9 @@ whose Jacobian is cyclic tridiagonal: diagonal p'(x_k), subdiagonal -a,
 superdiagonal -1, plus the wrap-around corners J[0, n-1] = -a and
 J[n-1, 0] = -1.  Every linear solve on such a band is O(n) per row without
 forming J: Thomas elimination on the tridiagonal part and a
-Sherman-Morrison correction for the corners.  Rows where that elimination
-is unreliable, and every row when n < 3, use the dense LAPACK solve.
+Sherman-Morrison correction for the corners.  The same ``_band_solve``
+solves the rows where that is unreliable, and every row when n < 3,
+densely: by LAPACK on doubles, by ``mp.lu_solve`` on mpmath numbers.
 
 The orbits come from a total-degree homotopy.  The system has Bezout
 number d^n, exactly the number of fixed points of f^n counted with
@@ -19,8 +20,10 @@ multiplicity, and the start system x_k^d = 1 shares its cyclic symmetry,
 so one path per primitive necklace (Lyndon word of length k over the d-th
 roots of unity) reaches one orbit of exact period k.  Paths are tracked in
 batches whose rows may belong to different maps, so a parameter scan
-tracks every grid cell at once.  Certificates, monodromies and multipliers
-run over all orbits of one length at once; ``certify`` etc. are one-row calls.
+tracks every grid cell at once.  Each endpoint is Newton-polished wherever
+its path stopped; its residual, exact period and certificate decide.
+Certificates, monodromies and multipliers run over all orbits of one
+length at once; ``certify`` etc. are one-row calls.
 """
 
 from __future__ import annotations
@@ -30,6 +33,7 @@ import json
 import math
 from dataclasses import dataclass, field
 
+import mpmath as mp
 import numpy as np
 
 from .maps import HenonMap
@@ -150,10 +154,12 @@ def _band_matrix(diag: np.ndarray, sub, sup) -> np.ndarray:
     """Dense cyclic tridiagonal matrices, shaped diag.shape + (n,), same dtype.
 
     ``sub`` and ``sup`` are the sub- and superdiagonals, which also fill the
-    corners J[0, n-1] and J[n-1, 0]: scalars or per-row (B, 1) columns.
+    corners J[0, n-1] and J[n-1, 0]: scalars or per-row (B, 1) columns.  An
+    object array starts from mpmath zeros, so entries where the bands meet
+    (n = 2) add in mpmath arithmetic rather than in Python complex.
     """
     n = diag.shape[-1]
-    J = np.zeros(diag.shape + (n,), dtype=diag.dtype)
+    J = np.full(diag.shape + (n,), mp.mpc(0) if diag.dtype == object else 0, dtype=diag.dtype)
     idx = np.arange(n)
     J[..., idx, idx] += diag
     J[..., idx, (idx - 1) % n] += sub
@@ -199,11 +205,6 @@ def _lapack_solve(J: np.ndarray, F: np.ndarray) -> tuple[np.ndarray, np.ndarray]
     return S, bad
 
 
-def _dense_solve(m: HenonMap, X: np.ndarray, F: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """LAPACK solve on the dense Jacobians; rows with singular Jacobians are flagged."""
-    return _lapack_solve(cyclic_jacobian(m, X), F)
-
-
 #: a Thomas pivot or Sherman-Morrison denominator this small, relative to
 #: its scale, sends the row to the dense solve
 _FALLBACK_RTOL = 1e-6
@@ -213,7 +214,7 @@ _FALLBACK_RTOL = 1e-6
 _CANCEL_MAX = 1e4
 
 
-def _band_solve(diag: np.ndarray, sub, sup, F: np.ndarray, dense) -> tuple[np.ndarray, np.ndarray]:
+def _band_solve(diag: np.ndarray, sub, sup, F: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Solves of the cyclic tridiagonal systems J S = F, one per row, in O(n) each.
 
     J has diagonal ``diag`` (B, n) and constant sub- and superdiagonals
@@ -227,17 +228,27 @@ def _band_solve(diag: np.ndarray, sub, sup, F: np.ndarray, dense) -> tuple[np.nd
     a cyclic shift), y and z are large and the correction cancels them;
     |v.z| then is large as well.  Rows with a tiny pivot or denominator, a
     large |v.z| or a non-finite step, and every row when n < 3, are solved
-    by ``dense(rows)``, which returns their steps and singular flags.
-    Returns (S, singular).
+    here on their ``_band_matrix`` by ``_lapack_solve``, which flags the
+    rows whose J is singular to working precision.  Returns (S, singular).
 
     The bands and F may also be object arrays of mpmath numbers, which
     raise on a zero divisor where doubles give inf or nan: then every row
-    takes the dense solve.
+    takes the dense solve, which is ``mp.lu_solve`` and raises
+    ZeroDivisionError on a singular J.
     """
     B, n = diag.shape
+    sub, sup = np.reshape(sub, -1), np.reshape(sup, -1)
+
+    def dense(rows):
+        # broadcast here only: on the Thomas path it slows the many small batches of a scan
+        J = _band_matrix(diag[rows], *(np.broadcast_to(s, (B,))[rows, None] for s in (sub, sup)))
+        if J.dtype != object:
+            return _lapack_solve(J, F[rows])
+        S = [list(mp.lu_solve(mp.matrix(j), mp.matrix(f))) for j, f in zip(J, F[rows])]
+        return np.array(S, dtype=object), np.zeros(len(S), dtype=bool)
+
     if n < 3:  # the corners fall on the off-diagonals
         return dense(np.ones(B, dtype=bool))
-    sub, sup = np.reshape(sub, -1), np.reshape(sup, -1)
     gamma = -diag[:, 0]
     gamma[gamma == 0] = 1.0
     rhs = np.zeros((n, 2, B), dtype=F.dtype)
@@ -278,36 +289,23 @@ def _band_solve(diag: np.ndarray, sub, sup, F: np.ndarray, dense) -> tuple[np.nd
     return S, bad
 
 
-def _solve_batch(m: HenonMap, X: np.ndarray, F: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Newton steps S with J(X) S = F row by row; rows with singular J are flagged."""
-    m = _as_rows(m, len(X))
-    return _band_solve(m.dp(X), -m.a, -1.0, F,
-                       lambda rows: _dense_solve(m.take(rows), X[rows], F[rows]))
-
-
-def _newton_batch(
-    m: HenonMap,
-    X: np.ndarray,
-    tol: float,
-    max_steps: int = 60,
-    safety: float | None = None,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+def _newton_batch(m: HenonMap, X: np.ndarray, tol: float, max_steps: int = 60
+                  ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Damped Newton on a batch of cyclic orbit vectors.
 
     ``m`` is one map or a ``_MapRows`` batch with a map per row.  Returns
     (X, converged, singular, residual_norms).  Rows converge when the
     residual sup-norm drops below ``tol`` and further steps stop improving
     (iteration continues to the round-off floor so certified orbits carry
-    residuals near machine precision).  Each step is solved in O(n) per
-    row by ``_solve_batch``; a row is singular when its dense fallback
-    finds the Jacobian singular to working precision.
+    residuals near machine precision).  A row that leaves twice the
+    filtration radius is dead.  Each step is solved in O(n) per row by
+    ``_band_solve``; a row is singular when its dense fallback finds the
+    Jacobian singular to working precision.
     """
     X = np.array(X, dtype=complex)
     B, n = X.shape
     m = _as_rows(m, B)
-    if safety is None:
-        safety = 2.0 * m.filtration_radius[:, 0]
-    safety = np.broadcast_to(safety, (B,))
+    safety = 2.0 * m.filtration_radius[:, 0]
     floor = _residual_floor(m)[:, 0]
     target = np.maximum(tol, floor)
 
@@ -321,8 +319,7 @@ def _newton_batch(
         if act.size == 0:
             break
         ma, Xa = m.take(act), X[act]
-        Fa = cyclic_residual(ma, Xa)
-        S, bad = _solve_batch(ma, Xa, Fa)
+        S, bad = _band_solve(ma.dp(Xa), -ma.a, -1.0, cyclic_residual(ma, Xa))
         if bad.any():
             idx = act[bad]
             dead[idx] = True
@@ -371,7 +368,7 @@ def newton_refine(
     safety = 2.0 * m.filtration_radius
     if np.abs(seed).max() > safety:
         raise NewtonDiverged("seed outside the safety region")
-    X, done, singular, rn = _newton_batch(m, seed[None, :], tol, max_steps, safety)
+    X, done, singular, rn = _newton_batch(m, seed[None, :], tol, max_steps)
     if done[0]:
         return X[0]
     if singular[0]:
@@ -696,9 +693,9 @@ def _lyndon_words(d: int, k: int) -> list[tuple[int, ...]]:
     return words
 
 
-def _gamma(seed: tuple, k: int, attempt: int) -> complex:
+def _gamma(rng_seed: int, k: int, attempt: int) -> complex:
     """The homotopy's gamma for one length and attempt: a point of the unit circle."""
-    rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence((*seed, k, attempt))))
+    rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence((rng_seed, k, attempt))))
     return cmath.exp(2j * math.pi * rng.random())
 
 
@@ -722,22 +719,21 @@ _DT_MAX, _DT_MIN, _TRACK_STEPS = 0.1, 1e-8, 2000
 _FIRST_CORRECTION, _LAST_CORRECTION = 1e-3, 1e-10
 
 
-def _track(rows: _MapRows, X: np.ndarray, gamma: complex) -> tuple[np.ndarray, np.ndarray]:
+def _track(rows: _MapRows, X: np.ndarray, gamma: complex) -> np.ndarray:
     """Follow H(x, t) = 0 from the start points X at t = 0 to t = 1, row by row.
 
     Each step predicts with RK4 on dx/dt = -H_x^-1 H_t and corrects with
     three Newton steps at the new t.  It is accepted when the first
     correction is small and the last one is at round-off, and its length
     then grows by half (up to ``_DT_MAX``); otherwise it is halved, and a
-    row whose step falls below ``_DT_MIN`` fails.  Returns (X, reached):
-    the rows' last accepted points and whether they reached t = 1.
+    row whose step falls below ``_DT_MIN`` stops.  Returns each row's last
+    accepted point: its endpoint at t = 1, or wherever its path stopped.
     """
     X = np.array(X, dtype=complex)
     B = len(X)
     t = np.zeros(B)
     h = np.full(B, _DT_MAX / 4)
     live = np.ones(B, dtype=bool)
-    reached = np.zeros(B, dtype=bool)
     for _ in range(_TRACK_STEPS):
         act = np.flatnonzero(live)
         if act.size == 0:
@@ -750,9 +746,7 @@ def _track(rows: _MapRows, X: np.ndarray, gamma: complex) -> tuple[np.ndarray, n
         def step(x, tt, rhs):
             """-H_x^-1 times H (rhs 0) or H_t (rhs 1) at (x, tt)."""
             parts = _homotopy(r, gamma, x, tt)
-            diag, sub, sup, F = parts[2], -tt * r.a, -tt, parts[rhs]
-            S, singular = _band_solve(diag, sub, sup, F, lambda i: _lapack_solve(
-                _band_matrix(diag[i], sub[i], sup[i]), F[i]))
+            S, singular = _band_solve(parts[2], -tt * r.a, -tt, parts[rhs])
             bad[singular] = True
             return -S
 
@@ -777,30 +771,25 @@ def _track(rows: _MapRows, X: np.ndarray, gamma: complex) -> tuple[np.ndarray, n
         t[acc] = t1[good, 0]
         h[acc] = np.minimum(1.5 * h[acc], _DT_MAX)
         h[rej] *= 0.5
-        finished = acc[last[good]]
-        reached[finished] = True
-        live[finished] = False
+        live[acc[last[good]]] = False
         live[rej[h[rej] < _DT_MIN]] = False
-    return X, reached
+    return X
 
 
 def _track_and_check(maps: list[HenonMap], owner: np.ndarray, starts: np.ndarray,
                      gamma: complex, tols: Tolerances) -> tuple[list, list]:
     """Track one path per row, then polish and check every endpoint.
 
-    Row i belongs to ``maps[owner[i]]``.  An endpoint passes when Newton
-    polishes it to a residual of at most 1e-10, every proper-divisor shift
-    moves it by at least ``tols.separation`` (exact period k) and ``certify``
-    accepts its canonical rotation.  Returns (ends, failed): (owner, xs,
-    radius) for the endpoints that pass, (owner, endpoint) for the rest.
+    Row i belongs to ``maps[owner[i]]``.  Newton polishes every endpoint,
+    wherever its path stopped, and these checks alone judge it: its
+    residual is at most 1e-10, every proper-divisor shift moves it by at
+    least ``tols.separation`` (exact period k) and ``certify`` accepts its
+    canonical rotation.  Returns (ends, failed): (owner, xs, radius) for
+    the endpoints that pass, (owner, polished endpoint) for the rest.
     """
     rows = _MapRows.stack(maps, owner)
-    X, reached = _track(rows, starts, gamma)
-    idx = np.flatnonzero(reached)
-    P, done, _, rn = _newton_batch(rows.take(idx), X[idx], tols.newton)
-    X[idx] = P
-    ok = np.zeros(len(X), dtype=bool)
-    ok[idx] = done & (rn <= 1e-10)
+    X, ok, _, rn = _newton_batch(rows, _track(rows, starts, gamma), tols.newton)
+    ok &= rn <= 1e-10
     W = X.copy()
     for i in np.flatnonzero(ok):
         gaps = _period_and_gaps(X[i], tols.dedup)[1].values()
@@ -848,7 +837,7 @@ def _merge(kept: list, new: list, tols: Tolerances) -> None:
 _ATTEMPTS = 3
 
 
-def _catalogue(maps: list[HenonMap], ks, rng_seed, tols: Tolerances, budget: float = math.inf):
+def _catalogue(maps: list[HenonMap], ks, rng_seed: int, tols: Tolerances, budget=math.inf):
     """The orbits of exact period k, for each k in ``ks``, of every map: one path per necklace.
 
     All the maps' paths of one length are tracked as one batch.  A map
@@ -860,9 +849,8 @@ def _catalogue(maps: list[HenonMap], ks, rng_seed, tols: Tolerances, budget: flo
     canonical rotation and lexicographic order; complete[i] says whether
     every length reached its count; ``paths`` counts tracked paths,
     retracks included, and stops at ``budget``; unresolved[i] holds the
-    failed endpoints of the last attempt of each length still short.
+    polished endpoints that failed the last attempt of a length still short.
     """
-    seed = rng_seed if isinstance(rng_seed, tuple) else (rng_seed,)
     d = maps[0].degree
     kept = [{k: [] for k in ks} for _ in maps]
     complete = np.ones(len(maps), dtype=bool)
@@ -878,7 +866,7 @@ def _catalogue(maps: list[HenonMap], ks, rng_seed, tols: Tolerances, budget: flo
             owner = np.repeat(todo, need)
             paths += owner.size
             ends, failed = _track_and_check(maps, owner, np.tile(starts, (todo.size, 1)),
-                                            _gamma(seed, k, attempt), tols)
+                                            _gamma(rng_seed, k, attempt), tols)
             new: dict[int, list] = {}
             for i, w, rho in ends:
                 new.setdefault(i, []).append((w, rho))
@@ -911,7 +899,7 @@ def enumerate_fix(
     m: HenonMap,
     n: int,
     budget: int | None = None,
-    rng_seed: int | tuple = DEFAULT_RNG_SEED,
+    rng_seed: int = DEFAULT_RNG_SEED,
     tols: Tolerances = DEFAULT_TOLERANCES,
 ) -> PeriodSpectrum:
     """All fixed points of f^n, by exact period, from the necklace homotopy.

@@ -10,12 +10,14 @@ more precision than the solver itself: these helpers re-polish a
 certified orbit with mpmath Newton steps and evaluate the escape-rate
 potentials without rounding back to doubles.
 
-The Newton steps use the O(n) cyclic tridiagonal solve of the
-double-precision solver (``orbits._band_solve``) on object arrays of
-mpmath numbers; ``mp.lu_solve`` only serves n < 3 and the systems that
-solve sends to its dense fallback.  Newton converges quadratically from the certified
-double orbit, so the polish stops at the first step below the working
-precision, 2^-prec (1 + max |z_k|), and after ``steps`` steps at most.
+The Newton steps call the O(n) cyclic tridiagonal solve of the
+double-precision solver, ``orbits._band_solve``, on object arrays of
+mpmath numbers; that solve runs its own dense ``mp.lu_solve`` for n < 3
+and for the systems it sends to its fallback, and raises
+ZeroDivisionError on a singular Jacobian.  Newton converges
+quadratically from the certified double orbit, so the polish stops at
+the first step below the working precision, 2^-prec (1 + max |z_k|), and
+after ``steps`` steps at most.
 The potentials convert the map's coefficients to mpmath once per point,
 and take a modulus only once a coordinate part exceeds
 0.7 ESCAPE_THRESHOLD; 0.7 < 1/sqrt(2), so that screen misses no escape.
@@ -27,21 +29,10 @@ import mpmath as mp
 import numpy as np
 
 from .maps import ESCAPE_THRESHOLD, HenonMap
-from .orbits import _band_solve, cyclic_jacobian, cyclic_residual
+from .orbits import _band_solve, cyclic_residual
 
 #: a point whose coordinate parts are all below this cannot be escaping
 _SCREEN = 0.7 * ESCAPE_THRESHOLD
-
-
-def _newton_step_hp(m: HenonMap, z: np.ndarray) -> np.ndarray:
-    """J(z)^-1 F(z) for an object array z of mpc; raises ZeroDivisionError if J is singular."""
-    F = cyclic_residual(m, z)
-
-    def dense(rows):
-        s = mp.lu_solve(mp.matrix(cyclic_jacobian(m, z)), mp.matrix(F))
-        return np.array([list(s)], dtype=object), np.zeros(1, dtype=bool)
-
-    return _band_solve(m.dp(z)[None], -mp.mpc(m.a), mp.mpc(-1), F[None], dense)[0][0]
 
 
 def refine_orbit_hp(m: HenonMap, xs: np.ndarray, dps: int = 60, steps: int = 6) -> list:
@@ -49,7 +40,8 @@ def refine_orbit_hp(m: HenonMap, xs: np.ndarray, dps: int = 60, steps: int = 6) 
     with mp.workdps(dps):
         z = np.array([mp.mpc(complex(v)) for v in xs], dtype=object)
         for _ in range(steps):
-            s = _newton_step_hp(m, z)
+            F = cyclic_residual(m, z)
+            s = _band_solve(m.dp(z)[None], -mp.mpc(m.a), mp.mpc(-1), F[None])[0][0]
             z = z - s
             if max(abs(v) for v in s) <= mp.ldexp(1 + max(abs(v) for v in z), -mp.mp.prec):
                 break

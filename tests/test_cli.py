@@ -167,6 +167,16 @@ class TestIgnoredOptions:
         assert main(["measure", "--spectra", spectrum, "--cache-dir", str(tmp_path / "c"),
                      "--out", str(tmp_path / "m.csv")]) == 1
 
+    @pytest.mark.parametrize("flag", ["--tol-newton", "--tol-dedup"])
+    def test_classify_rejects_solver_tolerances(self, flag, spectrum, tmp_path):
+        # classify re-certifies and re-classifies: it runs no Newton and no dedup
+        assert main(["classify", "--spectrum", spectrum, flag, "1e-9",
+                     "--out", str(tmp_path / "c.json")]) == 1
+
+    def test_classify_keeps_seed_and_eps_hyp(self, spectrum, tmp_path):
+        assert main(["classify", "--spectrum", spectrum, "--seed", "1729", "--eps-hyp", "1e-6",
+                     "--out", str(tmp_path / "c.json")]) == 0
+
     @pytest.mark.parametrize("command", ["lyapunov", "measure"])
     def test_seed_still_accepted(self, command, spectrum, tmp_path):
         assert main([command, "--spectra", spectrum, "--seed", "1729",

@@ -38,6 +38,25 @@ class TestCyclicSystem:
         assert J.shape == (1, 1)
         assert abs(J[0, 0] - (2 * 1.5 - 0.5 - 1.0)) < 1e-14
 
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_jacobian_keeps_mpmath_precision(self, n):
+        # at n = 2 the sub- and superdiagonal entries coincide; -a - 1 must be
+        # summed in mpmath, not rounded to a double as a Python complex
+        m = hl.quadratic_map(0.25, 1.1983581723860424)
+        with mp.workdps(40):
+            z = np.array([mp.mpc(0.3 * k + 0.1, -0.2 * k) for k in range(n)], dtype=object)
+            J = hl.cyclic_jacobian(m, z)
+            for i in range(n):
+                for j in range(n):
+                    want = mp.mpc(0)
+                    if i == j:
+                        want += 2 * z[i]
+                    if j == (i - 1) % n:
+                        want -= mp.mpc(m.a)
+                    if j == (i + 1) % n:
+                        want -= 1
+                    assert isinstance(J[i, j], mp.mpc) and J[i, j] == want
+
     def test_jacobian_matches_finite_differences(self):
         rng = np.random.default_rng(2)
         xs = rng.normal(size=5) + 1j * rng.normal(size=5)
@@ -82,19 +101,20 @@ class TestNewtonRefine:
     def test_zero_thomas_pivot_takes_dense_solve(self, monkeypatch):
         # at the fixed point 0 of p = x^2 the diagonal vanishes and, at even n,
         # the last Thomas pivot is -a + a = 0 although J is regular
-        rows = []
-        dense = hl.orbits._dense_solve
+        dense = []
+        lapack = hl.orbits._lapack_solve
 
-        def recording_dense(m, X, F):
-            rows.append(X.copy())
-            return dense(m, X, F)
+        def recording_lapack(J, F):
+            dense.append(J.copy())
+            return lapack(J, F)
 
-        monkeypatch.setattr(hl.orbits, "_dense_solve", recording_dense)
+        monkeypatch.setattr(hl.orbits, "_lapack_solve", recording_lapack)
         X = np.zeros((2, 4), dtype=complex)
         X[1] = [0.1, 0.2j, -0.3, 0.4]
         F = np.ones((2, 4), dtype=complex)
-        S, bad = hl.orbits._solve_batch(MIXED, X, F)
-        assert len(rows) == 1 and np.array_equal(rows[0], X[:1])
+        S, bad = hl.orbits._band_solve(MIXED.dp(X), -MIXED.a, -1.0, F)
+        # only the row at the fixed point 0 is solved densely, on its own Jacobian
+        assert len(dense) == 1 and np.array_equal(dense[0], hl.cyclic_jacobian(MIXED, X[:1]))
         assert not bad.any()
         assert np.abs(S - np.linalg.solve(hl.cyclic_jacobian(MIXED, X), F[..., None])[..., 0]).max() < 1e-14
 
@@ -300,6 +320,17 @@ class TestEnumerate:
                 s = hl.enumerate_fix(horseshoe_map, 1, budget=budget)
             assert (s.complete, s.budget_used) == (complete, used)
 
+    @pytest.mark.parametrize("delta", [1e-13, 4e-14, 1e-14])
+    def test_near_double_fixed_point_is_complete(self, delta):
+        # p = x^2 + 0.5625 - delta, a = 0.5 has its two fixed points
+        # 0.75 +- sqrt(delta) within 1e-6 of each other, and the paths heading
+        # there may stop short of t = 1.  Their polished endpoints certify, so
+        # every Fix_n must still be complete.
+        m = hl.quadratic_map(0.5625 - delta, 0.5)
+        for n in range(1, 5):
+            s = hl.enumerate_fix(m, n)
+            assert s.complete and s.counts["fix"] == 2**n and not s.unresolved
+
     def test_degenerate_map_is_incomplete_quickly(self):
         # the origin of p = x^2, a = 1 is elliptic with multipliers +-i, so it
         # is a multiple fixed point of f^4 and length-4 paths end on it
@@ -318,19 +349,24 @@ class TestEnumerate:
             s.select("nope")
 
 
-def dense_solve_batch(m, X, F):
-    """The dense LAPACK Newton step that the cyclic-tridiagonal solve replaced."""
-    J = hl.cyclic_jacobian(m, X)
-    bad = np.zeros(len(X), dtype=bool)
+def dense_band_solve(diag, sub, sup, F):
+    """The dense LAPACK solve that the cyclic-tridiagonal solve replaced."""
+    B, n = diag.shape
+    J = np.zeros((B, n, n), dtype=diag.dtype)
+    i = np.arange(n)
+    J[:, i, i] += diag
+    J[:, i, (i - 1) % n] += np.reshape(sub, (-1, 1))
+    J[:, i, (i + 1) % n] += np.reshape(sup, (-1, 1))
+    bad = np.zeros(B, dtype=bool)
     try:
         return np.linalg.solve(J, F[..., None])[..., 0], bad
     except np.linalg.LinAlgError:
         S = np.zeros_like(F)
-        for i in range(len(X)):
+        for r in range(B):
             try:
-                S[i] = np.linalg.solve(J[i], F[i])
+                S[r] = np.linalg.solve(J[r], F[r])
             except np.linalg.LinAlgError:
-                bad[i] = True
+                bad[r] = True
         return S, bad
 
 
@@ -341,8 +377,9 @@ class TestSolveParity:
         (hl.HenonMap(coeffs=(0.3 + 0.2j, -1.5, 0.1j), a=0.4 - 0.3j), 4),
     ], ids=["horseshoe", "mixed", "cubic"])
     def test_enumeration_matches_dense_solve(self, m, n, monkeypatch):
+        # the tracker and the Newton polish both solve through _band_solve
         fast = hl.enumerate_fix(m, n)
-        monkeypatch.setattr(hl.orbits, "_solve_batch", dense_solve_batch)
+        monkeypatch.setattr(hl.orbits, "_band_solve", dense_band_solve)
         ref = hl.enumerate_fix(m, n)
         assert fast.complete and ref.complete
         assert (fast.budget_used, fast.counts) == (ref.budget_used, ref.counts)

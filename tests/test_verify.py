@@ -79,8 +79,8 @@ class TestRefine:
 
     def test_stops_once_converged(self, horseshoe_spectra, monkeypatch):
         steps = []
-        step = verify._newton_step_hp
-        monkeypatch.setattr(verify, "_newton_step_hp", lambda m, z: steps.append(1) or step(m, z))
+        solve = verify._band_solve
+        monkeypatch.setattr(verify, "_band_solve", lambda *args: steps.append(1) or solve(*args))
         s = horseshoe_spectra[8]
         for o in s.orbits:
             verify.refine_orbit_hp(s.map, o.xs)

@@ -1,0 +1,68 @@
+"""Write the outputs that a refactor must leave byte-identical.
+
+    python3 tools/parity.py OUTDIR
+
+writes, at rng_seed 1729, the spectrum JSON of
+
+- the horseshoe (p = x^2 - 6, a = 0.3) and the mixed map (p = x^2,
+  a = 0.5) at n = 1..12,
+- the cubic map p = x^3 + 0.1j x^2 - 1.5 x + 0.3+0.2j, a = 0.4-0.3j, at
+  n = 1..6,
+- the near-one-dimensional map p = x^2, a = 1e-3, at n = 1..8,
+
+and the scan CSV of the 11x11 horseshoe and sink families and the 5x5
+sink family at n = 6.  It imports henonlab from the ``src/`` beside this
+script, so two checkouts compare with
+
+    python3 A/tools/parity.py outA && python3 B/tools/parity.py outB && diff -r outA outB
+"""
+
+from __future__ import annotations
+
+import sys
+import time
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+sys.path.insert(0, str(ROOT / "src"))
+
+import henonlab as hl  # noqa: E402
+
+SEED = 1729
+
+MAPS = {
+    "horseshoe": (hl.quadratic_map(-6.0, 0.3), 12),
+    "mixed": (hl.quadratic_map(0.0, 0.5), 12),
+    "cubic": (hl.HenonMap(coeffs=(0.3 + 0.2j, -1.5, 0.1j), a=0.4 - 0.3j), 6),
+    "near1d": (hl.quadratic_map(0.0, 1e-3), 8),
+}
+
+FAMILIES = {
+    "horseshoe-11": hl.FamilySpec(coeffs=(-6.0 + 0j, 0.0), a=0.3, center=-6.0 + 0j,
+                                  radius=0.25, grid_size=11),
+    "sink-11": hl.FamilySpec(coeffs=(0j, 0.0), a=0.5, center=0j, radius=0.25, grid_size=11),
+    "sink-5": hl.FamilySpec(coeffs=(0j, 0.0), a=0.5, center=0j, radius=0.25, grid_size=5),
+}
+
+
+def main(argv: list[str]) -> int:
+    if len(argv) != 1:
+        print(__doc__, file=sys.stderr)
+        return 1
+    if not Path(hl.__file__).resolve().is_relative_to(ROOT / "src"):
+        raise SystemExit(f"henonlab imported from {hl.__file__}, not from {ROOT / 'src'}")
+    out = Path(argv[0])
+    out.mkdir(parents=True, exist_ok=True)
+    t0 = time.perf_counter()
+    for name, (m, top) in MAPS.items():
+        for n in range(1, top + 1):
+            spec = hl.enumerate_fix(m, n, rng_seed=SEED)
+            (out / f"{name}-fix{n:02d}.json").write_text(hl.spectrum_to_json(spec) + "\n")
+    for name, family in FAMILIES.items():
+        (out / f"scan-{name}-n6.csv").write_text(hl.scan_to_csv(hl.scan(family, 6, rng_seed=SEED)))
+    print(f"wrote {len(list(out.iterdir()))} files to {out} in {time.perf_counter() - t0:.1f} s")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))
