@@ -321,7 +321,7 @@ def main(argv=None) -> int:
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 1
-    except (OSError, ValueError, json.JSONDecodeError, RuntimeError) as exc:
+    except (OSError, ValueError, OverflowError, RuntimeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -111,27 +111,33 @@ class LyapunovEstimate:
         return abs(self.chi_sum_form - self.psi_sum_form)
 
 
+def chi_average(orbits: list[PeriodicOrbit], degree: int, n: int) -> float:
+    """d^-n sum over the orbits of k chi: their points' finite-n Lyapunov average, NaN if none.
+
+    A point of exact period k contributes (n/k) log|lambda_u| of its k-cycle
+    to the multiplier of f^n.  ``math.fsum`` makes the orbits' order irrelevant.
+    """
+    if not orbits:
+        return math.nan
+    return degree ** (-float(n)) * math.fsum(o.n * o.chi for o in orbits)
+
+
 def lambda_estimate(spectrum: PeriodSpectrum, which: str = "sper") -> LyapunovEstimate:
     """Finite-n Lyapunov average (1 / (n d^n)) sum over points of log|lambda_u|.
 
-    A point of exact period k contributes (n/k) log|lambda_u| of its
-    k-cycle to the composed-map multiplier, so the sum reduces to
-    d^-n sum over orbits of k * chi.  The cocycle route recomputes the
-    same value through unstable directions; both are reported.
+    The multiplier route is ``chi_average``; the cocycle route recomputes
+    the same value through unstable directions; both are reported.
     Normalization always divides by d^n, so deficient spectra yield a
     lower-bound-biased value (flagged through spectrum.complete).
     """
     orbits = spectrum.select(which)
-    d = spectrum.map.degree
-    n = spectrum.n
-    weight = d ** (-float(n))
+    d, n = spectrum.map.degree, spectrum.n
     count = sum(o.n for o in orbits)
     if count == 0:
         return LyapunovEstimate(n=n, which=which, point_count=0,
                                 lambda_n=None, chi_sum_form=None, psi_sum_form=None)
-    # deterministic summation order: spectra are already sorted canonically
-    chi_sum = weight * math.fsum(o.n * o.chi for o in orbits)
-    psi_sum = weight * math.fsum(
+    chi_sum = chi_average(orbits, d, n)
+    psi_sum = d ** (-float(n)) * math.fsum(
         t for _, X in _by_length(orbits) for t in _psi_sum_rows(spectrum.map, X).tolist())
     return LyapunovEstimate(n=n, which=which, point_count=count, lambda_n=chi_sum,
                             chi_sum_form=chi_sum, psi_sum_form=psi_sum)

@@ -52,6 +52,8 @@ class HenonMap:
         a = complex(self.a)
         if len(coeffs) < 2:
             raise ValueError("polynomial degree must be at least 2")
+        if not all(map(cmath.isfinite, coeffs + (a,))):
+            raise ValueError("coefficients and a must be finite")
         if a == 0:
             raise ValueError("Jacobian constant a must be nonzero")
         object.__setattr__(self, "coeffs", coeffs)

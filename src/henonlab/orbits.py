@@ -844,7 +844,8 @@ def _catalogue(maps: list[HenonMap], ks, rng_seed: int, tols: Tolerances, budget
     whose certified orbits of length k fall short of the necklace count
     (a path failed, or two paths ended on one orbit) has all its length-k
     paths tracked again with the gamma of the next attempt, and the orbits
-    of all attempts are merged.  Returns (orbits, complete, paths,
+    of all attempts are merged.  Then all the maps' orbits of that length
+    are classified in one batch.  Returns (orbits, complete, paths,
     unresolved): orbits[i][k] are the classified orbits of maps[i] in
     canonical rotation and lexicographic order; complete[i] says whether
     every length reached its count; ``paths`` counts tracked paths,
@@ -852,13 +853,14 @@ def _catalogue(maps: list[HenonMap], ks, rng_seed: int, tols: Tolerances, budget
     polished endpoints that failed the last attempt of a length still short.
     """
     d = maps[0].degree
-    kept = [{k: [] for k in ks} for _ in maps]
+    orbits: list[dict] = [{} for _ in maps]
     complete = np.ones(len(maps), dtype=bool)
     unresolved: list[list[np.ndarray]] = [[] for _ in maps]
     paths = 0
     for k in ks:
         starts = np.exp(2j * np.pi / d * np.array(_lyndon_words(d, k)))
         need = len(starts)
+        kept = [[] for _ in maps]
         todo, failed = np.arange(len(maps)), []
         for attempt in range(_ATTEMPTS):
             if paths + need * todo.size > budget:
@@ -870,9 +872,9 @@ def _catalogue(maps: list[HenonMap], ks, rng_seed: int, tols: Tolerances, budget
             new: dict[int, list] = {}
             for i, w, rho in ends:
                 new.setdefault(i, []).append((w, rho))
-            for i, orbits in new.items():
-                _merge(kept[i][k], orbits, tols)
-            counts = np.array([len(kept[i][k]) for i in todo])
+            for i, found in new.items():
+                _merge(kept[i], found, tols)
+            counts = np.array([len(kept[i]) for i in todo])
             if (counts > need).any():
                 raise AmbiguousOrbitError(f"{counts.max()} certified orbits of period {k} "
                                           f"exceed the {need} necklaces: one orbit was kept twice")
@@ -883,15 +885,16 @@ def _catalogue(maps: list[HenonMap], ks, rng_seed: int, tols: Tolerances, budget
         for i, x in failed:
             if i in todo:
                 unresolved[i].append(x)
-    orbits = []
-    for i, m in enumerate(maps):
-        per_k = {}
-        for k in ks:
-            X = np.array([w for w, _ in kept[i][k]], dtype=complex).reshape(-1, k)
-            order = _lex_order(X)
-            radii = [kept[i][k][j][1] for j in order]
-            per_k[k] = _classify_rows(m, X[order], [True] * len(order), radii, tols)
-        orbits.append(per_k)
+        # after one _lex_order of all rows, a stable sort by owner orders each map's as its own
+        sizes = [len(o) for o in kept]
+        owner = np.repeat(np.arange(len(maps)), sizes)
+        X = np.array([w for o in kept for w, _ in o], dtype=complex).reshape(-1, k)
+        order = _lex_order(X)
+        order = order[np.argsort(owner[order], kind="stable")]
+        radii = np.array([rho for o in kept for _, rho in o])[order]
+        rows = _classify_rows(_MapRows.stack(maps, owner), X[order], [True] * len(X), radii, tols)
+        for i, end in enumerate(np.cumsum(sizes)):
+            orbits[i][k] = rows[end - sizes[i]:end]
     return orbits, complete, paths, unresolved
 
 

@@ -3,23 +3,23 @@
 A holomorphic one-parameter family is sampled on a square grid covering
 a disk; the orbits of all periods k <= n are found for every cell at
 once, each cell records the finite-n Lyapunov average over the saddle
-subset and counts sinks and elliptic flags, and the discrete Laplacian
-of the Lyapunov field measures the harmonicity defect tied to sink
-creation.
+subset (its multiplier form only) and counts sinks and elliptic flags,
+and the discrete Laplacian of the Lyapunov field measures the
+harmonicity defect tied to sink creation.
 """
 
 from __future__ import annotations
 
 import io
 import math
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .maps import HenonMap
-from .orbits import (DEFAULT_RNG_SEED, DEFAULT_TOLERANCES, PeriodSpectrum, Tolerances,
-                     _catalogue, _divisors)
-from .exponents import lambda_estimate
+from .orbits import DEFAULT_RNG_SEED, DEFAULT_TOLERANCES, Tolerances, _catalogue
+from .exponents import chi_average
 
 
 @dataclass(frozen=True)
@@ -34,10 +34,13 @@ class FamilySpec:
     slot: int = 0                    # index into coeffs; default: constant term
 
     def __post_init__(self) -> None:
-        if self.grid_size < 5 or self.grid_size % 2 == 0:
+        g = self.grid_size
+        integral = isinstance(g, numbers.Integral) or (isinstance(g, float) and g.is_integer())
+        if not integral or g < 5 or g % 2 == 0:
             raise ValueError("grid_size must be an odd integer >= 5")
-        if self.radius <= 0:
-            raise ValueError("radius must be positive")
+        object.__setattr__(self, "grid_size", int(g))
+        if not 0 < self.radius < math.inf:
+            raise ValueError("radius must be positive and finite")
         if not 0 <= self.slot < len(self.coeffs):
             raise ValueError("slot out of range")
         self.map_at(self.center)  # validates degree and a
@@ -78,7 +81,7 @@ class FamilySpec:
                 a=complex(spec["a"][0], spec["a"][1]),
                 center=complex(spec["center"][0], spec["center"][1]),
                 radius=float(spec["radius"]),
-                grid_size=int(spec["grid_size"]),
+                grid_size=spec["grid_size"],
                 slot=int(spec.get("slot", 0)),
             )
         except (KeyError, TypeError, IndexError) as exc:
@@ -115,8 +118,9 @@ def scan(
     Every grid cell of the bounding square is computed (output rows cover
     the full grid); the disk mask only restricts which cells enter the
     Laplacian statistics.  The orbits of each exact period k <= n come from
-    one necklace-homotopy batch over all cells; Fix_n and Fix_{n-1} are
-    their unions over the divisors.  The homotopy's gamma derives from
+    one necklace-homotopy batch over all cells.  lambda_n and lambda_prev
+    are the ``chi_average`` of the saddle orbits of Fix_n and Fix_{n-1}
+    (Fix_1 for both when n = 1).  The homotopy's gamma derives from
     rng_seed, so reruns are byte-identical.
     """
     if n < 1:
@@ -125,31 +129,19 @@ def scan(
     g = family.grid_size
     maps = [family.map_at(c) for c in cs.ravel()]
     orbits, complete, _, _ = _catalogue(maps, range(1, n + 1), rng_seed, tols)
-    lam = np.full(g * g, np.nan)
-    lam_prev = np.full(g * g, np.nan)
-    sinks = np.zeros(g * g, dtype=int)
-    elliptic = np.zeros(g * g, dtype=int)
-    for i, (m, per_k) in enumerate(zip(maps, orbits)):
-        def fix(p):
-            return PeriodSpectrum(map=m, n=p, orbits=[o for k in _divisors(p) for o in per_k[k]],
-                                  complete=bool(complete[i]))
-
-        est = lambda_estimate(fix(n), "sper")
-        prev = lambda_estimate(fix(n - 1), "sper") if n > 1 else est
-        a_mod_one = abs(abs(m.a) - 1.0) <= 1e-9
-        for o in (o for os in per_k.values() for o in os):
-            if o.kind == "sink":
-                sinks[i] += 1
-            if a_mod_one and o.kind == "marginal":
-                lu, ls = abs(o.lambda_u), abs(o.lambda_s)
-                if abs(lu - 1.0) <= tols.eps_hyp and abs(ls - 1.0) <= tols.eps_hyp:
-                    elliptic[i] += 1
-        lam[i] = est.lambda_n if est.lambda_n is not None else math.nan
-        lam_prev[i] = prev.lambda_n if prev.lambda_n is not None else math.nan
-    shape = (g, g)
-    fld = ScanField(family=family, n=n, c=cs, lambda_n=lam.reshape(shape),
-                    lambda_prev=lam_prev.reshape(shape), complete=complete.reshape(shape),
-                    n_sinks=sinks.reshape(shape), n_elliptic=elliptic.reshape(shape))
+    lam = np.full((2, g, g), np.nan)
+    sinks, elliptic = np.zeros((2, g, g), dtype=int)
+    for i, m, per_k in zip(np.ndindex(g, g), maps, orbits):
+        found = [o for os in per_k.values() for o in os]
+        for row, p in enumerate((n, max(n - 1, 1))):
+            saddles = [o for o in found if o.kind == "saddle" and p % o.n == 0]
+            lam[row][i] = chi_average(saddles, m.degree, p)
+        sinks[i] = sum(o.kind == "sink" for o in found)
+        if abs(abs(m.a) - 1.0) <= 1e-9:  # marginal orbits with both multipliers on |z| = 1
+            elliptic[i] = sum(o.kind == "marginal" and abs(abs(o.lambda_u) - 1.0) <= tols.eps_hyp
+                              and abs(abs(o.lambda_s) - 1.0) <= tols.eps_hyp for o in found)
+    fld = ScanField(family=family, n=n, c=cs, lambda_n=lam[0], lambda_prev=lam[1],
+                    complete=complete.reshape(g, g), n_sinks=sinks, n_elliptic=elliptic)
     laplacian_defect(fld)
     return fld
 

@@ -1,6 +1,7 @@
 """Command-line harness: exit codes, caching, reproducibility."""
 
 import json
+import math
 
 import pytest
 
@@ -47,6 +48,21 @@ class TestEnumerate:
         rc = main(["enumerate", "--map", str(tmp_path / "no.json"), "--n", "2",
                    "--out", str(tmp_path / "x.json")])
         assert rc == 2
+
+    @pytest.mark.parametrize("spec", [
+        {"a": [math.nan, 0.0], "p": [[0.0, 0.0], [0.0, 0.0]]},
+        {"a": [0.5, 0.0], "p": [[math.inf, 0.0], [0.0, 0.0]]},
+        {"a": [0.5, 0.0], "p": [[0.0, -math.inf], [0.0, 0.0]]},
+        {"a": [0.5, 0.0], "p": [[1e308, 0.0], [0.0, 0.0]]},
+        {"a": [0.5, 0.0], "p": [[0.0, 0.0], [0.0, 0.0], [1e200, 0.0]]},
+    ])
+    def test_non_finite_or_huge_map_is_runtime_error(self, spec, tmp_path, capsys):
+        path = tmp_path / "bad-map.json"
+        path.write_text(json.dumps(spec))  # writes NaN and Infinity as JSON extensions
+        out = tmp_path / "x.json"
+        assert main(["enumerate", "--map", str(path), "--n", "2", "--out", str(out)]) == 2
+        assert capsys.readouterr().err.startswith("error: ")
+        assert not out.exists()
 
     def test_cache_round_trip(self, mapfile, tmp_path):
         cache = str(tmp_path / "cache")
@@ -214,6 +230,22 @@ class TestScan:
         rc = main(["scan", "--family", str(fam), "--n", "2",
                    "--out", str(tmp_path / "x.csv")])
         assert rc == 1
+
+
+    @pytest.mark.parametrize("change, rc", [
+        ({"radius": math.nan}, 1),
+        ({"radius": math.inf}, 1),
+        ({"grid_size": 5.9}, 1),
+        ({"center": [math.nan, 0.0]}, 1),
+        ({"p": [[0.0, 0.0], [1e308, 0.0]]}, 2),
+    ])
+    def test_non_finite_or_huge_family_rejected(self, change, rc, tmp_path, capsys):
+        fam = tmp_path / "bad.json"
+        fam.write_text(json.dumps(dict(FAMILY_SPEC, **change)))
+        out = tmp_path / "x.csv"
+        assert main(["scan", "--family", str(fam), "--n", "2", "--out", str(out)]) == rc
+        assert capsys.readouterr().err.startswith(("usage error: ", "error: ")[rc - 1])
+        assert not out.exists()
 
 
 class TestReport:

@@ -27,6 +27,23 @@ class TestConstruction:
         with pytest.raises(ValueError):
             hl.HenonMap(coeffs=(0.0, 0.0), a=0.0)
 
+    @pytest.mark.parametrize("coeffs, a", [
+        ((math.nan, 0.0), 0.5),
+        ((0.0, 0.0), math.nan),
+        ((0.0, complex(0.0, math.inf)), 0.5),
+        ((-math.inf, 0.0), 0.5),
+        ((0.0, 0.0, 0.0), complex(0.5, math.nan)),
+    ])
+    def test_non_finite_coefficients_rejected(self, coeffs, a):
+        with pytest.raises(ValueError, match="finite"):
+            hl.HenonMap(coeffs=coeffs, a=a)
+
+    @pytest.mark.parametrize("coeffs", [(1e308, 0.0), (0.0, 0.0, 1e200)])
+    def test_huge_coefficients_overflow_the_filtration_radius(self, coeffs):
+        m = hl.HenonMap(coeffs=coeffs, a=0.5)
+        with pytest.raises(OverflowError):
+            m.filtration_radius
+
     def test_spec_roundtrip(self):
         m = hl.HenonMap(coeffs=(1 + 2j, -0.5), a=0.3 - 0.1j)
         assert hl.HenonMap.from_spec(m.to_spec()) == m

@@ -474,3 +474,32 @@ def test_certify_batch_rejects_only_its_singular_row(horseshoe_spectra):
         for i, (m, xs) in enumerate(zip(maps, X)):
             ok_ref, rho_ref = _loop_certify(m, xs, tols)
             assert ok[i] == ok_ref and _close(rho[i], rho_ref, 1e-12)
+
+
+def test_classify_batch_across_maps_matches_per_map_calls(sink_family, horseshoe_spectra):
+    tols = hl.orbits.DEFAULT_TOLERANCES
+    cells = [sink_family.map_at(sink_family.center + dc) for dc in (0.0, 0.25 + 0.25j, -0.25j)]
+    maps = cells + [horseshoe_spectra[6].map, SADDLE_NODE]
+    by_map = [hl.enumerate_fix(m, 6).orbits for m in cells] + [horseshoe_spectra[6].orbits, []]
+    rng = np.random.default_rng(1729)
+    kinds = set()
+    for k in (1, 2, 3, 6):
+        # the double fixed point traversed k times, twice, so SADDLE_NODE owns rows too
+        rows = [(i, o.xs) for i, orbits in enumerate(by_map) for o in orbits if o.n == k]
+        rows += [(len(maps) - 1, np.full(k, 0.75 + 0j))] * 2
+        perm = rng.permutation(len(rows))
+        owner = np.array([i for i, _ in rows])[perm]
+        X = np.array([xs for _, xs in rows], dtype=complex)[perm]
+        assert np.count_nonzero(np.diff(owner)) >= len(maps)  # some map's rows are split
+        ok, rho = _certify_rows(_MapRows.stack(maps, owner), X, tols)
+        batch = _classify_rows(_MapRows.stack(maps, owner), X, ok, rho, tols)
+        for i, m in enumerate(maps):
+            mine = np.flatnonzero(owner == i)
+            for got, want in zip([batch[j] for j in mine],
+                                 _classify_rows(m, X[mine], ok[mine], rho[mine], tols)):
+                kinds.add(got.kind)
+                assert (got.n, got.kind, got.certified) == (want.n, want.kind, want.certified)
+                for f in ("xs", "lambda_s", "lambda_u", "chi", "residual", "certificate_radius"):
+                    assert (np.asarray(getattr(got, f)).tobytes()
+                            == np.asarray(getattr(want, f)).tobytes())
+    assert {"sink", "saddle", "marginal"} <= kinds

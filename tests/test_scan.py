@@ -1,5 +1,7 @@
 """Parameter-disk scans and the discrete harmonicity defect."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -37,6 +39,27 @@ class TestFamilySpec:
         with pytest.raises(ValueError):
             hl.FamilySpec(coeffs=(0j, 0.0), a=0.5, center=0j, radius=0.1,
                           grid_size=5, slot=3)
+
+    @pytest.mark.parametrize("radius", [math.nan, math.inf, -math.inf, -0.1])
+    def test_non_finite_radius_rejected(self, radius):
+        with pytest.raises(ValueError, match="radius"):
+            hl.FamilySpec(coeffs=(0j, 0.0), a=0.5, center=0j, radius=radius, grid_size=5)
+
+    @pytest.mark.parametrize("grid_size", [5.9, 7.5, math.nan, math.inf, "5"])
+    def test_non_integral_grid_rejected(self, grid_size):
+        with pytest.raises(ValueError, match="grid_size"):
+            hl.FamilySpec(coeffs=(0j, 0.0), a=0.5, center=0j, radius=0.1, grid_size=grid_size)
+        with pytest.raises(ValueError, match="grid_size"):
+            hl.FamilySpec.from_spec(dict(SMALL.to_spec(), grid_size=grid_size))
+
+    def test_integral_float_grid_accepted(self):
+        fam = hl.FamilySpec.from_spec(dict(SMALL.to_spec(), grid_size=5.0))
+        assert fam == SMALL and type(fam.grid_size) is int
+
+    def test_non_finite_center_rejected(self):
+        with pytest.raises(ValueError, match="finite"):
+            hl.FamilySpec(coeffs=(0j, 0.0), a=0.5, center=complex(math.nan, 0.0),
+                          radius=0.1, grid_size=5)
 
     def test_spec_roundtrip(self):
         assert hl.FamilySpec.from_spec(SMALL.to_spec()) == SMALL
@@ -129,3 +152,30 @@ class TestScan:
     def test_noise_floor_positive(self, small_scan):
         assert hl.lyapunov_noise_floor(small_scan) > 0.0
         assert np.isfinite(hl.max_interior_defect(small_scan))
+
+
+def _check_cells_against_enumeration(family, fld, cells):
+    """Each cell's scan record equals the one built from enumerate_fix of its own map."""
+    n = fld.n
+    for i, j in cells:
+        m = family.map_at(fld.c[i, j])
+        specs = {p: hl.enumerate_fix(m, p) for p in range(1, n + 1)}
+        for got, p in ((fld.lambda_n, n), (fld.lambda_prev, n - 1)):
+            want = hl.lambda_estimate(specs[p], "sper").lambda_n
+            assert np.float64(got[i, j]).tobytes() == np.float64(want).tobytes()
+        sinks = sum(o.kind == "sink" for p, s in specs.items() for o in s.orbits if o.n == p)
+        assert fld.n_sinks[i, j] == sinks
+        assert fld.complete[i, j] == all(s.complete for s in specs.values())
+
+
+def test_scan_cells_equal_their_own_enumeration(sink_family, sink_scan):
+    _check_cells_against_enumeration(sink_family, sink_scan, [(5, 5), (0, 0), (3, 8)])
+
+
+def test_cubic_scan_cells_equal_their_own_enumeration():
+    # p' of the quadratic families does not depend on c, so their multipliers
+    # do not tell the cells' maps apart; sweeping the x coefficient does
+    fam = hl.FamilySpec(coeffs=(0.3 + 0.2j, -1.5, 0.1j), a=0.4 - 0.3j, center=-1.5,
+                        radius=0.2, grid_size=5, slot=1)
+    fld = hl.scan(fam, n=3)
+    _check_cells_against_enumeration(fam, fld, [(i, j) for i in (0, 2, 4) for j in (0, 1, 3)])

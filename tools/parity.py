@@ -10,9 +10,12 @@ writes, at rng_seed 1729, the spectrum JSON of
   n = 1..6,
 - the near-one-dimensional map p = x^2, a = 1e-3, at n = 1..8,
 
-and the scan CSV of the 11x11 horseshoe and sink families and the 5x5
-sink family at n = 6.  It imports henonlab from the ``src/`` beside this
-script, so two checkouts compare with
+the scan CSV of the 11x11 horseshoe and sink families, the 5x5 sink
+family and a 5x5 family sweeping the cubic's x coefficient at n = 6,
+and, through ``cli.main`` on the horseshoe and mixed Fix_8, Fix_10 and
+Fix_12 files, the ``lyapunov --which fix,per,sper`` and ``measure
+--moment-order 3`` CSVs.  It imports henonlab from the ``src/`` beside
+this script, so two checkouts compare with
 
     python3 A/tools/parity.py outA && python3 B/tools/parity.py outB && diff -r outA outB
 """
@@ -27,6 +30,7 @@ ROOT = Path(__file__).resolve().parents[1]
 sys.path.insert(0, str(ROOT / "src"))
 
 import henonlab as hl  # noqa: E402
+from henonlab.cli import main as cli_main  # noqa: E402
 
 SEED = 1729
 
@@ -42,6 +46,11 @@ FAMILIES = {
                                   radius=0.25, grid_size=11),
     "sink-11": hl.FamilySpec(coeffs=(0j, 0.0), a=0.5, center=0j, radius=0.25, grid_size=11),
     "sink-5": hl.FamilySpec(coeffs=(0j, 0.0), a=0.5, center=0j, radius=0.25, grid_size=5),
+    # p' of the families above does not depend on the swept constant term, so
+    # their multipliers would not show a cell's orbits classified with another
+    # cell's map; the cubic's swept x coefficient enters p'
+    "cubic-x-5": hl.FamilySpec(coeffs=(0.3 + 0.2j, -1.5, 0.1j), a=0.4 - 0.3j,
+                               center=-1.5 + 0j, radius=0.2, grid_size=5, slot=1),
 }
 
 
@@ -60,6 +69,13 @@ def main(argv: list[str]) -> int:
             (out / f"{name}-fix{n:02d}.json").write_text(hl.spectrum_to_json(spec) + "\n")
     for name, family in FAMILIES.items():
         (out / f"scan-{name}-n6.csv").write_text(hl.scan_to_csv(hl.scan(family, 6, rng_seed=SEED)))
+    for name in ("horseshoe", "mixed"):
+        spectra = [str(out / f"{name}-fix{n:02d}.json") for n in (8, 10, 12)]
+        for cmd, extra in (("lyapunov", ["--which", "fix,per,sper"]),
+                           ("measure", ["--moment-order", "3"])):
+            argv = [cmd, "--spectra", *spectra, *extra, "--out", str(out / f"{cmd}-{name}.csv")]
+            if cli_main(argv) != 0:
+                raise SystemExit(f"henonlab {' '.join(argv)} failed")
     print(f"wrote {len(list(out.iterdir()))} files to {out} in {time.perf_counter() - t0:.1f} s")
     return 0
 
