@@ -8,7 +8,8 @@ matter how many iterations are allowed.  Verifying that enumerated
 periodic points genuinely lie in the bounded-orbit set therefore needs
 more precision than the solver itself: these helpers re-polish a
 certified orbit with mpmath Newton steps and evaluate the escape-rate
-potentials without rounding back to doubles.
+potentials without rounding back to doubles.  Non-finite points and
+orbit vectors are rejected with ValueError, as ``HenonMap`` rejects them.
 
 The Newton steps call the O(n) cyclic tridiagonal solve of the
 double-precision solver, ``orbits._band_solve``, on object arrays of
@@ -18,27 +19,38 @@ ZeroDivisionError on a singular Jacobian.  Newton converges
 quadratically from the certified double orbit, so the polish stops at
 the first step below the working precision, 2^-prec (1 + max |z_k|), and
 after ``steps`` steps at most.
-The potentials convert the map's coefficients to mpmath once per point,
-and take a modulus only once a coordinate part exceeds
-0.7 ESCAPE_THRESHOLD; 0.7 < 1/sqrt(2), so that screen misses no escape.
+
+The potentials iterate on mpmath's raw ``_mpc_`` tuples: they call
+``libmp.mpc_pos``, ``mpc_add``, ``mpc_mul``, ``mpc_sub``, ``mpc_div`` and
+``mpc_abs`` with the working precision and rounding, which are the
+functions and arguments the mpc operators call, so every rounding and
+every returned float is the same as with mpc objects.  The modulus is
+taken only once a coordinate part has ``exp + bc > 26``: a finite
+nonzero part is below 2^(exp + bc), and 2^26 < ESCAPE_THRESHOLD/sqrt(2),
+so that screen misses no escape.
 """
 
 from __future__ import annotations
 
 import mpmath as mp
 import numpy as np
+from mpmath.libmp import from_float, mpc_abs, mpc_add, mpc_div, mpc_mul, mpc_pos, mpc_sub, mpf_gt
 
 from .maps import ESCAPE_THRESHOLD, HenonMap
 from .orbits import _band_solve, cyclic_residual
 
-#: a point whose coordinate parts are all below this cannot be escaping
-_SCREEN = 0.7 * ESCAPE_THRESHOLD
+_THRESHOLD = from_float(ESCAPE_THRESHOLD)
+#: a finite coordinate part with exp + bc <= this is below 2^26 < ESCAPE_THRESHOLD/sqrt(2)
+_SCREEN_BITS = 26
 
 
 def refine_orbit_hp(m: HenonMap, xs: np.ndarray, dps: int = 60, steps: int = 6) -> list:
     """Polish a certified cyclic orbit vector to ~dps digits (mpmath Newton)."""
+    xs = [complex(v) for v in xs]
+    if not np.isfinite(xs).all():
+        raise ValueError(f"non-finite orbit vector {xs!r}")
     with mp.workdps(dps):
-        z = np.array([mp.mpc(complex(v)) for v in xs], dtype=object)
+        z = np.array([mp.mpc(v) for v in xs], dtype=object)
         for _ in range(steps):
             F = cyclic_residual(m, z)
             s = _band_solve(m.dp(z)[None], -mp.mpc(m.a), mp.mpc(-1), F[None])[0][0]
@@ -53,34 +65,38 @@ def _require_max_iter(max_iter: int) -> None:
         raise ValueError("max_iter must be >= 1")
 
 
-def _green_hp(m: HenonMap, x, y, forward: bool, max_iter: int) -> float:
-    d = m.degree
-    a = mp.mpc(m.a)
-    head, *tail = (mp.mpc(c) for c in reversed(m.coeffs))
+def _green_hp(m: HenonMap, x: tuple, y: tuple, forward: bool, max_iter: int) -> float:
+    """Escape rate of (x, y), given as ``_mpc_`` tuples, at the working precision."""
+    prec, rnd = mp.mp._prec_rounding  # what the mpc operators read
+    a = mp.mpc(m.a)._mpc_
+    head, *tail = (mp.mpc(c)._mpc_ for c in reversed(m.coeffs))
 
     def p(v):  # HenonMap.p with the coefficients already mpc: the same roundings
-        r = +v + head
+        r = mpc_add(mpc_pos(v, prec, rnd), head, prec, rnd)
         for c in tail:
-            r = r * v + c
+            r = mpc_add(mpc_mul(r, v, prec, rnd), c, prec, rnd)
         return r
 
-    screen = mp.mpf(_SCREEN)
     for n in range(max_iter + 1):
         v = x if forward else y
-        if abs(v.real) > screen or abs(v.imag) > screen:
-            mag = abs(v)
-            if mag > ESCAPE_THRESHOLD:
-                return float(mp.log(mag) / mp.mpf(d) ** n)
+        if v[0][2] + v[0][3] > _SCREEN_BITS or v[1][2] + v[1][3] > _SCREEN_BITS:
+            mag = mpc_abs(v, prec, rnd)
+            if mpf_gt(mag, _THRESHOLD):
+                return float(mp.log(mp.make_mpf(mag)) / mp.mpf(m.degree) ** n)
         if forward:
-            x, y = p(x) - a * y, x
+            x, y = mpc_sub(p(x), mpc_mul(a, y, prec, rnd), prec, rnd), x
         else:
-            x, y = y, (p(y) - x) / a
+            x, y = y, mpc_div(mpc_sub(p(y), x, prec, rnd), a, prec, rnd)
     return 0.0
 
 
 def _mp_point(pt) -> tuple:
-    """mpmath coordinates keep their digits; Python and numpy numbers go through complex."""
-    return tuple(mp.mpc(v) if isinstance(v, (mp.mpf, mp.mpc)) else mp.mpc(complex(v)) for v in pt[:2])
+    """``_mpc_`` tuples of the point's coordinates: mpmath coordinates keep
+    their digits, Python and numpy numbers go through complex."""
+    x, y = (mp.mpc(v) if isinstance(v, (mp.mpf, mp.mpc)) else mp.mpc(complex(v)) for v in pt[:2])
+    if not (mp.isfinite(x) and mp.isfinite(y)):
+        raise ValueError(f"non-finite point {pt!r}")
+    return x._mpc_, y._mpc_
 
 
 def green_plus_hp(m: HenonMap, pt, max_iter: int = 100, dps: int = 60) -> float:

@@ -159,3 +159,76 @@ class TestGreens:
             refs = [_reference_greens(s.map, pt) for pt in pts]
             expected = (max(r[0] for r in refs), max(r[1] for r in refs))
             assert verify.orbit_greens_hp(s.map, o.xs) == expected
+
+
+def _polished_points(m, n, dps=60):
+    """(z_k, z_{k-1}) at every point of Fix_n, re-polished at dps."""
+    pts = []
+    for o in hl.enumerate_fix(m, n).orbits:
+        z = verify.refine_orbit_hp(m, o.xs, dps=dps)
+        pts += [(z[k], z[k - 1]) for k in range(len(z))]
+    return pts
+
+
+def _screen_edge_values():
+    """A part of exactly 2^26 and 2^26 (1 +- 2^-70), the other part 0 or
+    equal: the parts straddle the screen at exp + bc = 26 and 27."""
+    with mp.workdps(60):
+        es = [mp.ldexp(1 + rel, 26) for rel in (0, mp.ldexp(1, -70), -mp.ldexp(1, -70))]
+        return [v for e in es for v in (mp.mpc(e, 0), mp.mpc(0, e), mp.mpc(e, e), mp.mpc(-e, e))]
+
+
+class TestGreensBitIdentity:
+    """The tuple loop against ``_reference_greens`` beyond the default settings."""
+
+    @pytest.mark.parametrize("dps", [30, 113])
+    @pytest.mark.parametrize("m", [HORSESHOE, CUBIC], ids=["horseshoe", "cubic"])
+    def test_other_precisions(self, m, dps):
+        rng = np.random.default_rng(7)
+        pts = _escaping_points(rng, 20) + _polished_points(m, 4, dps=dps)
+        got = [(verify.green_plus_hp(m, pt, dps=dps), verify.green_minus_hp(m, pt, dps=dps)) for pt in pts]
+        assert [pt for pt, g in zip(pts, got) if g != _reference_greens(m, pt, dps=dps)] == []
+        # the bounded points escape once dps digits are used up, so the
+        # potentials read the working precision, not a fixed 60 digits
+        at60 = [(verify.green_plus_hp(m, pt), verify.green_minus_hp(m, pt)) for pt in pts]
+        assert got != at60
+
+    @pytest.mark.parametrize("m", [HORSESHOE, MIXED, CUBIC], ids=["horseshoe", "mixed", "cubic"])
+    def test_max_iter_reached(self, m):
+        rng = np.random.default_rng(11)
+        pts = _polished_points(m, 4) + _escaping_points(rng, 20)
+        got = [(verify.green_plus_hp(m, pt, max_iter=3), verify.green_minus_hp(m, pt, max_iter=3))
+               for pt in pts]
+        assert [pt for pt, g in zip(pts, got) if g != _reference_greens(m, pt, max_iter=3)] == []
+        flat = sum(got, ())
+        assert 0.0 in flat and max(flat) > 0
+
+    @pytest.mark.parametrize("m", [HORSESHOE, MIXED, CUBIC], ids=["horseshoe", "mixed", "cubic"])
+    def test_screen_edge(self, m):
+        vs = _screen_edge_values()
+        assert {p[2] + p[3] for v in vs for p in v._mpc_ if p[1]} == {26, 27}
+        w = mp.mpc(0.5, 0.25)
+        pts = [pt for v in vs for pt in ((v, w), (w, v), (v, v))]
+        got = [(verify.green_plus_hp(m, pt), verify.green_minus_hp(m, pt)) for pt in pts]
+        assert [pt for pt, g in zip(pts, got) if g != _reference_greens(m, pt)] == []
+
+
+NAN, INF = float("nan"), float("inf")
+
+
+class TestNonFinite:
+    @pytest.mark.parametrize("pt", [(NAN, 0), (INF, 0), (0, INF), (mp.mpc("inf"), 0),
+                                    (0.5, mp.mpf("nan"))],
+                             ids=["nan-x", "inf-x", "inf-y", "mpc-inf", "mpf-nan"])
+    @pytest.mark.parametrize("g", [verify.green_plus_hp, verify.green_minus_hp])
+    def test_greens_reject(self, g, pt):
+        with pytest.raises(ValueError, match="non-finite"):
+            g(HORSESHOE, pt)
+
+    @pytest.mark.parametrize("bad", [NAN, INF, complex(0, NAN)], ids=["nan", "inf", "nan-imag"])
+    @pytest.mark.parametrize("f", [verify.refine_orbit_hp, verify.orbit_greens_hp])
+    def test_orbit_vector_rejected(self, f, bad, horseshoe_spectra):
+        xs = horseshoe_spectra[4].orbits[-1].xs.copy()
+        xs[1] = bad
+        with pytest.raises(ValueError, match="non-finite"):
+            f(HORSESHOE, xs)

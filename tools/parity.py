@@ -14,8 +14,12 @@ the scan CSV of the 11x11 horseshoe and sink families, the 5x5 sink
 family and a 5x5 family sweeping the cubic's x coefficient at n = 6,
 and, through ``cli.main`` on the horseshoe and mixed Fix_8, Fix_10 and
 Fix_12 files, the ``lyapunov --which fix,per,sper`` and ``measure
---moment-order 3`` CSVs.  It imports henonlab from the ``src/`` beside
-this script, so two checkouts compare with
+--moment-order 3`` CSVs.  For horseshoe and mixed Fix_8 and cubic Fix_5
+it also writes one ``verify-*.txt`` file through ``henonlab.verify``:
+the ``repr`` of every orbit coordinate re-polished at dps 60 and of
+``green_plus_hp`` and ``green_minus_hp`` at each point.  That is 49
+files in all.  It imports henonlab from the ``src/`` beside this
+script, so two checkouts compare with
 
     python3 A/tools/parity.py outA && python3 B/tools/parity.py outB && diff -r outA outB
 """
@@ -33,6 +37,9 @@ import henonlab as hl  # noqa: E402
 from henonlab.cli import main as cli_main  # noqa: E402
 
 SEED = 1729
+
+#: the spectra whose orbits go through the verify layer
+VERIFY = {"horseshoe": 8, "mixed": 8, "cubic": 5}
 
 MAPS = {
     "horseshoe": (hl.quadratic_map(-6.0, 0.3), 12),
@@ -54,6 +61,19 @@ FAMILIES = {
 }
 
 
+def verify_lines(spec) -> str:
+    """One line per orbit point: repr of z_k, G+ and G- at (z_k, z_{k-1})."""
+    lines = []
+    for o in spec.orbits:
+        z = hl.refine_orbit_hp(spec.map, o.xs, dps=60)
+        for k in range(len(z)):
+            pt = (z[k], z[k - 1])
+            lines.append(" ".join(map(repr, (z[k], hl.green_plus_hp(spec.map, pt),
+                                             hl.green_minus_hp(spec.map, pt)))))
+        lines.append("")
+    return "\n".join(lines)
+
+
 def main(argv: list[str]) -> int:
     if len(argv) != 1:
         print(__doc__, file=sys.stderr)
@@ -67,6 +87,8 @@ def main(argv: list[str]) -> int:
         for n in range(1, top + 1):
             spec = hl.enumerate_fix(m, n, rng_seed=SEED)
             (out / f"{name}-fix{n:02d}.json").write_text(hl.spectrum_to_json(spec) + "\n")
+            if VERIFY.get(name) == n:
+                (out / f"verify-{name}-fix{n:02d}.txt").write_text(verify_lines(spec))
     for name, family in FAMILIES.items():
         (out / f"scan-{name}-n6.csv").write_text(hl.scan_to_csv(hl.scan(family, 6, rng_seed=SEED)))
     for name in ("horseshoe", "mixed"):
