@@ -10,12 +10,9 @@ import argparse
 import hashlib
 import io
 import json
-import math
 import os
 import sys
 import tempfile
-
-import numpy as np
 
 from . import __version__
 from .maps import HenonMap
@@ -33,15 +30,7 @@ from .orbits import (
     spectrum_to_json,
     PeriodSpectrum,
 )
-from .scan import (
-    SCAN_CSV_HEADER,
-    FamilySpec,
-    harmonic_validation_field,
-    scan,
-    scan_to_csv,
-    stencil_defect,
-    stencil_noise_floor,
-)
+from .scan import SCAN_CSV_HEADER, FamilySpec, _harmonic_stencil, scan, scan_to_csv
 
 
 class UsageError(Exception):
@@ -213,10 +202,7 @@ def cmd_scan(args) -> int:
     except ValueError as exc:
         raise UsageError(str(exc)) from exc
     if args.validate_stencil:
-        v = harmonic_validation_field(family)
-        defect = stencil_defect(v, family.step, family.disk_mask())
-        worst = float(np.nanmax(defect)) if np.isfinite(defect).any() else 0.0
-        floor = stencil_noise_floor(family)
+        worst, floor = _harmonic_stencil(family)
         payload = (
             "check,value\n"
             f"max_defect_on_harmonic_field,{worst!r}\n"

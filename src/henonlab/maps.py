@@ -3,25 +3,48 @@
 A map is f(x, y) = (p(x) - a*y, x) with p a monic polynomial of degree
 d >= 2 and a != 0 the (constant) Jacobian determinant.  Its inverse is
 f^-1(x, y) = (y, (p(y) - x) / a), so f is an automorphism of C^2.
+
+The escape-rate potentials G+ and G- have one loop, ``HenonMap._green``,
+which runs at the working mpmath precision: ``green_plus`` and
+``green_minus`` run it at 53 bits, ``verify.green_plus_hp`` and
+``green_minus_hp`` at a chosen number of digits.  It iterates on mpmath's
+raw ``_mpc_`` tuples and calls ``libmp.mpc_pos``, ``mpc_add``,
+``mpc_mul``, ``mpc_sub``, ``mpc_div`` and ``mpc_abs`` with the working
+precision and rounding, the functions and arguments the mpc operators
+call, so every rounding is the same as with mpc objects.  mpmath's
+exponent range is unbounded, so no iterate overflows.  The loop stops once
+the escaping coordinate v (x forward, y backward) has |v| > ESCAPE_THRESHOLD
+and |v| >= |w|, w the other coordinate: that is the region V+ (V-) of
+``filtration_radius``, where the orbit keeps escaping.  The modulus of v is
+taken only once a part of it has ``exp + bc > 26``: a finite nonzero part
+is below 2^(exp + bc), and 2^26 < ESCAPE_THRESHOLD/sqrt(2), so that screen
+misses no escape; |w| is taken only after |v| has passed the threshold.
+The loop returns (log|v_n| - c) / d^n, with c = 0 forward and
+c = log|a| / (d - 1) backward: f^-1 divides by a at every step, and in V-
+|y'| = |y|^d / |a| (1 + o(1)), so u = log|y| - c satisfies u' = d u + o(1).
 """
 
 from __future__ import annotations
 
 import cmath
 import json
-import math
 from dataclasses import dataclass
 from functools import cached_property
 
+import mpmath as mp
 import numpy as np
+from mpmath.libmp import (from_float, mpc_abs, mpc_add, mpc_div, mpc_mul, mpc_pos, mpc_sub, mpf_ge,
+                          mpf_gt)
 
 Point = tuple[complex, complex]
 
-#: iterates whose first (resp. second) coordinate exceed this are escaping
+#: forward (backward) iterates whose first (second) coordinate exceeds this
+#: and is at least the other coordinate in modulus are escaping
 ESCAPE_THRESHOLD = 1e8
 
-#: hard magnitude cap while polishing the escape-rate estimate
-_REFINE_CAP = 1e100
+_THRESHOLD = from_float(ESCAPE_THRESHOLD)
+#: a finite coordinate part with exp + bc <= this is below 2^26 < ESCAPE_THRESHOLD/sqrt(2)
+_SCREEN_BITS = 26
 
 
 class EscapeOverflow(OverflowError):
@@ -33,6 +56,15 @@ def _require_finite(pt: Point) -> Point:
     if not (cmath.isfinite(x) and cmath.isfinite(y)):
         raise ValueError(f"non-finite point {pt!r}")
     return x, y
+
+
+def _mp_point(pt) -> tuple:
+    """``_mpc_`` tuples of the point's coordinates: mpmath coordinates keep
+    their digits, Python and numpy numbers go through complex."""
+    x, y = (mp.mpc(v) if isinstance(v, (mp.mpf, mp.mpc)) else mp.mpc(complex(v)) for v in pt[:2])
+    if not (mp.isfinite(x) and mp.isfinite(y)):
+        raise ValueError(f"non-finite point {pt!r}")
+    return x._mpc_, y._mpc_
 
 
 @dataclass(frozen=True)
@@ -129,8 +161,12 @@ class HenonMap:
             return acc
 
         hi = 1.0
-        while g(hi) <= 0.0:
-            hi *= 2.0
+        try:
+            while g(hi) <= 0.0:
+                hi *= 2.0
+        except OverflowError:
+            raise OverflowError("the map's coefficients are too large for a "
+                                "double-precision escape radius") from None
         lo = 0.0
         # g has a single positive crossing (one coefficient sign change)
         while hi - lo > 1e-12 * max(1.0, hi):
@@ -141,45 +177,47 @@ class HenonMap:
                 lo = mid
         return hi
 
-    def _green(self, pt: Point, forward: bool, max_iter: int) -> float:
-        x, y = _require_finite(pt)
-        d = float(self.degree)
-        coord = 0 if forward else 1
-        step = self.evaluate if forward else self.inverse
-        z = (x, y)
-        n = 0
-        while n <= max_iter:
-            m = abs(z[coord])
-            if m > ESCAPE_THRESHOLD:
-                # a few more iterations sharpen the telescoped limit
-                for _ in range(4):
-                    try:
-                        w = step(z)
-                    except (EscapeOverflow, OverflowError):
-                        break
-                    if abs(w[coord]) > _REFINE_CAP:
-                        break
-                    z = w
-                    n += 1
-                return math.log(abs(z[coord])) / d**n
-            try:
-                z = step(z)
-            except (EscapeOverflow, OverflowError):
-                return math.log(_REFINE_CAP) / d ** (n + 1)
-            n += 1
+    def _green(self, pt, forward: bool, max_iter: int) -> float:
+        """Escape rate of pt at the working mpmath precision; 0 if the orbit
+        stays out of V+ (V- backward) for max_iter steps."""
+        if max_iter < 1:
+            raise ValueError("max_iter must be >= 1")
+        x, y = _mp_point(pt)
+        prec, rnd = mp.mp._prec_rounding  # what the mpc operators read
+        a = mp.mpc(self.a)._mpc_
+        head, *tail = (mp.mpc(c)._mpc_ for c in reversed(self.coeffs))
+
+        def p(v):  # HenonMap.p with the coefficients already mpc: the same roundings
+            r = mpc_add(mpc_pos(v, prec, rnd), head, prec, rnd)
+            for c in tail:
+                r = mpc_add(mpc_mul(r, v, prec, rnd), c, prec, rnd)
+            return r
+
+        for n in range(max_iter + 1):
+            v = x if forward else y
+            if v[0][2] + v[0][3] > _SCREEN_BITS or v[1][2] + v[1][3] > _SCREEN_BITS:
+                mag = mpc_abs(v, prec, rnd)
+                if mpf_gt(mag, _THRESHOLD) and mpf_ge(mag, mpc_abs(y if forward else x, prec, rnd)):
+                    u = mp.log(mp.make_mpf(mag))
+                    if not forward:  # in V-, |y'| = |y|^d / |a| (1 + o(1))
+                        u -= mp.log(abs(mp.mpc(self.a))) / (self.degree - 1)
+                    return float(u / mp.mpf(self.degree) ** n)
+            if forward:
+                x, y = mpc_sub(p(x), mpc_mul(a, y, prec, rnd), prec, rnd), x
+            else:
+                x, y = y, mpc_div(mpc_sub(p(y), x, prec, rnd), a, prec, rnd)
         return 0.0
 
     def green_plus(self, pt: Point, max_iter: int = 100) -> float:
-        """Forward escape-rate potential lim d^-n log+ |x_n|; 0 on K+."""
-        if max_iter < 1:
-            raise ValueError("max_iter must be >= 1")
-        return self._green(pt, forward=True, max_iter=max_iter)
+        """Forward escape-rate potential lim d^-n log+ |x_n| at 53 bits; 0 on K+."""
+        with mp.workprec(53):
+            return self._green(pt, forward=True, max_iter=max_iter)
 
     def green_minus(self, pt: Point, max_iter: int = 100) -> float:
-        """Backward escape-rate potential, mirror of green_plus under f^-1."""
-        if max_iter < 1:
-            raise ValueError("max_iter must be >= 1")
-        return self._green(pt, forward=False, max_iter=max_iter)
+        """Backward escape-rate potential lim d^-n (log+ |y_{-n}| - log|a|/(d-1))
+        at 53 bits; 0 on K-."""
+        with mp.workprec(53):
+            return self._green(pt, forward=False, max_iter=max_iter)
 
     # -- serialization ------------------------------------------------------
 

@@ -200,6 +200,14 @@ def harmonic_fit_field(family: FamilySpec, values: np.ndarray,
     return (A @ coef).reshape(values.shape)
 
 
+def _stencil_floor(values: np.ndarray, h: float, valid: np.ndarray, scale: float) -> tuple[float, float]:
+    """The max ``stencil_defect`` of values (0 when none is finite), and that
+    max floored by the round-off amplification bound 8 eps scale / h^2."""
+    defect = stencil_defect(values, h, valid)
+    measured = float(np.nanmax(defect)) if np.isfinite(defect).any() else 0.0
+    return measured, max(measured, 8.0 * np.finfo(float).eps * scale / h**2)
+
+
 def lyapunov_noise_floor(fld: ScanField) -> float:
     """Defect scale a harmonic field of this smoothness produces on this grid.
 
@@ -211,11 +219,14 @@ def lyapunov_noise_floor(fld: ScanField) -> float:
     """
     valid = fld.complete & np.isfinite(fld.lambda_n) & fld.family.disk_mask()
     fit = harmonic_fit_field(fld.family, np.nan_to_num(fld.lambda_n), valid)
-    defect = stencil_defect(fit, fld.family.step, valid)
-    measured = float(np.nanmax(defect)) if np.isfinite(defect).any() else 0.0
     scale = float(np.abs(fld.lambda_n[valid]).max()) if valid.any() else 0.0
-    bound = 8.0 * np.finfo(float).eps * max(1.0, scale) / fld.family.step**2
-    return max(measured, bound)
+    return _stencil_floor(fit, fld.family.step, valid, max(1.0, scale))[1]
+
+
+def _harmonic_stencil(family: FamilySpec) -> tuple[float, float]:
+    """(max stencil output on the synthetic harmonic field, stencil_noise_floor)."""
+    v = harmonic_validation_field(family)
+    return _stencil_floor(v, family.step, family.disk_mask(), float(np.abs(v).max()))
 
 
 def stencil_noise_floor(family: FamilySpec) -> float:
@@ -225,11 +236,7 @@ def stencil_noise_floor(family: FamilySpec) -> float:
     floored by the analytic amplification bound 8 eps max|field| / h^2
     (exact cancellations can otherwise report zero).
     """
-    v = harmonic_validation_field(family)
-    defect = stencil_defect(v, family.step, family.disk_mask())
-    measured = float(np.nanmax(defect)) if np.isfinite(defect).any() else 0.0
-    bound = 8.0 * np.finfo(float).eps * float(np.abs(v).max()) / family.step**2
-    return max(measured, bound)
+    return _harmonic_stencil(family)[1]
 
 
 def max_interior_defect(fld: ScanField) -> float:

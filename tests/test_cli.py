@@ -64,6 +64,14 @@ class TestEnumerate:
         assert capsys.readouterr().err.startswith("error: ")
         assert not out.exists()
 
+    def test_huge_map_says_its_escape_radius_overflows(self, tmp_path, capsys):
+        path = tmp_path / "huge-map.json"
+        path.write_text(json.dumps({"a": [0.5, 0.0], "p": [[1e308, 0.0], [0.0, 0.0]]}))
+        assert main(["enumerate", "--map", str(path), "--n", "2",
+                     "--out", str(tmp_path / "x.json")]) == 2
+        assert capsys.readouterr().err == ("error: the map's coefficients are too large for a "
+                                           "double-precision escape radius\n")
+
     def test_cache_round_trip(self, mapfile, tmp_path):
         cache = str(tmp_path / "cache")
         _, out1 = _enumerate(mapfile, tmp_path, "c1.json", n=3,

@@ -28,14 +28,19 @@ def _refine_dense(m, xs, dps=60, steps=6):
 
 def _green_reference(m, x, y, forward, max_iter):
     """Escape-rate loop straight from the definition: HenonMap.p on mpmath
-    numbers and the exact modulus at every step."""
+    numbers and the exact moduli at every step; it stops in V+ (V-) and
+    subtracts log|a| / (d - 1) backward."""
     d = m.degree
     a = mp.mpc(m.a)
     n = 0
     while n <= max_iter:
-        mag = abs(x if forward else y)
-        if mag > ESCAPE_THRESHOLD:
-            return float(mp.log(mag) / mp.mpf(d) ** n)
+        v, w = (x, y) if forward else (y, x)
+        mag = abs(v)
+        if mag > ESCAPE_THRESHOLD and mag >= abs(w):
+            u = mp.log(mag)
+            if not forward:
+                u -= mp.log(abs(a)) / (d - 1)
+            return float(u / mp.mpf(d) ** n)
         if forward:
             x, y = m.p(x) - a * y, x
         else:
@@ -112,6 +117,8 @@ class TestGreens:
     def test_bit_identical_to_reference(self, m):
         rng = np.random.default_rng(1729)
         pts = _escaping_points(rng, 60) + _edge_points()
+        # past the threshold, but outside V+ (V-) until one more step
+        pts += [(1e9, 1e20), (1e20, 1e9), (1e9j, 1e9 + 1j), (1e9 + 1j, 1e9j)]
         # bounded points: re-polished periodic orbits, which escape only
         # after ~dps digits of precision are used up
         for o in hl.enumerate_fix(m, 4).orbits:
@@ -126,6 +133,16 @@ class TestGreens:
         # escapes after many different numbers of steps: G = log|x_n| / d^n
         steps = {round(math.log(math.log(ESCAPE_THRESHOLD) / g, m.degree)) for g in sum(got, ()) if g > 0}
         assert len(steps) >= 4
+
+    @pytest.mark.parametrize("m", [HORSESHOE, MIXED, CUBIC], ids=["horseshoe", "mixed", "cubic"])
+    def test_double_methods_are_the_loop_at_dps_15(self, m):
+        # dps 15 is 53 bits, the precision HenonMap's own methods run at
+        rng = np.random.default_rng(3)
+        pts = _escaping_points(rng, 20) + _edge_points()
+        pts += [pt for o in hl.enumerate_fix(m, 4).orbits for pt in o.points]
+        got = [(m.green_plus(pt), m.green_minus(pt)) for pt in pts]
+        want = [(verify.green_plus_hp(m, pt, dps=15), verify.green_minus_hp(m, pt, dps=15)) for pt in pts]
+        assert got == want
 
     def test_real_mpf_point_keeps_its_digits(self, horseshoe_spectra):
         # a real horseshoe orbit polished to 60 digits: its coordinates as
@@ -159,6 +176,55 @@ class TestGreens:
             refs = [_reference_greens(s.map, pt) for pt in pts]
             expected = (max(r[0] for r in refs), max(r[1] for r in refs))
             assert verify.orbit_greens_hp(s.map, o.xs) == expected
+
+
+def _green_limit(m, pt, forward):
+    """G+ (G-) at 300 digits: the Richardson extrapolation (d g_{n+1} - g_n) / (d - 1)
+    of g_n = (log|v_n| - c) / d^n at the first n with |v_n| > 1e200 and
+    |v_n| >= |w_n|, c = 0 forward and log|a| / (d - 1) backward; 0 if the
+    orbit does not get there in 200 steps."""
+    d = m.degree
+    with mp.workdps(300):
+        a = mp.mpc(m.a)
+        c = 0 if forward else mp.log(abs(a)) / (d - 1)
+        x, y = mp.mpc(pt[0]), mp.mpc(pt[1])
+        g = []
+        for n in range(200):
+            v, w = (x, y) if forward else (y, x)
+            if g or (abs(v) > mp.mpf(10) ** 200 and abs(v) >= abs(w)):
+                g.append((mp.log(abs(v)) - c) / mp.mpf(d) ** n)
+                if len(g) == 2:
+                    return float((d * g[1] - g[0]) / (d - 1))
+            if forward:
+                x, y = m.p(x) - a * y, x
+            else:
+                x, y = y, (m.p(y) - x) / a
+        return 0.0
+
+
+class TestGreensAccuracy:
+    """Both precisions of the loop against the limit itself, off the bounded sets."""
+
+    @pytest.mark.parametrize("m", [HORSESHOE, MIXED, CUBIC, hl.quadratic_map(0.0, 1e-3),
+                                   hl.quadratic_map(-1.0, 2.5)],
+                             ids=["horseshoe", "mixed", "cubic", "a=1e-3", "a=2.5"])
+    @pytest.mark.parametrize("forward", [True, False], ids=["plus", "minus"])
+    def test_relative_error_at_most_1e_9(self, m, forward):
+        rng = np.random.default_rng(2024)
+        r = 1.5 * m.filtration_radius
+        pts = [tuple(complex(*rng.uniform(-r, r, 2)) for _ in range(2)) for _ in range(24)]
+        # |v| > ESCAPE_THRESHOLD at once, but the point is still outside V+ (V-)
+        pts.append((1e9, 1e20) if forward else (1e20, 1e9))
+        double, hp = (m.green_plus, verify.green_plus_hp) if forward else (m.green_minus, verify.green_minus_hp)
+        checked = 0
+        for pt in pts:
+            ref = _green_limit(m, pt, forward)
+            if ref < 1e-3:
+                continue
+            checked += 1
+            for got in (double(pt), hp(m, pt)):
+                assert abs(got - ref) <= 1e-9 * ref, (pt, got, ref)
+        assert checked >= 5
 
 
 def _polished_points(m, n, dps=60):
