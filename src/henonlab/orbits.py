@@ -18,10 +18,13 @@ The orbits come from a total-degree homotopy.  The system has Bezout
 number d^n, exactly the number of fixed points of f^n counted with
 multiplicity, and the start system x_k^d = 1 shares its cyclic symmetry,
 so one path per primitive necklace (Lyndon word of length k over the d-th
-roots of unity) reaches one orbit of exact period k.  Paths are tracked in
-batches whose rows may belong to different maps, so a parameter scan
-tracks every grid cell at once.  Each endpoint is Newton-polished wherever
-its path stopped; its residual, exact period and certificate decide.
+roots of unity) reaches one orbit of exact period k.  A length-k path runs
+in the system of a multiple L of k as the word repeated L/k times, so
+every divisor length of Fix_n is tracked in one batch of the length-n
+homotopy.  Rows of a batch may also belong to different maps, so a
+parameter scan tracks every grid cell at once.  Each endpoint is
+Newton-polished at its own length wherever its path stopped; its
+residual, exact period and certificate decide.
 Certificates, monodromies and multipliers run over all orbits of one
 length at once; ``certify`` etc. are one-row calls.
 """
@@ -699,11 +702,12 @@ def _gamma(rng_seed: int, k: int, attempt: int) -> complex:
     return cmath.exp(2j * math.pi * rng.random())
 
 
-def _homotopy(rows: _MapRows, gamma: complex, X: np.ndarray, t: np.ndarray):
+def _homotopy(rows: _MapRows, gamma: np.ndarray, X: np.ndarray, t: np.ndarray):
     """H(X, t), dH/dt and the diagonal of dH/dX for the gamma trick.
 
-    H = (1 - t) gamma (x^d - 1) + t F(x); ``t`` is a (B, 1) column.  The
-    sub- and superdiagonal of dH/dX are -t a and -t.
+    H = (1 - t) gamma (x^d - 1) + t F(x); ``gamma`` and ``t`` are (B, 1)
+    columns, so each row follows its own gamma.  The sub- and
+    superdiagonal of dH/dX are -t a and -t.
     """
     d = rows.degree
     Xd1 = X ** (d - 1)
@@ -719,8 +723,10 @@ _DT_MAX, _DT_MIN, _TRACK_STEPS = 0.1, 1e-8, 2000
 _FIRST_CORRECTION, _LAST_CORRECTION = 1e-3, 1e-10
 
 
-def _track(rows: _MapRows, X: np.ndarray, gamma: complex) -> np.ndarray:
+def _track(rows: _MapRows, X: np.ndarray, gamma: np.ndarray) -> np.ndarray:
     """Follow H(x, t) = 0 from the start points X at t = 0 to t = 1, row by row.
+
+    ``gamma`` is a (B, 1) column: row i follows the homotopy of ``gamma[i]``.
 
     Each step predicts with RK4 on dx/dt = -H_x^-1 H_t and corrects with
     three Newton steps at the new t.  It is accepted when the first
@@ -738,14 +744,14 @@ def _track(rows: _MapRows, X: np.ndarray, gamma: complex) -> np.ndarray:
         act = np.flatnonzero(live)
         if act.size == 0:
             break
-        r, x0, t0 = rows.take(act), X[act], t[act, None]
+        r, g, x0, t0 = rows.take(act), gamma[act], X[act], t[act, None]
         last = h[act] >= 1.0 - t[act]
         dt = np.where(last, 1.0 - t[act], h[act])[:, None]
         bad = np.zeros(act.size, dtype=bool)
 
         def step(x, tt, rhs):
             """-H_x^-1 times H (rhs 0) or H_t (rhs 1) at (x, tt)."""
-            parts = _homotopy(r, gamma, x, tt)
+            parts = _homotopy(r, g, x, tt)
             S, singular = _band_solve(parts[2], -tt * r.a, -tt, parts[rhs])
             bad[singular] = True
             return -S
@@ -776,9 +782,9 @@ def _track(rows: _MapRows, X: np.ndarray, gamma: complex) -> np.ndarray:
     return X
 
 
-def _track_and_check(maps: list[HenonMap], owner: np.ndarray, starts: np.ndarray,
-                     gamma: complex, tols: Tolerances) -> tuple[list, list]:
-    """Track one path per row, then polish and check every endpoint.
+def _track_and_check(maps: list[HenonMap], owner: np.ndarray, X: np.ndarray,
+                     tols: Tolerances) -> tuple[list, list]:
+    """Polish and check tracked endpoints at length k, the rows of X (B, k).
 
     Row i belongs to ``maps[owner[i]]``.  Newton polishes every endpoint,
     wherever its path stopped, and these checks alone judge it: its
@@ -788,7 +794,7 @@ def _track_and_check(maps: list[HenonMap], owner: np.ndarray, starts: np.ndarray
     the endpoints that pass, (owner, polished endpoint) for the rest.
     """
     rows = _MapRows.stack(maps, owner)
-    X, ok, _, rn = _newton_batch(rows, _track(rows, starts, gamma), tols.newton)
+    X, ok, _, rn = _newton_batch(rows, X, tols.newton)
     ok &= rn <= 1e-10
     W = X.copy()
     for i in np.flatnonzero(ok):
@@ -840,58 +846,80 @@ _ATTEMPTS = 3
 def _catalogue(maps: list[HenonMap], ks, rng_seed: int, tols: Tolerances, budget=math.inf):
     """The orbits of exact period k, for each k in ``ks``, of every map: one path per necklace.
 
-    All the maps' paths of one length are tracked as one batch.  A map
-    whose certified orbits of length k fall short of the necklace count
-    (a path failed, or two paths ended on one orbit) has all its length-k
-    paths tracked again with the gamma of the next attempt, and the orbits
-    of all attempts are merged.  Then all the maps' orbits of that length
-    are classified in one batch.  Returns (orbits, complete, paths,
-    unresolved): orbits[i][k] are the classified orbits of maps[i] in
-    canonical rotation and lexicographic order; complete[i] says whether
-    every length reached its count; ``paths`` counts tracked paths,
-    retracks included, and stops at ``budget``; unresolved[i] holds the
-    polished endpoints that failed the last attempt of a length still short.
+    Length k is tracked in its host length L, the largest length in ``ks``
+    that k divides: a length-k row starts at its Lyndon word's roots of
+    unity repeated L/k times.  The cyclic system commutes with the shift,
+    so the subspace of L/k-fold repeats is invariant, and the row is one
+    path of the length-L total-degree homotopy with its own gamma.  Each
+    attempt tracks the rows of every map and every length of one host as
+    one batch, and the first k coordinates of each endpoint go on to
+    ``_track_and_check`` at length k.  A map whose certified orbits of
+    length k fall short of the necklace count (a path failed, or two
+    paths ended on one orbit) has all its length-k paths tracked again
+    with the gamma of the next attempt, and the orbits of all attempts
+    are merged.  Then all the maps' orbits of one length are classified
+    in one batch.  Returns (orbits, complete, paths, unresolved):
+    orbits[i][k] are the classified orbits of maps[i] in canonical
+    rotation and lexicographic order; complete[i] says whether every
+    length reached its count; ``paths`` counts tracked paths, retracks
+    included; unresolved[i] holds the polished endpoints that failed the
+    last attempt of a length still short.  ``budget`` caps ``paths``
+    attempt by attempt, and within an attempt length by length in the
+    order of ``ks``: a length whose paths no longer fit is not tracked
+    again.  The first attempts at the divisors of n take one path per
+    necklace, at most d^n in all, so a budget of d^n always fits them.
     """
     d = maps[0].degree
+    host = {k: max(L for L in ks if L % k == 0) for k in ks}
+    words = {k: np.exp(2j * np.pi / d * np.array(_lyndon_words(d, k))) for k in ks}
+    kept = {k: [[] for _ in maps] for k in ks}
+    todo = {k: np.arange(len(maps)) for k in ks}
+    failed: dict[int, list] = {k: [] for k in ks}
+    paths = 0
+    for attempt in range(_ATTEMPTS):
+        batches: dict[int, list[int]] = {}
+        for k in ks:
+            size = len(words[k]) * todo[k].size
+            if size and paths + size <= budget:
+                paths += size
+                batches.setdefault(host[k], []).append(k)
+        for L, lengths in batches.items():
+            owners = [np.repeat(todo[k], len(words[k])) for k in lengths]
+            owner = np.concatenate(owners)
+            starts = np.concatenate([np.tile(words[k], (todo[k].size, L // k)) for k in lengths])
+            gamma = np.repeat([_gamma(rng_seed, k, attempt) for k in lengths],
+                              [o.size for o in owners])
+            X, start = _track(_MapRows.stack(maps, owner), starts, gamma[:, None]), 0
+            for k, o in zip(lengths, owners):
+                ends, failed[k] = _track_and_check(maps, o, X[start:start + o.size, :k], tols)
+                start += o.size
+                new: dict[int, list] = {}
+                for i, w, rho in ends:
+                    new.setdefault(i, []).append((w, rho))
+                for i, found in new.items():
+                    _merge(kept[k][i], found, tols)
+                need = len(words[k])
+                counts = np.array([len(kept[k][i]) for i in todo[k]])
+                if (counts > need).any():
+                    raise AmbiguousOrbitError(
+                        f"{counts.max()} certified orbits of period {k} exceed "
+                        f"the {need} necklaces: one orbit was kept twice")
+                todo[k] = todo[k][counts < need]
     orbits: list[dict] = [{} for _ in maps]
     complete = np.ones(len(maps), dtype=bool)
     unresolved: list[list[np.ndarray]] = [[] for _ in maps]
-    paths = 0
     for k in ks:
-        starts = np.exp(2j * np.pi / d * np.array(_lyndon_words(d, k)))
-        need = len(starts)
-        kept = [[] for _ in maps]
-        todo, failed = np.arange(len(maps)), []
-        for attempt in range(_ATTEMPTS):
-            if paths + need * todo.size > budget:
-                break
-            owner = np.repeat(todo, need)
-            paths += owner.size
-            ends, failed = _track_and_check(maps, owner, np.tile(starts, (todo.size, 1)),
-                                            _gamma(rng_seed, k, attempt), tols)
-            new: dict[int, list] = {}
-            for i, w, rho in ends:
-                new.setdefault(i, []).append((w, rho))
-            for i, found in new.items():
-                _merge(kept[i], found, tols)
-            counts = np.array([len(kept[i]) for i in todo])
-            if (counts > need).any():
-                raise AmbiguousOrbitError(f"{counts.max()} certified orbits of period {k} "
-                                          f"exceed the {need} necklaces: one orbit was kept twice")
-            todo = todo[counts < need]
-            if todo.size == 0:
-                break
-        complete[todo] = False
-        for i, x in failed:
-            if i in todo:
+        complete[todo[k]] = False
+        for i, x in failed[k]:
+            if i in todo[k]:
                 unresolved[i].append(x)
         # after one _lex_order of all rows, a stable sort by owner orders each map's as its own
-        sizes = [len(o) for o in kept]
+        sizes = [len(o) for o in kept[k]]
         owner = np.repeat(np.arange(len(maps)), sizes)
-        X = np.array([w for o in kept for w, _ in o], dtype=complex).reshape(-1, k)
+        X = np.array([w for o in kept[k] for w, _ in o], dtype=complex).reshape(-1, k)
         order = _lex_order(X)
         order = order[np.argsort(owner[order], kind="stable")]
-        radii = np.array([rho for o in kept for _, rho in o])[order]
+        radii = np.array([rho for o in kept[k] for _, rho in o])[order]
         rows = _classify_rows(_MapRows.stack(maps, owner), X[order], [True] * len(X), radii, tols)
         for i, end in enumerate(np.cumsum(sizes)):
             orbits[i][k] = rows[end - sizes[i]:end]
@@ -908,9 +936,12 @@ def enumerate_fix(
     """All fixed points of f^n, by exact period, from the necklace homotopy.
 
     For each divisor k of n one path per Lyndon word of length k is
-    tracked; each certified endpoint is one orbit of exact period k.
-    ``budget`` caps the number of tracked paths, retracks included (default
-    1000 d^n, never below d^n).  The spectrum is complete when every period
+    tracked as the word repeated n/k times, all lengths in one batch of
+    the length-n homotopy; the first k coordinates of each endpoint are
+    polished and checked at length k, and each certified one is one orbit
+    of exact period k.  ``budget`` caps the number of tracked paths,
+    retracks included (default 1000 d^n, never below d^n, which the first
+    attempt always fits).  The spectrum is complete when every period
     reached its necklace count, which makes d^n distinct, certified,
     simple points.  The gamma of each attempt derives from
     (rng_seed, k, attempt), so output is deterministic.

@@ -205,7 +205,7 @@ def _stencil_floor(values: np.ndarray, h: float, valid: np.ndarray, scale: float
     max floored by the round-off amplification bound 8 eps scale / h^2."""
     defect = stencil_defect(values, h, valid)
     measured = float(np.nanmax(defect)) if np.isfinite(defect).any() else 0.0
-    return measured, max(measured, 8.0 * np.finfo(float).eps * scale / h**2)
+    return measured, max(measured, float(8.0 * np.finfo(float).eps * scale / h**2))
 
 
 def lyapunov_noise_floor(fld: ScanField) -> float:

@@ -231,6 +231,17 @@ class TestScan:
         rows = dict(r.split(",") for r in out.read_text().strip().split("\n")[1:])
         assert float(rows["max_defect_on_harmonic_field"]) < 1e-9
 
+    def test_validate_stencil_writes_plain_floats(self, tmp_path):
+        # the round-off bound wins the noise floor on this grid; it must not
+        # be written as a numpy scalar's repr
+        fam = tmp_path / "fam.json"
+        fam.write_text(json.dumps(FAMILY_SPEC))
+        out = tmp_path / "stencil.csv"
+        assert main(["scan", "--family", str(fam), "--validate-stencil", "--out", str(out)]) == 0
+        rows = dict(r.split(",") for r in out.read_text().strip().split("\n")[1:])
+        assert set(rows) == {"max_defect_on_harmonic_field", "stencil_noise_floor"}
+        assert all(float(v) >= 0.0 for v in rows.values())
+
     def test_even_grid_usage_error(self, tmp_path):
         bad = dict(FAMILY_SPEC, grid_size=6)
         fam = tmp_path / "bad.json"

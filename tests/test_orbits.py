@@ -272,7 +272,7 @@ class TestEnumerate:
 
     @staticmethod
     def _dropping(monkeypatch, every_attempt, length=4):
-        """Make the tracking of one length hand back one orbit twice in place of another.
+        """Make the checks of one length hand back one orbit twice in place of another.
 
         The orbit lost is the second endpoint of attempt 0; with
         ``every_attempt`` it is lost on every retrack as well.
@@ -280,10 +280,10 @@ class TestEnumerate:
         track = hl.orbits._track_and_check
         lost, lengths = [], []
 
-        def jumping(maps, owner, starts, gamma, tols):
-            ends, failed = track(maps, owner, starts, gamma, tols)
-            lengths.append(starts.shape[1])
-            if starts.shape[1] == length and (every_attempt or not lost):
+        def jumping(maps, owner, X, tols):
+            ends, failed = track(maps, owner, X, tols)
+            lengths.append(X.shape[1])
+            if X.shape[1] == length and (every_attempt or not lost):
                 if not lost:
                     lost.append(ends[1][1])
                 keep = [e for e in ends if hl.rotation_distance(e[1], lost[0]) >= 1e-8]
@@ -387,6 +387,127 @@ class TestSolveParity:
         for a, b in ((fast, ref), (ref, fast)):
             for o in a.orbits:
                 assert min(hl.rotation_distance(o.xs, q.xs) for q in b.orbits if q.n == o.n) < 1e-12
+
+
+def per_length_catalogue(maps, ks, rng_seed, tols, budget=math.inf):
+    """The per-length loop that the host-length batches replaced.
+
+    Every length is tracked in its own length-k system, one ``_track`` per
+    length and attempt, with one gamma for all its rows; all else is as in
+    ``_catalogue``.
+    """
+    orb = hl.orbits
+    d = maps[0].degree
+    orbits = [{} for _ in maps]
+    complete = np.ones(len(maps), dtype=bool)
+    unresolved = [[] for _ in maps]
+    paths = 0
+    for k in ks:
+        starts = np.exp(2j * np.pi / d * np.array(orb._lyndon_words(d, k)))
+        need = len(starts)
+        kept = [[] for _ in maps]
+        todo, failed = np.arange(len(maps)), []
+        for attempt in range(orb._ATTEMPTS):
+            if paths + need * todo.size > budget:
+                break
+            owner = np.repeat(todo, need)
+            paths += owner.size
+            gamma = np.full((owner.size, 1), orb._gamma(rng_seed, k, attempt))
+            X = orb._track(orb._MapRows.stack(maps, owner), np.tile(starts, (todo.size, 1)), gamma)
+            ends, failed = orb._track_and_check(maps, owner, X, tols)
+            new = {}
+            for i, w, rho in ends:
+                new.setdefault(i, []).append((w, rho))
+            for i, found in new.items():
+                orb._merge(kept[i], found, tols)
+            todo = todo[np.array([len(kept[i]) for i in todo]) < need]
+            if todo.size == 0:
+                break
+        complete[todo] = False
+        for i, x in failed:
+            if i in todo:
+                unresolved[i].append(x)
+        sizes = [len(o) for o in kept]
+        owner = np.repeat(np.arange(len(maps)), sizes)
+        X = np.array([w for o in kept for w, _ in o], dtype=complex).reshape(-1, k)
+        order = orb._lex_order(X)
+        order = order[np.argsort(owner[order], kind="stable")]
+        radii = np.array([rho for o in kept for _, rho in o])[order]
+        rows = orb._classify_rows(orb._MapRows.stack(maps, owner), X[order], [True] * len(X),
+                                  radii, tols)
+        for i, end in enumerate(np.cumsum(sizes)):
+            orbits[i][k] = rows[end - sizes[i]:end]
+    return orbits, complete, paths, unresolved
+
+
+def _tracked_lengths(monkeypatch):
+    """Record the length of every ``_track`` batch."""
+    track, lengths = hl.orbits._track, []
+
+    def counted(rows, X, gamma):
+        lengths.append(X.shape[1])
+        return track(rows, X, gamma)
+
+    monkeypatch.setattr(hl.orbits, "_track", counted)
+    return lengths
+
+
+def _bits(orbit):
+    """Every field of an orbit record, floats to the last bit."""
+    return repr(dict(vars(orbit), xs=orbit.xs.tolist()))
+
+
+class TestHostLengths:
+    @pytest.mark.parametrize("m, n", [
+        (hl.quadratic_map(-6.0, 0.3), 12),
+        (MIXED, 12),
+        (hl.HenonMap(coeffs=(0.3 + 0.2j, -1.5, 0.1j), a=0.4 - 0.3j), 6),
+        (hl.quadratic_map(0.0, 1e-3), 8),
+        (hl.quadratic_map(-0.8 + 0.4j, 0.6 - 0.5j), 6),
+    ], ids=["horseshoe", "mixed", "cubic", "near1d", "complex-a"])
+    def test_matches_the_per_length_loop(self, m, n):
+        tols, ks = hl.orbits.DEFAULT_TOLERANCES, hl.orbits._divisors(n)
+        budget = 1000 * m.degree**n
+        got = hl.orbits._catalogue([m], ks, 1729, tols, budget)
+        ref = per_length_catalogue([m], ks, 1729, tols, budget)
+        assert got[1].tolist() == ref[1].tolist() and got[2] == ref[2]
+        assert len(got[3][0]) == len(ref[3][0])
+        for k in ks:
+            mine, theirs = got[0][0][k], ref[0][0][k]
+            assert len(mine) == len(theirs)
+            for o, r in zip(mine, theirs):
+                if k == n:  # the length-n rows do the same arithmetic: equal to the bit
+                    assert _bits(o) == _bits(r)
+                else:
+                    assert np.abs(o.xs - r.xs).max() <= r.certificate_radius
+                    assert o.kind == r.kind
+
+    def test_fix_n_is_one_track(self, horseshoe_map, monkeypatch):
+        lengths = _tracked_lengths(monkeypatch)
+        assert hl.enumerate_fix(horseshoe_map, 12).complete
+        assert lengths == [12]
+
+    def test_scan_tracks_only_host_lengths(self, monkeypatch):
+        fam = hl.FamilySpec(coeffs=(0j, 0.0), a=0.5, center=0j, radius=0.25, grid_size=5)
+        lengths = _tracked_lengths(monkeypatch)
+        assert hl.scan(fam, 6).complete.all()
+        assert set(lengths) == {4, 5, 6}
+
+    @pytest.mark.parametrize("delta", [0.0, 1e-9])
+    def test_fixed_point_of_multiplier_minus_one_in_its_host(self, delta, monkeypatch):
+        # x = -0.75 is a fixed point of p = x^2 - 1.6875, a = 0.5 with
+        # multiplier -1: in the length-2 system it is a double root, yet
+        # tracked there as a repeated word it is still judged at length 1
+        m = hl.quadratic_map(-1.6875 + delta, 0.5)
+        lengths = _tracked_lengths(monkeypatch)
+        for n in (2, 4, 6):
+            assert hl.enumerate_fix(m, n).counts["per"][1] == 2
+        assert 1 not in lengths
+
+    def test_near_period_doubling_is_complete(self):
+        m = hl.quadratic_map(-1.6875 + 1e-6, 0.5)
+        for n in (1, 2, 4, 6):
+            assert hl.enumerate_fix(m, n).complete
 
 
 class TestDecomposition:

@@ -30,6 +30,21 @@ G- column of the three ``verify-*.txt`` files differs.  The one loop of
 log|a| / (d - 1) backward; there G- is 0.6-6.5% higher and at most
 2.3e-14, while the z and G+ columns and the other 46 files are
 byte-identical.
+
+A second one: against a tree that tracks each divisor length k of n in
+its own length-k system, the orbits of period k < n differ in their
+last bits, since they are now tracked in the length-n system as the
+word repeated n/k times and polished from a slightly different
+endpoint.  Their xs move by at most 2.3e-16, well inside their
+certificate radii, and their lambdas, chi, radius and residual change
+in the last bits.  It follows that the sink scans change lambda_n in a
+few rows by at most 1.1e-16 and laplacian_defect by at most 1.8e-13,
+that the round-off-level columns (about 1e-17) of the ``measure`` CSVs
+change, that ``verify-horseshoe`` changes in imaginary parts of about
+1e-156 and that ``verify-cubic`` changes in the G+ and G- of one fixed
+point, which are zero up to the working precision (1e-33 and 1e-25).  Every period-n orbit, every count,
+``complete``, the orbit order, the ``lyapunov`` CSVs and the
+``horseshoe-11`` and ``cubic-x-5`` scans are byte-identical.
 """
 
 from __future__ import annotations
