@@ -24,9 +24,9 @@ every divisor length of Fix_n is tracked in one batch of the length-n
 homotopy.  Rows of a batch may also belong to different maps, so a
 parameter scan tracks every grid cell at once.  Each endpoint is
 Newton-polished at its own length wherever its path stopped; its
-residual, exact period and certificate decide.
-Certificates, monodromies and multipliers run over all orbits of one
-length at once; ``certify`` etc. are one-row calls.
+residual, exact period and certificate decide.  Canonical rotations,
+period gaps, certificates and multipliers run over all endpoints of one
+length at once; ``canonical_rotation`` and ``vector_period`` take one row.
 """
 
 from __future__ import annotations
@@ -589,23 +589,41 @@ def _divisors(n: int) -> list[int]:
 
 
 def _rotations(xs: np.ndarray) -> np.ndarray:
-    """The (n, n) table whose row r is ``np.roll(xs, -r)``."""
-    n = xs.shape[0]
-    return xs[(np.arange(n)[:, None] + np.arange(n)) % n]
+    """The rotation tables of xs (..., n): row r of each is ``np.roll(xs, -r, axis=-1)``."""
+    n = xs.shape[-1]
+    return xs[..., (np.arange(n)[:, None] + np.arange(n)) % n]
 
 
-def _lex_order(rows: np.ndarray) -> np.ndarray:
-    """Stable order of complex rows by their (re_0, im_0, re_1, ...) keys.
+def _lex_order(rows: np.ndarray, group=None) -> np.ndarray:
+    """Stable order of complex rows by their (group, re_0, im_0, re_1, ...) keys.
 
     The keys are first compared rounded to 30 significant bits, so values
     that differ only by round-off (the equal real parts of a conjugate
     pair, say) tie and the next key decides; the full keys break the ties
-    that remain.
+    that remain.  ``group``, one integer per row, is optional.
     """
     keys = np.stack((rows.real, rows.imag), axis=-1).reshape(len(rows), 2 * rows.shape[1])
     mant, expo = np.frexp(keys)
     coarse = np.ldexp(np.round(np.ldexp(mant, 30)), expo - 30)
-    return np.lexsort(np.concatenate((coarse, keys), axis=1).T[::-1])
+    cols = list(np.concatenate((coarse, keys), axis=1).T[::-1])
+    return np.lexsort(cols if group is None else cols + [group])
+
+
+def _rotation_rows(X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``canonical_rotation`` of each row of X (B, k), and gaps[:, j] = sup_i |x_{i+p} - x_i|.
+
+    p is the j-th proper divisor of k.  The (b, k, k) rotation tables are
+    built in blocks of ``_STACK_ENTRIES // k**2`` rows.
+    """
+    B, k = X.shape
+    step, shifts = max(1, _STACK_ENTRIES // k**2), _divisors(k)[:-1]
+    W, gaps = np.empty_like(X), np.empty((B, len(shifts)))
+    for i in range(0, B, step):
+        table = _rotations(X[i:i + step])
+        gaps[i:i + step] = np.abs(table[:, :1] - table[:, shifts]).max(axis=2)
+        flat = table.reshape(-1, k)
+        W[i:i + step] = flat[_lex_order(flat, np.arange(len(flat)) // k)[::k]]
+    return W, gaps
 
 
 def rotation_distance(u: np.ndarray, v: np.ndarray) -> float:
@@ -615,24 +633,13 @@ def rotation_distance(u: np.ndarray, v: np.ndarray) -> float:
 
 def canonical_rotation(xs: np.ndarray) -> np.ndarray:
     """Rotation minimizing the (re, im) lexicographic key, ties to the smallest shift."""
-    table = _rotations(np.asarray(xs, dtype=complex))
-    return table[_lex_order(table)[0]]
-
-
-def _period_and_gaps(xs: np.ndarray, tol: float) -> tuple[int, dict[int, float]]:
-    """Minimal period under ``tol`` and the shift gaps of every proper divisor p of n.
-
-    The gap of p is sup_k |x_{k+p} - x_k|.
-    """
-    n = xs.shape[0]
-    table = _rotations(xs)
-    gaps = {p: float(np.abs(xs - table[p]).max()) for p in _divisors(n)[:-1]}
-    return next((p for p, gap in gaps.items() if gap < tol), n), gaps
+    return _rotation_rows(np.asarray(xs, dtype=complex).reshape(1, -1))[0][0]
 
 
 def vector_period(xs: np.ndarray, tol: float) -> int:
     """Minimal p | n with sup_k |x_{k+p} - x_k| < tol."""
-    return _period_and_gaps(xs, tol)[0]
+    gaps = _rotation_rows(np.asarray(xs, dtype=complex).reshape(1, -1))[1][0]
+    return next((p for p, gap in zip(_divisors(len(xs)), gaps) if gap < tol), len(xs))
 
 
 # ---------------------------------------------------------------------------
@@ -795,22 +802,17 @@ def _track_and_check(maps: list[HenonMap], owner: np.ndarray, X: np.ndarray,
     """
     rows = _MapRows.stack(maps, owner)
     X, ok, _, rn = _newton_batch(rows, X, tols.newton)
-    ok &= rn <= 1e-10
-    W = X.copy()
-    for i in np.flatnonzero(ok):
-        gaps = _period_and_gaps(X[i], tols.dedup)[1].values()
-        ok[i] = min(gaps, default=math.inf) >= tols.separation
-        if ok[i]:
-            W[i] = canonical_rotation(X[i])
-    idx = np.flatnonzero(ok)
-    ok[idx], radii = _certify_rows(rows.take(idx), W[idx], tols)
-    ends = [(owner[i], W[i], rho) for i, rho in zip(idx, radii) if ok[i]]
-    failed = [(owner[i], X[i]) for i in np.flatnonzero(~ok)]
-    return ends, failed
+    idx = np.flatnonzero(ok & (rn <= 1e-10))
+    W, gaps = _rotation_rows(X[idx])
+    apart = (gaps >= tols.separation).all(axis=1)
+    ok, radii = _certify_rows(rows.take(idx[apart]), W[apart], tols)
+    idx, W = idx[apart][ok], W[apart][ok]
+    failed = ~np.isin(np.arange(len(X)), idx)
+    return list(zip(owner[idx], W, radii[ok])), list(zip(owner[failed], X[failed]))
 
 
 def _merge(kept: list, new: list, tols: Tolerances) -> None:
-    """Append to ``kept`` each new certified orbit (xs, radius) that is no rotation of an earlier one.
+    """Append to ``kept`` each new (owner, xs, radius) that is no rotation of an earlier same-owner one.
 
     Orbits are compared only when their coordinate sums, which rotation
     leaves alone, lie within k ``tols.dedup``.  Two certified orbits closer
@@ -818,19 +820,19 @@ def _merge(kept: list, new: list, tols: Tolerances) -> None:
     cannot be told apart: AmbiguousOrbitError.
     """
     items = kept + new
-    s1 = np.array([w.sum().real for w, _ in items])
+    s1 = np.array([w.sum().real for _, w, _ in items])
     order = np.argsort(s1, kind="stable")
-    window = len(items[0][0]) * tols.dedup + 1e-12
+    window = len(items[0][1]) * tols.dedup + 1e-12 if items else 0.0
     lo = np.searchsorted(s1[order], s1 - window, "left")
     hi = np.searchsorted(s1[order], s1 + window, "right")
     alive = [True] * len(kept) + [False] * len(new)
     for i in range(len(kept), len(items)):
-        w, rho = items[i]
+        owner, w, rho = items[i]
         for j in order[lo[i]:hi[i]]:
-            if j < i and alive[j]:
-                dist = rotation_distance(w, items[j][0])
+            if j < i and alive[j] and items[j][0] == owner:
+                dist = rotation_distance(w, items[j][1])
                 if dist < tols.dedup:
-                    if dist > rho + items[j][1]:
+                    if dist > rho + items[j][2]:
                         raise AmbiguousOrbitError(
                             f"certified orbits separated by {dist:.3e}, inside the dedup scale")
                     break
@@ -856,9 +858,9 @@ def _catalogue(maps: list[HenonMap], ks, rng_seed: int, tols: Tolerances, budget
     ``_track_and_check`` at length k.  A map whose certified orbits of
     length k fall short of the necklace count (a path failed, or two
     paths ended on one orbit) has all its length-k paths tracked again
-    with the gamma of the next attempt, and the orbits of all attempts
-    are merged.  Then all the maps' orbits of one length are classified
-    in one batch.  Returns (orbits, complete, paths, unresolved):
+    with the gamma of the next attempt.  The orbits of all attempts and
+    maps are merged into one list per length, then classified in one
+    batch.  Returns (orbits, complete, paths, unresolved):
     orbits[i][k] are the classified orbits of maps[i] in canonical
     rotation and lexicographic order; complete[i] says whether every
     length reached its count; ``paths`` counts tracked paths, retracks
@@ -872,7 +874,7 @@ def _catalogue(maps: list[HenonMap], ks, rng_seed: int, tols: Tolerances, budget
     d = maps[0].degree
     host = {k: max(L for L in ks if L % k == 0) for k in ks}
     words = {k: np.exp(2j * np.pi / d * np.array(_lyndon_words(d, k))) for k in ks}
-    kept = {k: [[] for _ in maps] for k in ks}
+    kept: dict[int, list] = {k: [] for k in ks}
     todo = {k: np.arange(len(maps)) for k in ks}
     failed: dict[int, list] = {k: [] for k in ks}
     paths = 0
@@ -893,13 +895,9 @@ def _catalogue(maps: list[HenonMap], ks, rng_seed: int, tols: Tolerances, budget
             for k, o in zip(lengths, owners):
                 ends, failed[k] = _track_and_check(maps, o, X[start:start + o.size, :k], tols)
                 start += o.size
-                new: dict[int, list] = {}
-                for i, w, rho in ends:
-                    new.setdefault(i, []).append((w, rho))
-                for i, found in new.items():
-                    _merge(kept[k][i], found, tols)
+                _merge(kept[k], ends, tols)
                 need = len(words[k])
-                counts = np.array([len(kept[k][i]) for i in todo[k]])
+                counts = np.bincount([i for i, _, _ in kept[k]], minlength=len(maps))[todo[k]]
                 if (counts > need).any():
                     raise AmbiguousOrbitError(
                         f"{counts.max()} certified orbits of period {k} exceed "
@@ -913,14 +911,13 @@ def _catalogue(maps: list[HenonMap], ks, rng_seed: int, tols: Tolerances, budget
         for i, x in failed[k]:
             if i in todo[k]:
                 unresolved[i].append(x)
-        # after one _lex_order of all rows, a stable sort by owner orders each map's as its own
-        sizes = [len(o) for o in kept[k]]
-        owner = np.repeat(np.arange(len(maps)), sizes)
-        X = np.array([w for o in kept[k] for w, _ in o], dtype=complex).reshape(-1, k)
-        order = _lex_order(X)
-        order = order[np.argsort(owner[order], kind="stable")]
-        radii = np.array([rho for o in kept[k] for _, rho in o])[order]
-        rows = _classify_rows(_MapRows.stack(maps, owner), X[order], [True] * len(X), radii, tols)
+        owner = np.array([i for i, _, _ in kept[k]], dtype=int)
+        X = np.array([w for _, w, _ in kept[k]], dtype=complex).reshape(-1, k)
+        order = _lex_order(X, owner)
+        radii = np.array([rho for _, _, rho in kept[k]])[order]
+        rows = _classify_rows(_MapRows.stack(maps, owner[order]), X[order], [True] * len(X),
+                              radii, tols)
+        sizes = np.bincount(owner, minlength=len(maps))
         for i, end in enumerate(np.cumsum(sizes)):
             orbits[i][k] = rows[end - sizes[i]:end]
     return orbits, complete, paths, unresolved
@@ -1079,14 +1076,17 @@ def spectrum_to_json(spec: PeriodSpectrum) -> str:
 
 
 def spectrum_from_dict(data: dict) -> PeriodSpectrum:
-    m = HenonMap.from_spec(data["map"])
-    orbits = [PeriodicOrbit(n=od["period"], xs=np.array([complex(re, im) for re, im in od["xs"]]),
-                            lambda_s=complex(od["lambda_s"][0], od["lambda_s"][1]),
-                            lambda_u=complex(od["lambda_u"][0], od["lambda_u"][1]),
-                            chi=od["chi"], kind=od["kind"], residual=od["residual"],
-                            certified=od["certified"], certificate_radius=od["radius"])
-              for od in data["orbits"]]
-    return PeriodSpectrum(map=m, n=data["n"], orbits=orbits, complete=data["complete"])
+    try:
+        m = HenonMap.from_spec(data["map"])
+        orbits = [PeriodicOrbit(n=od["period"], xs=np.array([complex(re, im) for re, im in od["xs"]]),
+                                lambda_s=complex(od["lambda_s"][0], od["lambda_s"][1]),
+                                lambda_u=complex(od["lambda_u"][0], od["lambda_u"][1]),
+                                chi=od["chi"], kind=od["kind"], residual=od["residual"],
+                                certified=od["certified"], certificate_radius=od["radius"])
+                  for od in data["orbits"]]
+        return PeriodSpectrum(map=m, n=data["n"], orbits=orbits, complete=data["complete"])
+    except (KeyError, TypeError, IndexError) as exc:
+        raise ValueError(f"malformed spectrum: {exc}") from exc
 
 
 def spectrum_from_file(path) -> PeriodSpectrum:

@@ -207,6 +207,33 @@ class TestIgnoredOptions:
                      "--out", str(tmp_path / "x.csv")]) == 0
 
 
+class TestMalformedSpectrum:
+    """A spectrum file that parses as JSON but is not a spectrum is a runtime error."""
+
+    @pytest.fixture(params=["no-orbits", "orbit-without-xs", "json-list"])
+    def bad_spectrum(self, request, mapfile, tmp_path):
+        data = json.loads(_enumerate(mapfile, tmp_path, "good.json", n=1)[1].read_text())
+        if request.param == "no-orbits":
+            del data["orbits"]
+        elif request.param == "orbit-without-xs":
+            del data["orbits"][0]["xs"]
+        else:
+            data = [data]
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(data))
+        return str(path)
+
+    @pytest.mark.parametrize("command", ["classify", "measure", "lyapunov"])
+    def test_exit_2_with_one_error_line(self, command, bad_spectrum, tmp_path, capsys):
+        capsys.readouterr()
+        out = tmp_path / "out"
+        flag = "--spectrum" if command == "classify" else "--spectra"
+        assert main([command, flag, bad_spectrum, "--out", str(out)]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: malformed spectrum: ")
+        assert not out.exists()
+
+
 class TestScan:
     def test_small_scan_rows(self, tmp_path):
         fam = tmp_path / "fam.json"

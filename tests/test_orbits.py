@@ -417,7 +417,7 @@ def per_length_catalogue(maps, ks, rng_seed, tols, budget=math.inf):
             ends, failed = orb._track_and_check(maps, owner, X, tols)
             new = {}
             for i, w, rho in ends:
-                new.setdefault(i, []).append((w, rho))
+                new.setdefault(i, []).append((i, w, rho))
             for i, found in new.items():
                 orb._merge(kept[i], found, tols)
             todo = todo[np.array([len(kept[i]) for i in todo]) < need]
@@ -429,10 +429,10 @@ def per_length_catalogue(maps, ks, rng_seed, tols, budget=math.inf):
                 unresolved[i].append(x)
         sizes = [len(o) for o in kept]
         owner = np.repeat(np.arange(len(maps)), sizes)
-        X = np.array([w for o in kept for w, _ in o], dtype=complex).reshape(-1, k)
+        X = np.array([w for o in kept for _, w, _ in o], dtype=complex).reshape(-1, k)
         order = orb._lex_order(X)
         order = order[np.argsort(owner[order], kind="stable")]
-        radii = np.array([rho for o in kept for _, rho in o])[order]
+        radii = np.array([rho for o in kept for _, _, rho in o])[order]
         rows = orb._classify_rows(orb._MapRows.stack(maps, owner), X[order], [True] * len(X),
                                   radii, tols)
         for i, end in enumerate(np.cumsum(sizes)):
@@ -508,6 +508,33 @@ class TestHostLengths:
         m = hl.quadratic_map(-1.6875 + 1e-6, 0.5)
         for n in (1, 2, 4, 6):
             assert hl.enumerate_fix(m, n).complete
+
+
+class TestFlatCatalogue:
+    def test_identical_maps_each_get_their_own_orbits(self, horseshoe_map):
+        # the merge compares orbits of one owner only: a map's twin holds the
+        # very same orbits, and neither may absorb the other's
+        ref = hl.enumerate_fix(horseshoe_map, 4)
+        orbits, complete, paths, unresolved = hl.orbits._catalogue(
+            [horseshoe_map, horseshoe_map], [1, 2, 4], 1729, hl.orbits.DEFAULT_TOLERANCES)
+        assert complete.tolist() == [True, True] and unresolved == [[], []]
+        assert paths == 2 * ref.budget_used
+        for per_map in orbits:
+            got = [o for k in (1, 2, 4) for o in per_map[k]]
+            assert [_bits(o) for o in got] == [_bits(o) for o in ref.orbits]
+
+    def test_catalogue_needs_no_one_row_calls(self, horseshoe_map, monkeypatch):
+        # every endpoint goes through the row kernel, none through the one-row calls
+        fam = hl.FamilySpec(coeffs=(0j, 0.0), a=0.5, center=0j, radius=0.25, grid_size=5)
+        spec, fld = hl.enumerate_fix(horseshoe_map, 12), hl.scan(fam, 6)
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("one-row call on the enumeration path")
+
+        monkeypatch.setattr(hl.orbits, "canonical_rotation", refuse)
+        monkeypatch.setattr(hl.orbits, "vector_period", refuse)
+        assert hl.spectrum_to_json(hl.enumerate_fix(horseshoe_map, 12)) == hl.spectrum_to_json(spec)
+        assert hl.scan_to_csv(hl.scan(fam, 6)) == hl.scan_to_csv(fld)
 
 
 class TestDecomposition:

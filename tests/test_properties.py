@@ -69,10 +69,61 @@ def test_rotation_table_matches_roll_loops(v, w):
     u = np.resize(w, v.shape)
     assert hl.canonical_rotation(v).tobytes() == _loop_canonical_rotation(v).tobytes()
     assert hl.rotation_distance(u, v) == _loop_rotation_distance(u, v)
-    assert hl.orbits._period_and_gaps(v, 1e-8)[1] == _loop_gaps(v)
+    assert _gap_dict(v, hl.orbits._rotation_rows(v[None])[1][0]) == _loop_gaps(v)
     rows = hl.orbits._rotations(v)
     stable = sorted(range(v.shape[0]), key=lambda r: _key(rows[r]))
     assert hl.orbits._lex_order(rows).tolist() == stable
+
+
+def _gap_dict(xs, gaps):
+    """The gaps of ``_rotation_rows`` keyed by their proper divisors, as ``_loop_gaps`` has them."""
+    return dict(zip(hl.orbits._divisors(len(xs)), gaps.tolist()))
+
+
+@st.composite
+def tie_stacks(draw):
+    """Rows of one length k: tie entries repeated p | k times, and rotated copies or
+    conjugates of earlier rows."""
+    k = draw(st.integers(1, 12))
+    rows = []
+    for _ in range(draw(st.integers(1, 40))):
+        kind = draw(st.integers(0, 2)) if rows else 0
+        if kind == 0:
+            p = draw(st.sampled_from(hl.orbits._divisors(k)))
+            rows.append(draw(st.lists(tie_entry, min_size=p, max_size=p)) * (k // p))
+        else:
+            earlier = np.array(rows[draw(st.integers(0, len(rows) - 1))])
+            earlier = np.conj(earlier) if kind == 1 else earlier
+            rows.append(np.roll(earlier, draw(st.integers(0, k - 1))).tolist())
+    return np.array(rows, dtype=complex)
+
+
+# 40 rows at k = 12 span two blocks of 28; k = 1 has no proper divisor
+_TWO_BLOCKS = np.array([[complex((i * j) % 3 - 1, (-0.0, 0.0, 1.0, -1.0)[(i + 2 * j) % 4])
+                         for j in range(12)] for i in range(40)])
+
+
+@settings(max_examples=200, deadline=None)
+@given(tie_stacks())
+@example(_TWO_BLOCKS)
+@example(np.array([[0.0], [-0.0], [1j], [-0.0 - 0.0j], [1j]], dtype=complex))
+def test_rotation_rows_match_roll_loops(X):
+    # one kernel for every row of a length: bit for bit the per-row loops
+    W, gaps = hl.orbits._rotation_rows(X)
+    assert W.shape == X.shape and gaps.shape == (len(X), len(hl.orbits._divisors(X.shape[1])) - 1)
+    for x, w, g in zip(X, W, gaps):
+        assert w.tobytes() == _loop_canonical_rotation(x).tobytes()
+        assert _gap_dict(x, g) == _loop_gaps(x)
+
+
+@settings(max_examples=100, deadline=None)
+@given(tie_stacks(), st.integers(0, 2**32 - 1))
+@example(_TWO_BLOCKS, 0)
+def test_lex_order_group_is_the_two_step_sort(X, seed):
+    group = np.random.default_rng(seed).integers(0, 4, len(X))
+    order = hl.orbits._lex_order(X)
+    two_step = order[np.argsort(group[order], kind="stable")]
+    assert hl.orbits._lex_order(X, group).tolist() == two_step.tolist()
 
 
 @settings(max_examples=30, deadline=None)
