@@ -482,6 +482,10 @@ class PeriodicOrbit:
         return self.n * self.chi
 
 
+#: the kinds of ``_classify_rows``, by its class index
+_KINDS = ("saddle", "sink", "source", "marginal")
+
+
 def _by_length(orbits: list) -> list[tuple[list[int], np.ndarray]]:
     """(indices, their stacked xs) for each orbit length, indices in list order."""
     groups: dict[int, list[int]] = {}
@@ -555,8 +559,7 @@ def _classify_rows(m: HenonMap, X: np.ndarray, certified, radii,
     lo, hi = math.log1p(-tols.eps_hyp), math.log1p(tols.eps_hyp)
     kind = np.select([(log_ls < lo) & (log_lu > hi), (log_ls < lo) & (log_lu < lo),
                       (log_ls > hi) & (log_lu > hi)], [0, 1, 2], 3)
-    kinds = ("saddle", "sink", "source", "marginal")
-    return [PeriodicOrbit(n=n, xs=x, lambda_s=ls, lambda_u=lu, chi=lg / n, kind=kinds[c],
+    return [PeriodicOrbit(n=n, xs=x, lambda_s=ls, lambda_u=lu, chi=lg / n, kind=_KINDS[c],
                           residual=r, certified=bool(ok), certificate_radius=float(rho))
             for x, ls, lu, lg, c, r, ok, rho in zip(
                 X, lambda_s.tolist(), lambda_u.tolist(), log_lu.tolist(), kind.tolist(),
@@ -716,18 +719,19 @@ def _homotopy(rows: _MapRows, gamma: np.ndarray, X: np.ndarray, t: np.ndarray):
     columns, so each row follows its own gamma.  The sub- and
     superdiagonal of dH/dX are -t a and -t.
     """
-    d = rows.degree
-    Xd1 = X ** (d - 1)
+    Xd1 = X
+    for _ in range(rows.degree - 2):
+        Xd1 = Xd1 * X
     G = gamma * (X * Xd1 - 1.0)
     F = cyclic_residual(rows, X)
-    diag = (1.0 - t) * gamma * d * Xd1 + t * rows.dp(X)
+    diag = (1.0 - t) * gamma * rows.degree * Xd1 + t * rows.dp(X)
     return (1.0 - t) * G + t * F, F - G, diag
 
 
-#: path tracking: the largest and smallest steps in t, the number of steps
-#: a batch may take, and the corrector's acceptance tests (relative to 1 + |x|)
-_DT_MAX, _DT_MIN, _TRACK_STEPS = 0.1, 1e-8, 2000
-_FIRST_CORRECTION, _LAST_CORRECTION = 1e-3, 1e-10
+#: path tracking: the smallest step in t, the number of steps a batch may
+#: take, and the corrector's tests: the first correction at most
+#: _PREDICTOR_TOL (1 + |x|), the second at most _THETA_MAX times the first
+_DT_MIN, _TRACK_STEPS, _PREDICTOR_TOL, _THETA_MAX = 1e-8, 2000, 1e-2, 0.25
 
 
 def _track(rows: _MapRows, X: np.ndarray, gamma: np.ndarray) -> np.ndarray:
@@ -736,16 +740,18 @@ def _track(rows: _MapRows, X: np.ndarray, gamma: np.ndarray) -> np.ndarray:
     ``gamma`` is a (B, 1) column: row i follows the homotopy of ``gamma[i]``.
 
     Each step predicts with RK4 on dx/dt = -H_x^-1 H_t and corrects with
-    three Newton steps at the new t.  It is accepted when the first
-    correction is small and the last one is at round-off, and its length
-    then grows by half (up to ``_DT_MAX``); otherwise it is halved, and a
-    row whose step falls below ``_DT_MIN`` stops.  Returns each row's last
-    accepted point: its endpoint at t = 1, or wherever its path stopped.
+    two Newton steps at the new t.  It is accepted when the first
+    correction is small and Newton contracts (Telen, Van Barel & Verschelde
+    2020): the second is within ``_THETA_MAX`` of the first or at
+    round-off.  Its length then doubles, else it is halved, and a row whose
+    step falls below ``_DT_MIN`` stops.  Returns each row's last accepted
+    point, for ``_track_and_check`` to polish: its endpoint at t = 1, or
+    wherever its path stopped.
     """
     X = np.array(X, dtype=complex)
     B = len(X)
     t = np.zeros(B)
-    h = np.full(B, _DT_MAX / 4)
+    h = np.full(B, 0.1)
     live = np.ones(B, dtype=bool)
     for _ in range(_TRACK_STEPS):
         act = np.flatnonzero(live)
@@ -770,20 +776,17 @@ def _track(rows: _MapRows, X: np.ndarray, gamma: np.ndarray) -> np.ndarray:
             k4 = step(x0 + dt * k3, t0 + dt, 1)
             x = x0 + dt / 6.0 * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
             t1 = np.where(last, 1.0, t0[:, 0] + dt[:, 0])[:, None]
-            sizes = []
-            for _ in range(3):
-                S = step(x, t1, 0)
-                x = x + S
-                sizes.append(np.abs(S).max(axis=1))
+            S1 = step(x, t1, 0)
+            S2 = step(x + S1, t1, 0)
+            x = x + S1 + S2
+            first, second = np.abs(S1).max(axis=1), np.abs(S2).max(axis=1)
             scale = 1.0 + np.abs(x).max(axis=1)
-            good = (~bad & np.isfinite(x).all(axis=1)
-                    & (sizes[0] <= _FIRST_CORRECTION * scale)
-                    & (sizes[2] <= _LAST_CORRECTION * scale))
+            good = (~bad & np.isfinite(x).all(axis=1) & (first <= _PREDICTOR_TOL * scale)
+                    & ((second <= _THETA_MAX * first) | (second <= 1e-14 * scale)))
         acc, rej = act[good], act[~good]
         X[acc] = x[good]
         t[acc] = t1[good, 0]
-        h[acc] = np.minimum(1.5 * h[acc], _DT_MAX)
-        h[rej] *= 0.5
+        h[act] *= np.where(good, 2.0, 0.5)
         live[acc[last[good]]] = False
         live[rej[h[rej] < _DT_MIN]] = False
     return X
@@ -1075,9 +1078,24 @@ def spectrum_to_json(spec: PeriodSpectrum) -> str:
     return json.dumps(spectrum_to_dict(spec), indent=1)
 
 
+def _bad_fields(od: dict) -> list[str]:
+    """The fields of one orbit record whose type or value is wrong."""
+    def real(v):
+        return isinstance(v, (int, float)) and not isinstance(v, bool)
+
+    bad = [f for f in ("chi", "residual", "radius") if not real(od[f])]
+    if type(od["period"]) is not int or od["period"] < 1 or len(od["xs"]) != od["period"]:
+        bad.append("period")
+    return bad + ([] if od["kind"] in _KINDS else ["kind"])
+
+
 def spectrum_from_dict(data: dict) -> PeriodSpectrum:
+    """The spectrum a ``spectrum_to_dict`` record describes; ValueError if it is malformed."""
     try:
         m = HenonMap.from_spec(data["map"])
+        for i, od in enumerate(data["orbits"]):
+            if bad := _bad_fields(od):
+                raise ValueError(f"orbit {i} has a bad {', '.join(bad)}")
         orbits = [PeriodicOrbit(n=od["period"], xs=np.array([complex(re, im) for re, im in od["xs"]]),
                                 lambda_s=complex(od["lambda_s"][0], od["lambda_s"][1]),
                                 lambda_u=complex(od["lambda_u"][0], od["lambda_u"][1]),
@@ -1085,10 +1103,14 @@ def spectrum_from_dict(data: dict) -> PeriodSpectrum:
                                 certified=od["certified"], certificate_radius=od["radius"])
                   for od in data["orbits"]]
         return PeriodSpectrum(map=m, n=data["n"], orbits=orbits, complete=data["complete"])
-    except (KeyError, TypeError, IndexError) as exc:
+    except (KeyError, TypeError, IndexError, ValueError) as exc:
         raise ValueError(f"malformed spectrum: {exc}") from exc
 
 
 def spectrum_from_file(path) -> PeriodSpectrum:
+    """The spectrum in a JSON file; a ValueError names the file."""
     with open(path, "r", encoding="utf-8") as fh:
-        return spectrum_from_dict(json.load(fh))
+        try:
+            return spectrum_from_dict(json.load(fh))
+        except ValueError as exc:
+            raise ValueError(f"{exc} ({path})") from exc

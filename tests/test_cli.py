@@ -210,13 +210,22 @@ class TestIgnoredOptions:
 class TestMalformedSpectrum:
     """A spectrum file that parses as JSON but is not a spectrum is a runtime error."""
 
-    @pytest.fixture(params=["no-orbits", "orbit-without-xs", "json-list"])
+    #: one field of orbit 0 set to a value of the wrong type or range
+    BAD_FIELDS = {"chi-string": ("chi", "abc"), "residual-null": ("residual", None),
+                  "radius-bool": ("radius", True), "period-zero": ("period", 0),
+                  "period-float": ("period", 1.0), "kind-unknown": ("kind", "elliptic"),
+                  "xs-one-number": ("xs", [[0.5]])}
+
+    @pytest.fixture(params=["no-orbits", "orbit-without-xs", "json-list", *BAD_FIELDS])
     def bad_spectrum(self, request, mapfile, tmp_path):
         data = json.loads(_enumerate(mapfile, tmp_path, "good.json", n=1)[1].read_text())
         if request.param == "no-orbits":
             del data["orbits"]
         elif request.param == "orbit-without-xs":
             del data["orbits"][0]["xs"]
+        elif request.param in self.BAD_FIELDS:
+            key, value = self.BAD_FIELDS[request.param]
+            data["orbits"][0][key] = value
         else:
             data = [data]
         path = tmp_path / "bad.json"
@@ -231,6 +240,7 @@ class TestMalformedSpectrum:
         assert main([command, flag, bad_spectrum, "--out", str(out)]) == 2
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith("error: malformed spectrum: ")
+        assert bad_spectrum in err[0]
         assert not out.exists()
 
 

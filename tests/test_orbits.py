@@ -57,6 +57,25 @@ class TestCyclicSystem:
                         want -= 1
                     assert isinstance(J[i, j], mp.mpc) and J[i, j] == want
 
+    @pytest.mark.parametrize("coeffs", [(0.3 - 0.1j, 0.0), (0.3 + 0.2j, -1.5, 0.1j),
+                                        (0.5, 0.2, -0.3j, 0.1)], ids=["d2", "d3", "d4"])
+    def test_homotopy_matches_the_complex_power(self, coeffs):
+        # the start system's x^(d-1) is formed by multiplies; at d = 2 it is
+        # X itself, so H, dH/dt and the diagonal keep the bits of X ** 1
+        m = hl.HenonMap(coeffs=coeffs, a=0.4 - 0.3j)
+        rng = np.random.default_rng(5)
+        X = rng.normal(size=(6, 5)) + 1j * rng.normal(size=(6, 5))
+        gamma, t = np.exp(2j * rng.random((6, 1))), rng.random((6, 1))
+        rows = hl.orbits._MapRows.stack([m], np.zeros(6, dtype=int))
+        d, Xd1 = m.degree, X ** (m.degree - 1)
+        G, F = gamma * (X * Xd1 - 1.0), hl.orbits.cyclic_residual(rows, X)
+        want = ((1.0 - t) * G + t * F, F - G, (1.0 - t) * gamma * d * Xd1 + t * rows.dp(X))
+        for got, ref in zip(hl.orbits._homotopy(rows, gamma, X, t), want):
+            if d == 2:
+                assert got.tobytes() == ref.tobytes()
+            else:
+                assert np.allclose(got, ref, rtol=1e-13, atol=0)
+
     def test_jacobian_matches_finite_differences(self):
         rng = np.random.default_rng(2)
         xs = rng.normal(size=5) + 1j * rng.normal(size=5)
@@ -452,6 +471,27 @@ def _tracked_lengths(monkeypatch):
     return lengths
 
 
+def _track_solves(monkeypatch):
+    """Count the ``_band_solve`` calls made inside ``_track``."""
+    orb, count = hl.orbits, {"inside": False, "solves": 0}
+    solve, track = orb._band_solve, orb._track
+
+    def counted_solve(*args):
+        count["solves"] += count["inside"]
+        return solve(*args)
+
+    def counted_track(*args):
+        count["inside"] = True
+        try:
+            return track(*args)
+        finally:
+            count["inside"] = False
+
+    monkeypatch.setattr(orb, "_band_solve", counted_solve)
+    monkeypatch.setattr(orb, "_track", counted_track)
+    return count
+
+
 def _bits(orbit):
     """Every field of an orbit record, floats to the last bit."""
     return repr(dict(vars(orbit), xs=orbit.xs.tolist()))
@@ -471,6 +511,8 @@ class TestHostLengths:
         got = hl.orbits._catalogue([m], ks, 1729, tols, budget)
         ref = per_length_catalogue([m], ks, 1729, tols, budget)
         assert got[1].tolist() == ref[1].tolist() and got[2] == ref[2]
+        # one path per necklace: no length was tracked again
+        assert got[2] == sum(len(hl.orbits._lyndon_words(m.degree, k)) for k in ks)
         assert len(got[3][0]) == len(ref[3][0])
         for k in ks:
             mine, theirs = got[0][0][k], ref[0][0][k]
@@ -481,6 +523,15 @@ class TestHostLengths:
                 else:
                     assert np.abs(o.xs - r.xs).max() <= r.certificate_radius
                     assert o.kind == r.kind
+
+    @pytest.mark.parametrize("m, ceiling", [(hl.quadratic_map(-6.0, 0.3), 84), (MIXED, 273)],
+                             ids=["horseshoe", "mixed"])
+    def test_tracker_solves_fewer_than_a_fixed_corrector(self, m, ceiling, monkeypatch):
+        # a step capped at 0.1 with three corrections each took 84 and 273
+        # solves here; the contraction-steered step must stay below that
+        count = _track_solves(monkeypatch)
+        assert hl.enumerate_fix(m, 12).complete
+        assert 0 < count["solves"] < ceiling
 
     def test_fix_n_is_one_track(self, horseshoe_map, monkeypatch):
         lengths = _tracked_lengths(monkeypatch)

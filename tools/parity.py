@@ -23,6 +23,19 @@ script, so two checkouts compare with
 
     python3 A/tools/parity.py outA && python3 B/tools/parity.py outB && diff -r outA outB
 
+and
+
+    python3 tools/parity.py --compare outA outB
+
+prints one line per file that differs.  For a spectrum JSON it checks
+that the map, n, ``complete``, the counts and the period and kind of
+every orbit in order are equal, and gives the largest move of an orbit's
+xs, also as a fraction of its certificate radius in outA; for a CSV or
+``verify-*.txt`` file it gives the largest absolute difference of each
+column that differs (inf where text or nan changes).  It exits 1 when a
+spectrum differs in more than its last bits (an orbit moves outside its
+outA radius) or a file is missing on one side.
+
 One documented difference: against a tree whose escape-rate loop stops
 at |v| > ESCAPE_THRESHOLD alone and returns log|y_n| / d^n backward, the
 G- column of the three ``verify-*.txt`` files differs.  The one loop of
@@ -45,10 +58,37 @@ change, that ``verify-horseshoe`` changes in imaginary parts of about
 point, which are zero up to the working precision (1e-33 and 1e-25).  Every period-n orbit, every count,
 ``complete``, the orbit order, the ``lyapunov`` CSVs and the
 ``horseshoe-11`` and ``cubic-x-5`` scans are byte-identical.
+
+A third one: against a tree whose tracker caps its step at 0.1 and
+takes three Newton corrections per step, each accepted only when the
+last is at round-off, 47 of the 49 files differ in their last bits
+(``--compare`` lists them); ``horseshoe-fix01.json`` and
+``lyapunov-horseshoe.csv`` are byte-identical.  The tracker now ends
+its paths less accurately and the polish starts from there.  Every
+count, ``complete``, the orbit order and every kind are equal; xs move
+by at most 4.5e-16 (horseshoe), 2.5e-15 (mixed), 2.4e-15 (cubic) and
+2.0e-16 (near1d), at most 0.20 of the old certificate radius, and chi
+by at most 3.6e-15 relatively.  The mixed map's sink at 0, whose two
+multipliers ±i/√2 have one modulus, swaps ``lambda_s`` and
+``lambda_u``.  The real horseshoe orbits now carry imaginary parts of
+up to 3.9e-17 in place of 1.8e-40.  Since ``measure`` bins by the sign
+of such round-off, its discrepancy column moves by up to 0.235
+(horseshoe) and 7.3e-4 (mixed), while the round-off-level moment gaps
+move by at most 3.3e-16.  The lyapunov ``psi_sum_form`` and
+``agreement_gap`` of the mixed map move by 1.1e-16.  In the scans,
+lambda_n and lambda_prev_n move by at most 2.2e-16 and
+laplacian_defect by at most 7.1e-13.  The ``verify-*.txt`` files
+differ in imaginary parts of at most 5.2e-126 and in G+ and G- values
+that are zero up to round-off (at most 1.5e-25, and 2.9e-15 for
+horseshoe G-, whose values there are of that size).
 """
 
 from __future__ import annotations
 
+import csv
+import json
+import math
+import re
 import sys
 import time
 from pathlib import Path
@@ -97,7 +137,72 @@ def verify_lines(spec) -> str:
     return "\n".join(lines)
 
 
+#: the columns of a ``verify-*.txt`` line
+VERIFY_COLUMNS = ("re z", "im z", "G+", "G-")
+
+NUMBER = re.compile(r"[-+]?(?:\d+\.?\d*|\.\d+)(?:[eE][-+]?\d+)?|[-+]?(?:nan|inf)")
+
+
+def compare_spectra(old: dict, new: dict) -> tuple[str, bool]:
+    """One line on how two spectrum records differ, and whether only in last bits."""
+    pairs = list(zip(old["orbits"], new["orbits"]))
+    if (any(old[key] != new[key] for key in ("map", "n", "complete", "counts"))
+            or len(old["orbits"]) != len(new["orbits"])
+            or any((o["period"], o["kind"]) != (q["period"], q["kind"]) for o, q in pairs)):
+        return "counts, complete, orbit order or kinds differ", False
+    moves = [(max(abs(complex(*x) - complex(*y)) for x, y in zip(o["xs"], q["xs"])), o["radius"])
+             for o, q in pairs]
+    move = max((m for m, _ in moves), default=0.0)
+    share = max((m / r if r else math.inf if m else 0.0 for m, r in moves), default=0.0)
+    inside = all(m <= r for m, r in moves)
+    line = f"xs move by at most {move:.3g}, {share:.3g} of the old radius"
+    return line + ("" if inside else ", OUTSIDE it"), inside
+
+
+def column_differences(old: list[list[str]], new: list[list[str]], names) -> str:
+    """The largest absolute difference of each column that differs, as one line."""
+    if len(old) != len(new) or any(len(a) != len(b) for a, b in zip(old, new)):
+        return "row or column counts differ"
+    largest: dict[str, float] = {}
+    for a, b in zip(old, new):
+        for name, u, v in zip(names, a, b):
+            if u != v:
+                try:
+                    diff = abs(float(u) - float(v))
+                except ValueError:
+                    diff = math.inf
+                largest[name] = max(largest.get(name, 0.0), diff if diff == diff else math.inf)
+    return ", ".join(f"{name} {diff:.3g}" for name, diff in largest.items()) or "text differs"
+
+
+def compare(old_dir: Path, new_dir: Path) -> int:
+    """Print one line per file of two parity outputs that differs; 1 if beyond last bits."""
+    names = sorted({p.name for p in old_dir.iterdir()} | {p.name for p in new_dir.iterdir()})
+    differ, ok = 0, True
+    for name in names:
+        old, new = old_dir / name, new_dir / name
+        if not (old.exists() and new.exists()):
+            line, ok = f"only in {old_dir if old.exists() else new_dir}", False
+        elif old.read_bytes() == new.read_bytes():
+            continue
+        elif name.endswith(".json"):
+            line, inside = compare_spectra(json.loads(old.read_text()), json.loads(new.read_text()))
+            ok &= inside
+        elif name.endswith(".csv"):
+            (header, *a), (_, *b) = (list(csv.reader(p.read_text().splitlines())) for p in (old, new))
+            line = column_differences(a, b, header)
+        else:
+            a, b = ([NUMBER.findall(s) for s in p.read_text().splitlines()] for p in (old, new))
+            line = column_differences(a, b, VERIFY_COLUMNS)
+        differ += 1
+        print(f"{name}: {line}")
+    print(f"{differ} of {len(names)} files differ")
+    return 0 if ok else 1
+
+
 def main(argv: list[str]) -> int:
+    if len(argv) == 3 and argv[0] == "--compare":
+        return compare(Path(argv[1]), Path(argv[2]))
     if len(argv) != 1:
         print(__doc__, file=sys.stderr)
         return 1
