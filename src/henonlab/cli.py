@@ -7,6 +7,7 @@ Exit codes: 0 success, 1 usage error, 2 runtime error.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import hashlib
 import io
 import json
@@ -20,15 +21,14 @@ from .measures import DEFAULT_RESOLUTION, discrepancy, empirical_measure, moment
 from .exponents import lambda_estimate
 from .orbits import (
     DEFAULT_RNG_SEED,
+    SPECTRUM_SCHEMA,
     Tolerances,
     _by_length,
     _certify_rows,
     _classify_rows,
     enumerate_fix,
     spectrum_from_file,
-    spectrum_to_dict,
     spectrum_to_json,
-    PeriodSpectrum,
 )
 from .scan import SCAN_CSV_HEADER, FamilySpec, _harmonic_stencil, scan, scan_to_csv
 
@@ -113,6 +113,7 @@ def cmd_enumerate(args) -> int:
     tols = _tolerances(args)
     key = {
         "cmd": "enumerate",
+        "schema": SPECTRUM_SCHEMA,
         "map": m.to_spec(),
         "n": args.n,
         "budget": args.budget,
@@ -136,8 +137,7 @@ def cmd_classify(args) -> int:
     for idx, X in _by_length(spec.orbits):
         for i, o in zip(idx, _classify_rows(spec.map, X, *_certify_rows(spec.map, X, tols), tols)):
             orbits[i] = o
-    refreshed = PeriodSpectrum(map=spec.map, n=spec.n, orbits=orbits, complete=spec.complete)
-    _write_out(args.out, spectrum_to_json(refreshed) + "\n", None)
+    _write_out(args.out, spectrum_to_json(dataclasses.replace(spec, orbits=orbits)) + "\n", None)
     return 0
 
 
@@ -162,11 +162,11 @@ def cmd_measure(args) -> int:
         header += "," + ",".join(f"moment_gap_{j}_{k}" for j, k in moment_orders(args.moment_order))
     buf.write(header + "\n")
     for s in specs:
-        mu = empirical_measure(s, args.which)
+        mu = ref_measure if s is ref else empirical_measure(s, args.which)
         disc = discrepancy(mu, ref_measure, args.resolution)
         row = f"{s.n},{ref.n},{args.resolution!r},{int(s.complete)},{disc!r}"
         if ref_moments is not None:
-            mom = moments(mu, args.moment_order)
+            mom = ref_moments if s is ref else moments(mu, args.moment_order)
             gaps = [abs(mom[o] - ref_moments[o]) for o in moment_orders(args.moment_order)]
             row += "," + ",".join(repr(g) for g in gaps)
         buf.write(row + "\n")

@@ -66,9 +66,12 @@ def discrepancy(m1: EmpiricalMeasure, m2: EmpiricalMeasure, resolution: float = 
         return 0.0
     keys = np.vstack([_bin_keys(m1, resolution), _bin_keys(m2, resolution)])
     signed = np.concatenate([m1.weights, -m2.weights])
-    uniq, inv = np.unique(keys, axis=0, return_inverse=True)
-    mass = np.zeros(uniq.shape[0])
-    np.add.at(mass, inv, signed)
+    # number the cells in lexicographic order; bincount adds in input order
+    order = np.lexsort(keys.T[::-1])
+    sk = keys[order]
+    inv = np.empty_like(order)
+    inv[order] = np.cumsum(np.r_[False, (sk[1:] != sk[:-1]).any(axis=1)])
+    mass = np.bincount(inv, weights=signed)
     return 0.5 * float(np.abs(mass).sum())
 
 

@@ -1042,40 +1042,43 @@ def shadow_pseudo_orbit(
 # serialization
 # ---------------------------------------------------------------------------
 
-def _c2l(z: complex) -> list[float]:
-    return [z.real, z.imag]
+#: version of the spectrum JSON layout; ``spectrum_from_dict`` refuses a newer one
+SPECTRUM_SCHEMA = 2
+
+
+def _pairs(xs) -> list[list[float]]:
+    return np.ascontiguousarray(xs, dtype=complex).view(float).reshape(-1, 2).tolist()
+
+
+def _from_pairs(pairs: list) -> np.ndarray:
+    return np.array([complex(re, im) for re, im in pairs], dtype=complex)
 
 
 def spectrum_to_dict(spec: PeriodSpectrum) -> dict:
     counts = spec.counts
     return {
+        "schema": SPECTRUM_SCHEMA,
         "map": spec.map.to_spec(),
         "n": spec.n,
         "complete": spec.complete,
-        "counts": {
-            "fix": counts["fix"],
-            "per": {str(k): v for k, v in sorted(counts["per"].items())},
-            "sper": counts["sper"],
-        },
-        "orbits": [
-            {
-                "period": o.n,
-                "xs": [_c2l(complex(z)) for z in o.xs],
-                "lambda_s": _c2l(o.lambda_s),
-                "lambda_u": _c2l(o.lambda_u),
-                "chi": o.chi,
-                "kind": o.kind,
-                "residual": o.residual,
-                "certified": o.certified,
-                "radius": o.certificate_radius,
-            }
-            for o in spec.orbits
-        ],
+        "counts": dict(counts, per={str(k): v for k, v in sorted(counts["per"].items())}),
+        "budget_used": spec.budget_used,
+        "unresolved": [_pairs(x) for x in spec.unresolved],
+        "orbits": [{"period": o.n, "xs": _pairs(o.xs),
+                    "lambda_s": [o.lambda_s.real, o.lambda_s.imag],
+                    "lambda_u": [o.lambda_u.real, o.lambda_u.imag],
+                    "chi": o.chi, "kind": o.kind, "residual": o.residual,
+                    "certified": o.certified, "radius": o.certificate_radius}
+                   for o in spec.orbits],
     }
 
 
 def spectrum_to_json(spec: PeriodSpectrum) -> str:
-    return json.dumps(spectrum_to_dict(spec), indent=1)
+    """A header line with ``"orbits"`` last, then one line per orbit, each by json's C encoder."""
+    data = spectrum_to_dict(spec)
+    orbits, data["orbits"] = data["orbits"], []
+    head = json.dumps(data)[:-2]  # ends in '"orbits": ['
+    return head + "\n" + ",\n".join(map(json.dumps, orbits)) + "]}"
 
 
 def _bad_fields(od: dict) -> list[str]:
@@ -1093,16 +1096,20 @@ def spectrum_from_dict(data: dict) -> PeriodSpectrum:
     """The spectrum a ``spectrum_to_dict`` record describes; ValueError if it is malformed."""
     try:
         m = HenonMap.from_spec(data["map"])
+        if data.get("schema", 1) > SPECTRUM_SCHEMA:
+            raise ValueError(f"schema {data['schema']} is newer than {SPECTRUM_SCHEMA}")
         for i, od in enumerate(data["orbits"]):
             if bad := _bad_fields(od):
                 raise ValueError(f"orbit {i} has a bad {', '.join(bad)}")
-        orbits = [PeriodicOrbit(n=od["period"], xs=np.array([complex(re, im) for re, im in od["xs"]]),
+        orbits = [PeriodicOrbit(n=od["period"], xs=_from_pairs(od["xs"]),
                                 lambda_s=complex(od["lambda_s"][0], od["lambda_s"][1]),
                                 lambda_u=complex(od["lambda_u"][0], od["lambda_u"][1]),
                                 chi=od["chi"], kind=od["kind"], residual=od["residual"],
                                 certified=od["certified"], certificate_radius=od["radius"])
                   for od in data["orbits"]]
-        return PeriodSpectrum(map=m, n=data["n"], orbits=orbits, complete=data["complete"])
+        return PeriodSpectrum(map=m, n=data["n"], orbits=orbits, complete=data["complete"],
+                              budget_used=data.get("budget_used", 0),
+                              unresolved=[_from_pairs(u) for u in data.get("unresolved", [])])
     except (KeyError, TypeError, IndexError, ValueError) as exc:
         raise ValueError(f"malformed spectrum: {exc}") from exc
 

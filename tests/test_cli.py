@@ -8,6 +8,7 @@ import pytest
 import henonlab as hl
 from henonlab import cli
 from henonlab.cli import main
+from henonlab.orbits import SPECTRUM_SCHEMA
 
 MIXED_SPEC = {"a": [0.5, 0.0], "p": [[0.0, 0.0], [0.0, 0.0]]}
 HORSESHOE_SPEC = {"a": [0.3, 0.0], "p": [[-6.0, 0.0], [0.0, 0.0]]}
@@ -124,6 +125,54 @@ class TestCache:
         rc, _ = _enumerate(mapfile, tmp_path, "new.json", n=2, extra=["--cache-dir", str(cache)])
         assert rc == 0 and calls == [1]
         assert len(list(cache.iterdir())) == 2
+
+
+    def test_entry_under_the_key_without_schema_is_not_served(self, mapfile, tmp_path,
+                                                              monkeypatch):
+        cache = tmp_path / "cache"
+        _, fresh = _enumerate(mapfile, tmp_path, "fresh.json", n=2)
+        keys = []
+        fetch = cli._cache_fetch
+        monkeypatch.setattr(cli, "_cache_fetch",
+                            lambda d, key, valid: keys.append(key) or fetch(d, key, valid))
+        _enumerate(mapfile, tmp_path, "first.json", n=2, extra=["--cache-dir", str(cache)])
+        (entry,) = cache.iterdir()
+        assert keys[0]["schema"] == SPECTRUM_SCHEMA
+        legacy = {k: v for k, v in keys[0].items() if k != "schema"}
+        old_path, _ = fetch(str(cache), legacy, bool)
+        # the same request, cached in the indent=1 layout before the key carried the schema
+        data = json.loads(entry.read_text())
+        for field in ("schema", "budget_used", "unresolved"):
+            del data[field]
+        entry.unlink()
+        with open(old_path, "w") as fh:
+            fh.write(json.dumps(data, indent=1) + "\n")
+        rc, out = _enumerate(mapfile, tmp_path, "again.json", n=2,
+                             extra=["--cache-dir", str(cache)])
+        assert rc == 0 and out.read_bytes() == fresh.read_bytes()
+        assert len(list(cache.iterdir())) == 2
+
+
+class TestLegacySpectrum:
+    """A spectrum written before schema 2 (``indent=1``, no ``schema``) still loads."""
+
+    def test_measure_and_lyapunov_read_it(self, mapfile, tmp_path):
+        new, legacy = [], []
+        for n in (2, 3):
+            _, out = _enumerate(mapfile, tmp_path, f"s{n}.json", n=n)
+            data = json.loads(out.read_text())
+            for key in ("schema", "budget_used", "unresolved"):
+                del data[key]
+            old = tmp_path / f"legacy{n}.json"
+            old.write_text(json.dumps(data, indent=1) + "\n")
+            new.append(str(out))
+            legacy.append(str(old))
+        for cmd in ("measure", "lyapunov"):
+            outs = []
+            for files in (new, legacy):
+                outs.append(tmp_path / f"{cmd}-{len(outs)}.csv")
+                assert main([cmd, "--spectra", *files, "--out", str(outs[-1])]) == 0
+            assert outs[0].read_bytes() == outs[1].read_bytes()
 
 
 class TestClassify:

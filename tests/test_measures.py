@@ -4,11 +4,21 @@ import numpy as np
 import pytest
 
 import henonlab as hl
-from henonlab.measures import moment_orders
+from henonlab.measures import _bin_keys, moment_orders
 
 
 def _atom(x, y, w):
     return hl.EmpiricalMeasure(np.array([[x, y]], dtype=complex), np.array([w]))
+
+
+def _discrepancy_by_unique(m1, m2, resolution):
+    """Reference: cells from ``np.unique(axis=0)``, masses added by ``np.add.at``."""
+    keys = np.vstack([_bin_keys(m1, resolution), _bin_keys(m2, resolution)])
+    signed = np.concatenate([m1.weights, -m2.weights])
+    uniq, inv = np.unique(keys, axis=0, return_inverse=True)
+    mass = np.zeros(uniq.shape[0])
+    np.add.at(mass, inv, signed)
+    return 0.5 * float(np.abs(mass).sum())
 
 
 class TestEmpiricalMeasure:
@@ -66,6 +76,22 @@ class TestDiscrepancy:
         d12 = hl.discrepancy(ms[1], ms[2], 0.5)
         assert d01 == d10
         assert d02 <= d01 + d12 + 1e-15
+
+    @pytest.mark.parametrize("resolution", [1e-12, 0.3, 2.0])
+    def test_equals_the_unique_reference_bit_for_bit(self, resolution):
+        rng = np.random.default_rng(17)
+        for _ in range(100):
+            # coarse points around 0 repeat cells and give negative keys
+            ms = [hl.EmpiricalMeasure(np.round(rng.normal(scale=3, size=(k, 2, 2)) * 2)
+                                      .view(complex)[..., 0] / 2, rng.random(k))
+                  for k in rng.integers(0, 30, 2)]
+            assert hl.discrepancy(*ms, resolution) == _discrepancy_by_unique(*ms, resolution)
+
+    def test_catalogues_equal_the_unique_reference(self, horseshoe_spectra, mixed_spectra):
+        for spectra in (horseshoe_spectra, mixed_spectra):
+            mus = [hl.empirical_measure(spectra[n], "fix") for n in (7, 10)]
+            for resolution in (1e-12, 1.0 / 32.0, 0.3):
+                assert hl.discrepancy(*mus, resolution) == _discrepancy_by_unique(*mus, resolution)
 
     def test_bad_resolution(self):
         with pytest.raises(ValueError):

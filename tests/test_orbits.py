@@ -1,6 +1,7 @@
 """Cyclic orbit system: residuals, Newton refinement, certification,
 enumeration, classification and the exact-period decomposition."""
 
+import dataclasses
 import json
 import math
 import time
@@ -10,13 +11,29 @@ import numpy as np
 import pytest
 
 import henonlab as hl
-from henonlab.orbits import spectrum_from_dict, spectrum_to_dict
+from henonlab.orbits import SPECTRUM_SCHEMA, spectrum_from_dict, spectrum_to_dict
 
 MIXED = hl.quadratic_map(0.0, 0.5)
 
 # roots of t^2 + 1.5 t + 2.25 = 0: the x-values of the exact period-2
 # orbit of p = x^2, a = 0.5 (sum -1.5, product 2.25 by elimination)
 P2 = np.array([-0.75 + 1.2990381056766578j, -0.75 - 1.2990381056766578j])
+
+
+def _legacy_json(spec) -> str:
+    """The spectrum JSON as written before schema 2: ``indent=1``, one float pair per point."""
+    return json.dumps({
+        "map": spec.map.to_spec(), "n": spec.n, "complete": spec.complete,
+        "counts": {"fix": spec.counts["fix"],
+                   "per": {str(k): v for k, v in sorted(spec.counts["per"].items())},
+                   "sper": spec.counts["sper"]},
+        "orbits": [{"period": o.n, "xs": [[complex(z).real, complex(z).imag] for z in o.xs],
+                    "lambda_s": [o.lambda_s.real, o.lambda_s.imag],
+                    "lambda_u": [o.lambda_u.real, o.lambda_u.imag],
+                    "chi": o.chi, "kind": o.kind, "residual": o.residual,
+                    "certified": o.certified, "radius": o.certificate_radius}
+                   for o in spec.orbits],
+    }, indent=1)
 
 
 class TestCyclicSystem:
@@ -635,8 +652,54 @@ class TestSerialization:
 
     def test_schema_fields(self, mixed_spectra):
         data = spectrum_to_dict(mixed_spectra[2])
-        assert set(data) == {"map", "n", "complete", "counts", "orbits"}
+        assert set(data) == {"schema", "map", "n", "complete", "counts", "budget_used",
+                             "unresolved", "orbits"}
+        assert data["schema"] == SPECTRUM_SCHEMA == 2
         assert set(data["counts"]) == {"fix", "per", "sper"}
         for od in data["orbits"]:
             assert set(od) == {"period", "xs", "lambda_s", "lambda_u", "chi",
                                "kind", "residual", "certified", "radius"}
+
+    def test_budget_used_and_unresolved_round_trip(self, mixed_spectra):
+        s = dataclasses.replace(mixed_spectra[2], budget_used=7,
+                                unresolved=[np.array([1.5 - 2e-17j, -0.25 + 3j]), np.array([0.1j])])
+        data = json.loads(hl.spectrum_to_json(s))
+        assert data["unresolved"] == [[[1.5, -2e-17], [-0.25, 3.0]], [[0.0, 0.1]]]
+        back = spectrum_from_dict(data)
+        assert back.budget_used == 7
+        assert len(back.unresolved) == 2
+        for u, v in zip(back.unresolved, s.unresolved):
+            assert u.dtype == complex and np.array_equal(u, v)
+
+    def test_one_header_line_then_one_line_per_orbit(self, mixed_spectra):
+        s = mixed_spectra[4]
+        head, *rows = hl.spectrum_to_json(s).split("\n")
+        assert len(rows) == len(s.orbits)
+        assert head.startswith('{"schema": 2, ') and head.endswith('"orbits": [')
+        assert rows[-1].endswith("]}")
+        records = [json.loads(r.removesuffix("]}").removesuffix(",")) for r in rows]
+        assert records == spectrum_to_dict(s)["orbits"]
+
+    def test_text_parses_to_the_indented_payload_plus_new_fields(self, horseshoe_spectra,
+                                                                  mixed_spectra):
+        for s in (horseshoe_spectra[10], mixed_spectra[7]):
+            want = json.loads(_legacy_json(s))
+            want.update(schema=2, budget_used=s.budget_used, unresolved=[])
+            assert json.loads(hl.spectrum_to_json(s)) == want
+
+    def test_legacy_file_loads(self, mixed_spectra, tmp_path):
+        s = mixed_spectra[5]
+        path = tmp_path / "legacy.json"
+        path.write_text(_legacy_json(s) + "\n")
+        back = hl.spectrum_from_file(path)
+        assert back.budget_used == 0 and back.unresolved == []
+        assert hl.spectrum_to_json(dataclasses.replace(back, budget_used=s.budget_used)) \
+            == hl.spectrum_to_json(s)
+
+    def test_newer_schema_is_malformed(self, mixed_spectra, tmp_path):
+        data = spectrum_to_dict(mixed_spectra[1])
+        data["schema"] = 3
+        path = tmp_path / "future.json"
+        path.write_text(json.dumps(data))
+        with pytest.raises(ValueError, match=r"^malformed spectrum: schema 3 .*future\.json"):
+            hl.spectrum_from_file(path)
