@@ -48,10 +48,12 @@ def empirical_measure(spectrum: PeriodSpectrum, which: str = "fix") -> Empirical
 
 
 def _bin_keys(m: EmpiricalMeasure, resolution: float) -> np.ndarray:
+    """Cell of each coordinate: k for [k - 1/2, k + 1/2) resolutions, so that
+    round-off about 0 lands in cell 0 whatever its sign."""
     coords = np.column_stack(
         [m.points[:, 0].real, m.points[:, 0].imag, m.points[:, 1].real, m.points[:, 1].imag]
     )
-    return np.floor(coords / resolution).astype(np.int64)
+    return np.floor(coords / resolution + 0.5).astype(np.int64)
 
 
 def discrepancy(m1: EmpiricalMeasure, m2: EmpiricalMeasure, resolution: float = DEFAULT_RESOLUTION) -> float:

@@ -93,6 +93,13 @@ class TestDiscrepancy:
             for resolution in (1e-12, 1.0 / 32.0, 0.3):
                 assert hl.discrepancy(*mus, resolution) == _discrepancy_by_unique(*mus, resolution)
 
+    def test_round_off_imaginary_parts_do_not_move_it(self, horseshoe_spectra):
+        # the horseshoe is real: its orbits' imaginary parts are round-off of either sign
+        mus = [hl.empirical_measure(horseshoe_spectra[n], "fix") for n in (8, 10)]
+        assert any((mu.points.imag != 0).any() for mu in mus)
+        real = [hl.EmpiricalMeasure(mu.points.real + 0j, mu.weights) for mu in mus]
+        assert hl.discrepancy(*mus) == hl.discrepancy(*real)
+
     def test_bad_resolution(self):
         with pytest.raises(ValueError):
             hl.discrepancy(_atom(0, 0, 1), _atom(0, 0, 1), 0.0)

@@ -89,8 +89,15 @@ indent=1)`` and no ``schema`` field, every spectrum JSON differs in its
 layout and is listed as ``layout only``: the file is now one header line
 with ``"schema": 2``, ``budget_used`` and ``unresolved`` added and
 ``"orbits"`` last, then one compact line per orbit, and its parsed
-record equals the old one apart from those three keys.  The lyapunov,
-measure and scan CSVs and the ``verify-*.txt`` files are byte-identical.
+record equals the old one apart from those three keys.  Against a tree
+that also bins measures by ``floor(coord / resolution)``, the
+``discrepancy`` column of the two ``measure`` CSVs differs: the cells are
+now centred (``floor(coord / resolution + 0.5)``), so the round-off
+imaginary parts of the real horseshoe orbits no longer split a cell by
+their sign.  Horseshoe Fix_8 and Fix_10 against Fix_12 read 0.0681 and
+0.00488 in place of 0.645 and 0.485; the mixed map's rows move by at
+most 0.00317.  The moment gaps, the lyapunov and scan CSVs and the
+``verify-*.txt`` files are byte-identical.
 """
 
 from __future__ import annotations
