@@ -7,18 +7,26 @@ f^-1(x, y) = (y, (p(y) - x) / a), so f is an automorphism of C^2.
 The escape-rate potentials G+ and G- have one loop, ``HenonMap._green``,
 which runs at the working mpmath precision: ``green_plus`` and
 ``green_minus`` run it at 53 bits, ``verify.green_plus_hp`` and
-``green_minus_hp`` at a chosen number of digits.  It iterates on mpmath's
-raw ``_mpc_`` tuples and calls ``libmp.mpc_pos``, ``mpc_add``,
-``mpc_mul``, ``mpc_sub``, ``mpc_div`` and ``mpc_abs`` with the working
-precision and rounding, the functions and arguments the mpc operators
-call, so every rounding is the same as with mpc objects.  mpmath's
-exponent range is unbounded, so no iterate overflows.  The loop stops once
-the escaping coordinate v (x forward, y backward) has |v| > ESCAPE_THRESHOLD
-and |v| >= |w|, w the other coordinate: that is the region V+ (V-) of
-``filtration_radius``, where the orbit keeps escaping.  The modulus of v is
-taken only once a part of it has ``exp + bc > 26``: a finite nonzero part
-is below 2^(exp + bc), and 2^26 < ESCAPE_THRESHOLD/sqrt(2), so that screen
-misses no escape; |w| is taken only after |v| has passed the threshold.
+``green_minus_hp`` at a chosen number of digits.  It steps on the parts of
+the coordinates as signed (mantissa, exponent) pairs of Python ints, m 2^e,
+and gives bit for bit the floats of the same loop on mpc objects.  Each
+libmp operation that the mpc operators call there rounds exactly once, at
+a known precision and direction, and ``_round``, ``_add`` and ``_div``
+reproduce that rounding: ``mpc_mul`` is four exact products and one
+round-to-nearest subtraction and addition; ``mpf_add`` rounds the exact
+sum, except that it swaps an operand far below the other for a sticky
+unit, which ``_add`` copies; ``mpc_div`` rounds c^2 + d^2 and the two
+numerators toward zero at prec + 10 bits, since it calls ``mpf_add`` with
+no rounding argument, and then divides to nearest.  Nothing else needs a
+normalized (odd) mantissa.  Exponents are Python ints, so no iterate
+overflows.  The loop stops once the escaping coordinate v (x forward, y
+backward) has |v| > ESCAPE_THRESHOLD and |v| >= |w|, w the other
+coordinate: that is the region V+ (V-) of ``filtration_radius``, where the
+orbit keeps escaping.  The modulus of v is taken, by ``libmp.mpc_abs``,
+only once a part m 2^e of it has ``m.bit_length() + e > 26``: a finite
+nonzero part is below 2^(bit_length + e), and 2^26 <
+ESCAPE_THRESHOLD/sqrt(2), so that screen misses no escape; |w| is taken
+only after |v| has passed the threshold.
 The loop returns (log|v_n| - c) / d^n, with c = 0 forward and
 c = log|a| / (d - 1) backward: f^-1 divides by a at every step, and in V-
 |y'| = |y|^d / |a| (1 + o(1)), so u = log|y| - c satisfies u' = d u + o(1).
@@ -33,8 +41,7 @@ from functools import cached_property
 
 import mpmath as mp
 import numpy as np
-from mpmath.libmp import (from_float, mpc_abs, mpc_add, mpc_div, mpc_mul, mpc_pos, mpc_sub, mpf_ge,
-                          mpf_gt)
+from mpmath.libmp import from_float, from_man_exp, mpc_abs, mpf_ge, mpf_gt
 
 Point = tuple[complex, complex]
 
@@ -43,7 +50,8 @@ Point = tuple[complex, complex]
 ESCAPE_THRESHOLD = 1e8
 
 _THRESHOLD = from_float(ESCAPE_THRESHOLD)
-#: a finite coordinate part with exp + bc <= this is below 2^26 < ESCAPE_THRESHOLD/sqrt(2)
+#: a finite coordinate part m 2^e with m.bit_length() + e <= this is below
+#: 2^26 < ESCAPE_THRESHOLD/sqrt(2)
 _SCREEN_BITS = 26
 
 
@@ -65,6 +73,57 @@ def _mp_point(pt) -> tuple:
     if not (mp.isfinite(x) and mp.isfinite(y)):
         raise ValueError(f"non-finite point {pt!r}")
     return x._mpc_, y._mpc_
+
+
+def _round(m: int, e: int, prec: int, down: bool = False) -> tuple[int, int]:
+    """m 2^e rounded to prec bits: half to even (libmp's round_nearest), or
+    toward zero if down (round_fast)."""
+    n = m.bit_length() - prec
+    if n <= 0:
+        return m, e
+    if down:
+        return (m >> n if m >= 0 else -(-m >> n)), e + n
+    # floor((m + 2^(n-1) - 1 + the quotient's parity) / 2^n): ties go to even
+    return (m + (1 << (n - 1)) - 1 + (m >> n & 1)) >> n, e + n
+
+
+def _add(m: int, e: int, k: int, f: int, prec: int, down: bool = False) -> tuple[int, int]:
+    """m 2^e + k 2^f rounded as libmp.mpf_add rounds it: the exact sum, unless
+    the operands lie far apart.  Then, if their odd-mantissa exponents also
+    differ by more than 100, mpf_add puts a +-1 sticky unit prec + 4 bits
+    below the larger operand's odd mantissa in place of the smaller one."""
+    if not k:  # a zero sum keeps exponent 0, as libmp's zero does
+        return _round(m, e, prec, down) if m else (0, 0)
+    if not m:
+        return _round(k, f, prec, down)
+    gap = m.bit_length() + e - k.bit_length() - f
+    if gap > prec + 4 or -gap > prec + 4:
+        if gap < 0:
+            m, e, k, f = k, f, m, e
+        z, w = (m & -m).bit_length() - 1, (k & -k).bit_length() - 1
+        if e + z - f - w > 100:
+            return _round(((m >> z) << (prec + 4)) + (1 if k > 0 else -1), e + z - prec - 4, prec, down)
+    if e > f:
+        m, e = (m << (e - f)) + k, f
+    else:
+        m += k << (f - e)
+    # _round, written out: calling it here adds about a quarter to the loop's time
+    n = m.bit_length() - prec
+    if n <= 0:
+        return m, e
+    if down:
+        return (m >> n if m >= 0 else -(-m >> n)), e + n
+    return (m + (1 << (n - 1)) - 1 + (m >> n & 1)) >> n, e + n
+
+
+def _div(m: int, e: int, k: int, f: int, prec: int) -> tuple[int, int]:
+    """m 2^e / k 2^f, k > 0, rounded to nearest as libmp.mpf_div rounds it:
+    a quotient of at least prec + 5 bits, with a sticky bit for a remainder."""
+    extra = max(prec - m.bit_length() + k.bit_length() + 5, 5)
+    q, r = divmod(abs(m) << extra, k)
+    if r:
+        q, extra = 2 * q + 1, extra + 1
+    return _round(-q if m < 0 else q, e - f - extra, prec)
 
 
 @dataclass(frozen=True)
@@ -182,30 +241,50 @@ class HenonMap:
         stays out of V+ (V- backward) for max_iter steps."""
         if max_iter < 1:
             raise ValueError("max_iter must be >= 1")
-        x, y = _mp_point(pt)
-        prec, rnd = mp.mp._prec_rounding  # what the mpc operators read
-        a = mp.mpc(self.a)._mpc_
-        head, *tail = (mp.mpc(c)._mpc_ for c in reversed(self.coeffs))
+        # what the mpc operators read; mpmath's context rounds to nearest
+        prec, rnd = mp.mp._prec_rounding
+        wp = prec + 10  # mpc_div's precision for c^2 + d^2, t and u
 
-        def p(v):  # HenonMap.p with the coefficients already mpc: the same roundings
-            r = mpc_add(mpc_pos(v, prec, rnd), head, prec, rnd)
-            for c in tail:
-                r = mpc_add(mpc_mul(r, v, prec, rnd), c, prec, rnd)
-            return r
+        def parts(z):  # an _mpc_ tuple as two signed (mantissa, exponent) pairs
+            return tuple((-man if sign else man, exp) for sign, man, exp, _ in z)
 
+        def mpc(z):  # and back
+            return tuple(from_man_exp(*q) for q in z)
+
+        x, y = map(parts, _mp_point(pt))
+        (ar, are), (ai, aie) = parts(mp.mpc(self.a)._mpc_)
+        ((hr, hre), (hi, hie)), *tail = (parts(mp.mpc(c)._mpc_) for c in reversed(self.coeffs))
+        mag, mage = _add(ar * ar, 2 * are, ai * ai, 2 * aie, wp, True)  # |a|^2 as mpc_div has it
         for n in range(max_iter + 1):
-            v = x if forward else y
-            if v[0][2] + v[0][3] > _SCREEN_BITS or v[1][2] + v[1][3] > _SCREEN_BITS:
-                mag = mpc_abs(v, prec, rnd)
-                if mpf_gt(mag, _THRESHOLD) and mpf_ge(mag, mpc_abs(y if forward else x, prec, rnd)):
-                    u = mp.log(mp.make_mpf(mag))
+            v, w = (x, y) if forward else (y, x)
+            (m, e), (k, f) = v
+            if m.bit_length() + e > _SCREEN_BITS or k.bit_length() + f > _SCREEN_BITS:
+                abs_v = mpc_abs(mpc(v), prec, rnd)
+                if mpf_gt(abs_v, _THRESHOLD) and mpf_ge(abs_v, mpc_abs(mpc(w), prec, rnd)):
+                    u = mp.log(mp.make_mpf(abs_v))
                     if not forward:  # in V-, |y'| = |y|^d / |a| (1 + o(1))
                         u -= mp.log(abs(mp.mpc(self.a))) / (self.degree - 1)
                     return float(u / mp.mpf(self.degree) ** n)
-            if forward:
-                x, y = mpc_sub(p(x), mpc_mul(a, y, prec, rnd), prec, rnd), x
-            else:
-                x, y = y, mpc_div(mpc_sub(p(y), x, prec, rnd), a, prec, rnd)
+            # p(v) as HenonMap.p computes it on mpc: mpc_pos(v) + head, then
+            # mpc_add(mpc_mul(r, v), c) for each further coefficient
+            rm, rme = _add(*_round(m, e, prec), hr, hre, prec)
+            rk, rkf = _add(*_round(k, f, prec), hi, hie, prec)
+            for (cr, cre), (ci, cie) in tail:
+                q, qe = _add(rm * m, rme + e, -rk * k, rkf + f, prec)
+                s, se = _add(rm * k, rme + f, rk * m, rkf + e, prec)
+                rm, rme = _add(q, qe, cr, cre, prec)
+                rk, rkf = _add(s, se, ci, cie, prec)
+            (u, g), (t, h) = w
+            if forward:  # mpc_sub(p(x), mpc_mul(a, y))
+                q, qe = _add(ar * u, are + g, -ai * t, aie + h, prec)
+                s, se = _add(ar * t, are + h, ai * u, aie + g, prec)
+                x, y = (_add(rm, rme, -q, qe, prec), _add(rk, rkf, -s, se, prec)), x
+            else:  # mpc_div(mpc_sub(p(y), x), a)
+                rm, rme = _add(rm, rme, -u, g, prec)
+                rk, rkf = _add(rk, rkf, -t, h, prec)
+                q, qe = _add(rm * ar, rme + are, rk * ai, rkf + aie, wp, True)
+                s, se = _add(rk * ar, rkf + are, -rm * ai, rme + aie, wp, True)
+                x, y = y, (_div(q, qe, mag, mage, prec), _div(s, se, mag, mage, prec))
         return 0.0
 
     def green_plus(self, pt: Point, max_iter: int = 100) -> float:

@@ -9,7 +9,8 @@ periodic points genuinely lie in the bounded-orbit set therefore needs
 more precision than the solver itself: these helpers re-polish a
 certified orbit with mpmath Newton steps and evaluate the escape-rate
 potentials without rounding back to doubles.  Non-finite points and
-orbit vectors are rejected with ValueError, as ``HenonMap`` rejects them.
+orbit vectors are rejected with ValueError, as ``HenonMap`` rejects them,
+and so are empty orbit vectors and ``dps < 1``.
 
 The Newton steps call the O(n) cyclic tridiagonal solve of the
 double-precision solver, ``orbits._band_solve``, on object arrays of
@@ -23,6 +24,12 @@ after ``steps`` steps at most.
 The potentials ``green_plus_hp`` and ``green_minus_hp`` run the one
 escape-rate loop, ``HenonMap._green``, at ``dps`` digits; ``HenonMap``'s
 own methods run it at 53 bits, so at dps 15 both give the same floats.
+The loop steps on signed (mantissa, exponent) pairs of Python ints, not
+on mpc objects, and still returns their floats bit for bit: each libmp
+operation that it replaces rounds exactly once, at a known precision and
+direction, and ``maps._round``, ``_add`` and ``_div`` reproduce that
+rounding, ``mpf_add``'s sticky unit for an operand far below the other
+and ``mpc_div``'s round-toward-zero intermediates.
 """
 
 from __future__ import annotations
@@ -34,12 +41,21 @@ from .maps import HenonMap
 from .orbits import _band_solve, cyclic_residual
 
 
+def _workdps(dps: int):
+    """mp.workdps(dps) for dps >= 1: below that mpmath would quietly work at a few bits."""
+    if dps < 1:
+        raise ValueError(f"dps must be >= 1, got {dps}")
+    return mp.workdps(dps)
+
+
 def refine_orbit_hp(m: HenonMap, xs: np.ndarray, dps: int = 60, steps: int = 6) -> list:
     """Polish a certified cyclic orbit vector to ~dps digits (mpmath Newton)."""
     xs = [complex(v) for v in xs]
+    if not xs:
+        raise ValueError("empty orbit vector")
     if not np.isfinite(xs).all():
         raise ValueError(f"non-finite orbit vector {xs!r}")
-    with mp.workdps(dps):
+    with _workdps(dps):
         z = np.array([mp.mpc(v) for v in xs], dtype=object)
         for _ in range(steps):
             F = cyclic_residual(m, z)
@@ -51,12 +67,12 @@ def refine_orbit_hp(m: HenonMap, xs: np.ndarray, dps: int = 60, steps: int = 6) 
 
 
 def green_plus_hp(m: HenonMap, pt, max_iter: int = 100, dps: int = 60) -> float:
-    with mp.workdps(dps):
+    with _workdps(dps):
         return m._green(pt, forward=True, max_iter=max_iter)
 
 
 def green_minus_hp(m: HenonMap, pt, max_iter: int = 100, dps: int = 60) -> float:
-    with mp.workdps(dps):
+    with _workdps(dps):
         return m._green(pt, forward=False, max_iter=max_iter)
 
 

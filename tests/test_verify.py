@@ -2,18 +2,22 @@
 potentials against straightforward references kept here."""
 
 import math
+import random
 
 import mpmath as mp
 import numpy as np
 import pytest
+from mpmath.libmp import from_man_exp, mpf_add, mpf_div, mpf_pos, mpf_sub, round_down, round_nearest
 
 import henonlab as hl
 from henonlab import verify
-from henonlab.maps import ESCAPE_THRESHOLD
+from henonlab.maps import ESCAPE_THRESHOLD, _add, _div
 
 HORSESHOE = hl.quadratic_map(-6.0, 0.3)
 MIXED = hl.quadratic_map(0.0, 0.5)
 CUBIC = hl.HenonMap(coeffs=(0.3 + 0.2j, -1.5, 0.1j), a=0.4 - 0.3j)
+# Re a = 0, and every part of mpc_div's numerators and of |a|^2 matters
+QUARTIC = hl.HenonMap(coeffs=(0.2 - 0.1j, 0.5j, -1.0 + 0.3j, 0.25 + 0.1j), a=0.7j)
 
 
 def _refine_dense(m, xs, dps=60, steps=6):
@@ -112,8 +116,14 @@ def _edge_points():
     return pts
 
 
+def _fix_n(m):
+    """Fix_4, or Fix_3 for the quartic: 16 to 81 points, not 256."""
+    return 3 if m.degree == 4 else 4
+
+
 class TestGreens:
-    @pytest.mark.parametrize("m", [HORSESHOE, MIXED, CUBIC], ids=["horseshoe", "mixed", "cubic"])
+    @pytest.mark.parametrize("m", [HORSESHOE, MIXED, CUBIC, QUARTIC],
+                             ids=["horseshoe", "mixed", "cubic", "quartic"])
     def test_bit_identical_to_reference(self, m):
         rng = np.random.default_rng(1729)
         pts = _escaping_points(rng, 60) + _edge_points()
@@ -121,7 +131,7 @@ class TestGreens:
         pts += [(1e9, 1e20), (1e20, 1e9), (1e9j, 1e9 + 1j), (1e9 + 1j, 1e9j)]
         # bounded points: re-polished periodic orbits, which escape only
         # after ~dps digits of precision are used up
-        for o in hl.enumerate_fix(m, 4).orbits:
+        for o in hl.enumerate_fix(m, _fix_n(m)).orbits:
             z = verify.refine_orbit_hp(m, o.xs)
             pts += [(z[k], z[k - 1]) for k in range(len(z))]
         # input types: numpy numbers, and mpc carrying more digits than dps
@@ -134,12 +144,13 @@ class TestGreens:
         steps = {round(math.log(math.log(ESCAPE_THRESHOLD) / g, m.degree)) for g in sum(got, ()) if g > 0}
         assert len(steps) >= 4
 
-    @pytest.mark.parametrize("m", [HORSESHOE, MIXED, CUBIC], ids=["horseshoe", "mixed", "cubic"])
+    @pytest.mark.parametrize("m", [HORSESHOE, MIXED, CUBIC, QUARTIC],
+                             ids=["horseshoe", "mixed", "cubic", "quartic"])
     def test_double_methods_are_the_loop_at_dps_15(self, m):
         # dps 15 is 53 bits, the precision HenonMap's own methods run at
         rng = np.random.default_rng(3)
         pts = _escaping_points(rng, 20) + _edge_points()
-        pts += [pt for o in hl.enumerate_fix(m, 4).orbits for pt in o.points]
+        pts += [pt for o in hl.enumerate_fix(m, _fix_n(m)).orbits for pt in o.points]
         got = [(m.green_plus(pt), m.green_minus(pt)) for pt in pts]
         want = [(verify.green_plus_hp(m, pt, dps=15), verify.green_minus_hp(m, pt, dps=15)) for pt in pts]
         assert got == want
@@ -277,6 +288,141 @@ class TestGreensBitIdentity:
         pts = [pt for v in vs for pt in ((v, w), (w, v), (v, v))]
         got = [(verify.green_plus_hp(m, pt), verify.green_minus_hp(m, pt)) for pt in pts]
         assert [pt for pt, g in zip(pts, got) if g != _reference_greens(m, pt)] == []
+
+
+class TestIntegerArithmetic:
+    """``maps._add`` and ``_div`` on (mantissa, exponent) pairs against libmp's
+    mpf_add, mpf_sub and mpf_div on the same values as raw mpf tuples.  The
+    pairs need not have odd mantissas; from_man_exp makes them canonical."""
+
+    # the loop's precisions at 53 bits and at dps 60, and mpc_div's
+    # round-toward-zero intermediates at dps 60 + 10 bits
+    SETTINGS = [(53, False), (203, False), (213, True)]
+
+    @staticmethod
+    def _random_pairs(rnd, count):
+        """Mantissas of 1-406 bits with either sign and up to 9 trailing zeros;
+        exponents mostly close together, some far apart."""
+        out = []
+        for _ in range(count):
+            pair = []
+            for _ in range(2):
+                bits = rnd.randint(1, 406)
+                m = (rnd.getrandbits(bits) | 1 << (bits - 1)) << rnd.randint(0, 9)
+                pair += [m if rnd.random() < 0.5 else -m, rnd.randint(-300, 300)]
+            if rnd.random() < 0.5:
+                pair[3] = pair[1] + rnd.randint(-40, 40)
+            out.append(tuple(pair))
+        return out
+
+    @staticmethod
+    def _sticky_pairs(prec):
+        """Odd mantissas whose exponents differ by 99-102 and whose top bits
+        differ by prec + 3 to prec + 6: either side of both of mpf_add's
+        limits for its sticky shortcut.  The larger operand has prec + 40
+        bits, the last 40 of them mostly just off a rounding boundary, so
+        the shortcut can round otherwise than the exact sum."""
+        rnd = random.Random(prec)
+        out = []
+        for offset in (99, 100, 101, 102):
+            for gap in range(prec + 3, prec + 7):
+                for _ in range(40):
+                    tbc = prec + 40 + offset - gap
+                    low = rnd.choice((1, (1 << 39) - 1, (1 << 39) + 1, (1 << 40) - 1,
+                                      rnd.getrandbits(40) | 1))
+                    s = (rnd.getrandbits(prec - 1) | 1 << (prec - 1)) << 40 | low
+                    t = rnd.getrandbits(tbc - 1) | 1 << (tbc - 1) | 1
+                    texp = rnd.randint(-50, 50)
+                    sign_s, sign_t = rnd.choice((1, -1)), rnd.choice((1, -1))
+                    # the larger operand passed unnormalized, in either place
+                    z = rnd.randint(0, 5)
+                    big, small = (sign_s * s << z, texp + offset - z), (sign_t * t, texp)
+                    out.append(big + small if rnd.random() < 0.5 else small + big)
+        return out
+
+    @staticmethod
+    def _constructed_pairs(prec):
+        q_even, q_odd = (1 << (prec - 1)) + 2, (1 << (prec - 1)) + 3
+        ones = (1 << (prec + 1)) - 1
+        pairs = []
+        for s in (1, -1):
+            pairs += [
+                (s * q_even << 1, 0, s, 0), (s * q_odd << 1, 0, s, 0),   # ties, both parities
+                (s * q_even << 7, -7, s * 1, -1), (s * q_odd, 1, s, 0),
+                (s * (ones - 1), 0, s, 0), (s * ones, 3, s, 3),           # carry to 2^(prec + 1)
+                (s * 12345 << 40, -3, -s * 12345 << 43, -6),             # cancels to zero
+                (s * q_odd, 5, -s * q_odd << 2, 3),
+                (0, 0, s * ones, -4), (s * ones, 9, 0, 0), (0, 17, 0, -4),   # a zero operand
+                (s * 3, 0, 5, 0), (s * 3, 0, -5, 0),                      # mixed signs
+            ]
+        return pairs
+
+    def _pairs(self, prec):
+        return (self._random_pairs(random.Random(1729 + prec), 3000) + self._constructed_pairs(prec)
+                + self._sticky_pairs(prec))
+
+    @pytest.mark.parametrize("prec, down", SETTINGS, ids=["53", "203", "213-down"])
+    def test_add_and_sub_are_libmp(self, prec, down):
+        rounding = round_down if down else round_nearest
+        bad = []
+        for m, e, k, f in self._pairs(prec):
+            s, t = from_man_exp(m, e), from_man_exp(k, f)
+            if from_man_exp(*_add(m, e, k, f, prec, down)) != mpf_add(s, t, prec, rounding):
+                bad.append(("add", m, e, k, f))
+            if from_man_exp(*_add(m, e, -k, f, prec, down)) != mpf_sub(s, t, prec, rounding):
+                bad.append(("sub", m, e, k, f))
+        assert bad == []
+
+    @pytest.mark.parametrize("prec, down", SETTINGS, ids=["53", "203", "213-down"])
+    def test_sticky_shortcut_is_taken_and_matters(self, prec, down):
+        # libmp's sticky sum differs from the rounded exact sum somewhere in
+        # these cases, so an _add that rounded the exact sum would fail above
+        rounding = round_down if down else round_nearest
+        pairs = self._sticky_pairs(prec)
+        exact = [mpf_pos(mpf_add(from_man_exp(m, e), from_man_exp(k, f)), prec, rounding)
+                 for m, e, k, f in pairs]
+        assert any(from_man_exp(*_add(*pair, prec, down)) != want for pair, want in zip(pairs, exact))
+
+    @pytest.mark.parametrize("prec", [53, 203])
+    def test_div_is_libmp(self, prec):
+        rnd = random.Random(prec)
+        pairs = [(m, e, abs(k), f) for m, e, k, f in self._random_pairs(rnd, 3000) if k]
+        q_even, q_odd = (1 << (prec - 1)) + 2, (1 << (prec - 1)) + 3
+        for s in (1, -1):
+            for k in (3, 1 << 20, 7 << 5, (1 << 300) + 1):
+                # ties of both parities, exact quotients and powers of two
+                pairs += [((2 * q_even + 1) * k * s, 0, k, 4), (-(2 * q_odd + 1) * k * s, -3, k, 0),
+                          (q_odd * k * s, 2, k, 0), (0, 0, k, 0)]
+        bad = [(m, e, k, f) for m, e, k, f in pairs if from_man_exp(*_div(m, e, k, f, prec))
+               != mpf_div(from_man_exp(m, e), from_man_exp(k, f), prec, round_nearest)]
+        assert bad == []
+
+
+class TestBadInput:
+    @pytest.mark.parametrize("dps", [0, -3])
+    @pytest.mark.parametrize("g", [verify.green_plus_hp, verify.green_minus_hp])
+    def test_greens_reject_dps_below_one(self, g, dps):
+        # they returned 0.75 (dps 0) and 1.0 (dps -3) for G+ here
+        with pytest.raises(ValueError, match="dps"):
+            g(HORSESHOE, (0.1, 0.2), dps=dps)
+
+    @pytest.mark.parametrize("dps", [0, -3])
+    @pytest.mark.parametrize("f", [verify.refine_orbit_hp, verify.orbit_greens_hp])
+    def test_orbit_functions_reject_dps_below_one(self, f, dps):
+        # refine_orbit_hp returned [3.5, 3.5] at dps 0
+        with pytest.raises(ValueError, match="dps"):
+            f(HORSESHOE, np.array([1.0 + 0j, 2.0 + 0j]), dps=dps)
+
+    @pytest.mark.parametrize("f", [verify.refine_orbit_hp, verify.orbit_greens_hp])
+    def test_empty_orbit_vector_rejected(self, f):
+        # orbit_greens_hp died with an IndexError
+        with pytest.raises(ValueError, match="empty"):
+            f(HORSESHOE, np.array([], dtype=complex))
+
+    def test_dps_one_works(self):
+        z = verify.refine_orbit_hp(HORSESHOE, np.array([2.0 + 0j]), dps=1)
+        assert len(z) == 1
+        assert verify.green_plus_hp(HORSESHOE, (1e9, 0.0), dps=1) > 0
 
 
 NAN, INF = float("nan"), float("inf")
