@@ -348,7 +348,7 @@ class TestIntegerArithmetic:
         for s in (1, -1):
             pairs += [
                 (s * q_even << 1, 0, s, 0), (s * q_odd << 1, 0, s, 0),   # ties, both parities
-                (s * q_even << 7, -7, s * 1, -1), (s * q_odd, 1, s, 0),
+                (s * q_even << 7, -7, s, -1), (s * q_odd, 1, s, 0),
                 (s * (ones - 1), 0, s, 0), (s * ones, 3, s, 3),           # carry to 2^(prec + 1)
                 (s * 12345 << 40, -3, -s * 12345 << 43, -6),             # cancels to zero
                 (s * q_odd, 5, -s * q_odd << 2, 3),
@@ -402,20 +402,17 @@ class TestBadInput:
     @pytest.mark.parametrize("dps", [0, -3])
     @pytest.mark.parametrize("g", [verify.green_plus_hp, verify.green_minus_hp])
     def test_greens_reject_dps_below_one(self, g, dps):
-        # they returned 0.75 (dps 0) and 1.0 (dps -3) for G+ here
         with pytest.raises(ValueError, match="dps"):
             g(HORSESHOE, (0.1, 0.2), dps=dps)
 
     @pytest.mark.parametrize("dps", [0, -3])
     @pytest.mark.parametrize("f", [verify.refine_orbit_hp, verify.orbit_greens_hp])
     def test_orbit_functions_reject_dps_below_one(self, f, dps):
-        # refine_orbit_hp returned [3.5, 3.5] at dps 0
         with pytest.raises(ValueError, match="dps"):
             f(HORSESHOE, np.array([1.0 + 0j, 2.0 + 0j]), dps=dps)
 
     @pytest.mark.parametrize("f", [verify.refine_orbit_hp, verify.orbit_greens_hp])
     def test_empty_orbit_vector_rejected(self, f):
-        # orbit_greens_hp died with an IndexError
         with pytest.raises(ValueError, match="empty"):
             f(HORSESHOE, np.array([], dtype=complex))
 
