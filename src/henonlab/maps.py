@@ -19,7 +19,18 @@ unit, which ``_add`` copies; ``mpc_div`` rounds c^2 + d^2 and the two
 numerators toward zero at prec + 10 bits, since it calls ``mpf_add`` with
 no rounding argument, and then divides to nearest.  Nothing else needs a
 normalized (odd) mantissa.  Exponents are Python ints, so no iterate
-overflows.  The loop stops once the escaping coordinate v (x forward, y
+overflows.  The step skips each call that would give back its operand
+unchanged: ``_round`` of a mantissa of at most prec bits, ``_add`` of a
+zero and an operand already rounded at its precision, ``_div`` of a zero,
+and with a real a the zero products of ``mpc_mul``.  The zeros come from
+the zero head coefficient of p, from a real coefficient or a and from the
+imaginary parts of a real orbit.  A skipped call changes no value, so the
+loop's floats are those of the loop that makes every call.  Only the
+exponent of a zero may differ from libmp's (0 for zero), and nothing but
+the screen below reads it: a zero part can make the screen take one
+modulus more, but it does not change that modulus.  The constants (the
+parts of a and of the coefficients, |a|^2 as ``mpc_div`` rounds it and
+log|a| / (d - 1)) are computed once per map and precision.  The loop stops once the escaping coordinate v (x forward, y
 backward) has |v| > ESCAPE_THRESHOLD and |v| >= |w|, w the other
 coordinate: that is the region V+ (V-) of ``filtration_radius``, where the
 orbit keeps escaping.  The modulus of v is taken, by ``libmp.mpc_abs``,
@@ -236,6 +247,12 @@ class HenonMap:
                 lo = mid
         return hi
 
+    @cached_property
+    def _green_constants(self) -> dict:
+        """``_green``'s parts of a and of the coefficients, mpc_div's |a|^2 and
+        log|a| / (d - 1), keyed by the precision in bits they are rounded to."""
+        return {}
+
     def _green(self, pt, forward: bool, max_iter: int) -> float:
         """Escape rate of pt at the working mpmath precision; 0 if the orbit
         stays out of V+ (V- backward) for max_iter steps."""
@@ -251,10 +268,15 @@ class HenonMap:
         def mpc(z):  # and back
             return tuple(from_man_exp(*q) for q in z)
 
+        if prec not in self._green_constants:
+            a = mp.mpc(self.a)
+            (ar, are), (ai, aie) = parts(a._mpc_)
+            self._green_constants[prec] = (
+                (ar, are, ai, aie), [parts(mp.mpc(c)._mpc_) for c in reversed(self.coeffs)],
+                _add(ar * ar, 2 * are, ai * ai, 2 * aie, wp, True),  # |a|^2 as mpc_div has it
+                mp.log(abs(a)) / (self.degree - 1))
+        (ar, are, ai, aie), (((hr, hre), (hi, hie)), *tail), (mag, mage), log_a = self._green_constants[prec]
         x, y = map(parts, _mp_point(pt))
-        (ar, are), (ai, aie) = parts(mp.mpc(self.a)._mpc_)
-        ((hr, hre), (hi, hie)), *tail = (parts(mp.mpc(c)._mpc_) for c in reversed(self.coeffs))
-        mag, mage = _add(ar * ar, 2 * are, ai * ai, 2 * aie, wp, True)  # |a|^2 as mpc_div has it
         for n in range(max_iter + 1):
             v, w = (x, y) if forward else (y, x)
             (m, e), (k, f) = v
@@ -263,28 +285,49 @@ class HenonMap:
                 if mpf_gt(abs_v, _THRESHOLD) and mpf_ge(abs_v, mpc_abs(mpc(w), prec, rnd)):
                     u = mp.log(mp.make_mpf(abs_v))
                     if not forward:  # in V-, |y'| = |y|^d / |a| (1 + o(1))
-                        u -= mp.log(abs(mp.mpc(self.a))) / (self.degree - 1)
+                        u -= log_a
                     return float(u / mp.mpf(self.degree) ** n)
             # p(v) as HenonMap.p computes it on mpc: mpc_pos(v) + head, then
-            # mpc_add(mpc_mul(r, v), c) for each further coefficient
-            rm, rme = _add(*_round(m, e, prec), hr, hre, prec)
-            rk, rkf = _add(*_round(k, f, prec), hi, hie, prec)
+            # mpc_add(mpc_mul(r, v), c) for each further coefficient.  Calls
+            # that would give back their operand are skipped (module docstring)
+            rm, rme = _round(m, e, prec) if m.bit_length() > prec else (m, e)
+            rk, rkf = _round(k, f, prec) if k.bit_length() > prec else (k, f)
+            if hr:
+                rm, rme = _add(rm, rme, hr, hre, prec)
+            if hi:
+                rk, rkf = _add(rk, rkf, hi, hie, prec)
             for (cr, cre), (ci, cie) in tail:
                 q, qe = _add(rm * m, rme + e, -rk * k, rkf + f, prec)
                 s, se = _add(rm * k, rme + f, rk * m, rkf + e, prec)
-                rm, rme = _add(q, qe, cr, cre, prec)
-                rk, rkf = _add(s, se, ci, cie, prec)
+                rm, rme = _add(q, qe, cr, cre, prec) if cr else (q, qe)
+                rk, rkf = _add(s, se, ci, cie, prec) if ci else (s, se)
             (u, g), (t, h) = w
             if forward:  # mpc_sub(p(x), mpc_mul(a, y))
-                q, qe = _add(ar * u, are + g, -ai * t, aie + h, prec)
-                s, se = _add(ar * t, are + h, ai * u, aie + g, prec)
-                x, y = (_add(rm, rme, -q, qe, prec), _add(rk, rkf, -s, se, prec)), x
+                if ai:
+                    q, qe = _add(ar * u, are + g, -ai * t, aie + h, prec)
+                    s, se = _add(ar * t, are + h, ai * u, aie + g, prec)
+                else:  # a real: mpc_mul's sub and add only round ar u and ar t
+                    q, qe, s, se = ar * u, are + g, ar * t, are + h
+                    if q.bit_length() > prec:
+                        q, qe = _round(q, qe, prec)
+                    if s.bit_length() > prec:
+                        s, se = _round(s, se, prec)
+                x, y = (_add(rm, rme, -q, qe, prec) if q else (rm, rme),
+                        _add(rk, rkf, -s, se, prec) if s else (rk, rkf)), x
             else:  # mpc_div(mpc_sub(p(y), x), a)
-                rm, rme = _add(rm, rme, -u, g, prec)
-                rk, rkf = _add(rk, rkf, -t, h, prec)
-                q, qe = _add(rm * ar, rme + are, rk * ai, rkf + aie, wp, True)
-                s, se = _add(rk * ar, rkf + are, -rm * ai, rme + aie, wp, True)
-                x, y = y, (_div(q, qe, mag, mage, prec), _div(s, se, mag, mage, prec))
+                rm, rme = _add(rm, rme, -u, g, prec) if u else (rm, rme)
+                rk, rkf = _add(rk, rkf, -t, h, prec) if t else (rk, rkf)
+                if ai:
+                    q, qe = _add(rm * ar, rme + are, rk * ai, rkf + aie, wp, True)
+                    s, se = _add(rk * ar, rkf + are, -rm * ai, rme + aie, wp, True)
+                else:  # a real: t and u are ar times the numerator, rounded
+                    q, qe, s, se = rm * ar, rme + are, rk * ar, rkf + are
+                    if q.bit_length() > wp:
+                        q, qe = _round(q, qe, wp, True)
+                    if s.bit_length() > wp:
+                        s, se = _round(s, se, wp, True)
+                x, y = y, (_div(q, qe, mag, mage, prec) if q else (0, 0),
+                           _div(s, se, mag, mage, prec) if s else (0, 0))
         return 0.0
 
     def green_plus(self, pt: Point, max_iter: int = 100) -> float:

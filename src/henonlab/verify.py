@@ -10,16 +10,24 @@ more precision than the solver itself: these helpers re-polish a
 certified orbit with mpmath Newton steps and evaluate the escape-rate
 potentials without rounding back to doubles.  Non-finite points and
 orbit vectors are rejected with ValueError, as ``HenonMap`` rejects them,
-and so are empty orbit vectors and ``dps < 1``.
+and so are empty orbit vectors, ``dps < 1`` and ``steps < 1``.
 
 The Newton steps call the O(n) cyclic tridiagonal solve of the
 double-precision solver, ``orbits._band_solve``, on object arrays of
 mpmath numbers; that solve runs its own dense ``mp.lu_solve`` for n < 3
 and for the systems it sends to its fallback, and raises
 ZeroDivisionError on a singular Jacobian.  Newton converges
-quadratically from the certified double orbit, so the polish stops at
-the first step below the working precision, 2^-prec (1 + max |z_k|), and
-after ``steps`` steps at most.
+quadratically from the certified double orbit, so the polish stops once a
+correction ds = max |s_k| is below the working precision, tol = 2^-prec
+(1 + max |z_k|), or once the quadratic model predicts the next one below
+it, ds^3 <= tol prev^2 with prev the correction before, and after
+``steps`` >= 1 steps at most.  The second test saves the solve that would
+only confirm convergence: on the horseshoe and mixed Fix_8 the
+corrections are about 1e-16, 1e-32 and then round-off, and the polish
+stops after two.  Under linear convergence with ratio theta = ds / prev
+it fires only once ds <= tol / theta^2.  Near a saddle-node, where the
+corrections stall at a round-off floor above tol, it ends the polish at
+that floor, not after ``steps`` steps.
 
 The potentials ``green_plus_hp`` and ``green_minus_hp`` run the one
 escape-rate loop, ``HenonMap._green``, at ``dps`` digits; ``HenonMap``'s
@@ -50,6 +58,8 @@ def _workdps(dps: int):
 
 def refine_orbit_hp(m: HenonMap, xs: np.ndarray, dps: int = 60, steps: int = 6) -> list:
     """Polish a certified cyclic orbit vector to ~dps digits (mpmath Newton)."""
+    if steps < 1:
+        raise ValueError(f"steps must be >= 1, got {steps}")
     xs = [complex(v) for v in xs]
     if not xs:
         raise ValueError("empty orbit vector")
@@ -57,12 +67,17 @@ def refine_orbit_hp(m: HenonMap, xs: np.ndarray, dps: int = 60, steps: int = 6) 
         raise ValueError(f"non-finite orbit vector {xs!r}")
     with _workdps(dps):
         z = np.array([mp.mpc(v) for v in xs], dtype=object)
+        prev = 0  # no prediction from the first step
         for _ in range(steps):
             F = cyclic_residual(m, z)
             s = _band_solve(m.dp(z)[None], -mp.mpc(m.a), mp.mpc(-1), F[None])[0][0]
             z = z - s
-            if max(abs(v) for v in s) <= mp.ldexp(1 + max(abs(v) for v in z), -mp.mp.prec):
+            ds = max(abs(v) for v in s)
+            tol = mp.ldexp(1 + max(abs(v) for v in z), -mp.mp.prec)
+            # quadratic convergence predicts a next correction of ds^3 / prev^2
+            if ds <= tol or ds**3 <= tol * prev**2:
                 break
+            prev = ds
         return list(z)
 
 
