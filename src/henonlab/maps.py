@@ -30,10 +30,11 @@ exponent of a zero may differ from libmp's (0 for zero), and nothing but
 the screen below reads it: a zero part can make the screen take one
 modulus more, but it does not change that modulus.  The constants (the
 parts of a and of the coefficients, |a|^2 as ``mpc_div`` rounds it and
-log|a| / (d - 1)) are computed once per map and precision.  The loop stops once the escaping coordinate v (x forward, y
-backward) has |v| > ESCAPE_THRESHOLD and |v| >= |w|, w the other
-coordinate: that is the region V+ (V-) of ``filtration_radius``, where the
-orbit keeps escaping.  The modulus of v is taken, by ``libmp.mpc_abs``,
+log|a| / (d - 1)) are computed once per map and precision.  The loop
+stops once the escaping coordinate v (x forward, y backward) has
+|v| > ESCAPE_THRESHOLD and |v| >= |w|, w the other coordinate: that is
+the region V+ (V-) of ``filtration_radius``, where the orbit keeps
+escaping.  The modulus of v is taken, by ``libmp.mpc_abs``,
 only once a part m 2^e of it has ``m.bit_length() + e > 26``: a finite
 nonzero part is below 2^(bit_length + e), and 2^26 <
 ESCAPE_THRESHOLD/sqrt(2), so that screen misses no escape; |w| is taken

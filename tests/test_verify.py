@@ -18,6 +18,12 @@ MIXED = hl.quadratic_map(0.0, 0.5)
 CUBIC = hl.HenonMap(coeffs=(0.3 + 0.2j, -1.5, 0.1j), a=0.4 - 0.3j)
 # Re a = 0, and every part of mpc_div's numerators and of |a|^2 matters
 QUARTIC = hl.HenonMap(coeffs=(0.2 - 0.1j, 0.5j, -1.0 + 0.3j, 0.25 + 0.1j), a=0.7j)
+# a zero head coefficient, Re c = 0 and a real negative a: the loop skips the
+# operations on their zeros
+IMAGINARY_C = hl.HenonMap(coeffs=(2j, 0.0), a=-0.5)
+# c just below the saddle-node at 0.5625 of p = x^2 + c, a = 0.5, where the
+# two fixed points meet
+NEAR_SADDLE_NODE = hl.quadratic_map(0.5625 - 1e-6, 0.5)
 
 
 def _refine_dense(m, xs, dps=60, steps=6):
@@ -95,6 +101,56 @@ class TestRefine:
             verify.refine_orbit_hp(s.map, o.xs)
         assert len(steps) < 5 * len(s.orbits)
 
+    @staticmethod
+    def _solves_per_orbit(m, orbits, monkeypatch):
+        """The number of _band_solve calls that re-polishing each orbit makes."""
+        calls = []
+        solve = verify._band_solve
+        monkeypatch.setattr(verify, "_band_solve", lambda *args: calls.append(1) or solve(*args))
+        counts = []
+        for o in orbits:
+            before = len(calls)
+            verify.refine_orbit_hp(m, o.xs)
+            counts.append(len(calls) - before)
+        return counts
+
+    @pytest.mark.parametrize("which", ["horseshoe", "mixed"])
+    def test_fix8_takes_two_solves(self, which, horseshoe_spectra, mixed_spectra, monkeypatch):
+        # corrections of about 1e-16 and then 1e-32 predict a next one far
+        # below 2^-prec: a third solve would only confirm convergence
+        s = {"horseshoe": horseshoe_spectra, "mixed": mixed_spectra}[which][8]
+        assert set(self._solves_per_orbit(s.map, s.orbits, monkeypatch)) == {2}
+
+    @pytest.mark.parametrize("n", [1, 3])
+    def test_near_saddle_node(self, n, monkeypatch):
+        # the corrections stall at a round-off floor of about 4e-59, above
+        # 2^-prec: the predicted next correction ends the polish there
+        s = hl.enumerate_fix(NEAR_SADDLE_NODE, n)
+        assert s.orbits
+        assert max(self._solves_per_orbit(s.map, s.orbits, monkeypatch)) <= 4
+        for o in s.orbits:
+            z = verify.refine_orbit_hp(s.map, o.xs)
+            ref = _refine_dense(s.map, o.xs)
+            with mp.workdps(60):
+                assert max(abs(u - v) for u, v in zip(z, ref)) <= mp.mpf(10) ** -55
+
+    def test_linear_convergence_is_not_cut_short(self, monkeypatch):
+        # corrections that halve at every step: there the quadratic test
+        # ds^3 <= tol prev^2 reads ds <= 4 tol, so the polish may not stop
+        # while ds > 4 tol, and stops at the first correction below it
+        xs = np.array([0.5 + 0j, -0.25 + 0j])
+        dss = []
+
+        def halving(*args):
+            dss.append(mp.ldexp(1, -130 - len(dss)))
+            return [[np.array([mp.mpc(dss[-1])] * len(xs), dtype=object)]]
+
+        monkeypatch.setattr(verify, "_band_solve", halving)
+        verify.refine_orbit_hp(MIXED, xs, steps=100)
+        with mp.workdps(60):
+            four_tol = 4 * mp.ldexp(1 + 0.5, -mp.mp.prec)  # max |z| stays 0.5 - 2^-129
+            assert all(ds > four_tol for ds in dss[:-1]) and dss[-1] <= four_tol
+
 
 def _escaping_points(rng, count):
     """Points spread over many scales, so they escape after varied numbers of steps."""
@@ -122,8 +178,8 @@ def _fix_n(m):
 
 
 class TestGreens:
-    @pytest.mark.parametrize("m", [HORSESHOE, MIXED, CUBIC, QUARTIC],
-                             ids=["horseshoe", "mixed", "cubic", "quartic"])
+    @pytest.mark.parametrize("m", [HORSESHOE, MIXED, CUBIC, QUARTIC, IMAGINARY_C],
+                             ids=["horseshoe", "mixed", "cubic", "quartic", "imaginary-c"])
     def test_bit_identical_to_reference(self, m):
         rng = np.random.default_rng(1729)
         pts = _escaping_points(rng, 60) + _edge_points()
@@ -280,6 +336,32 @@ class TestGreensBitIdentity:
         flat = sum(got, ())
         assert 0.0 in flat and max(flat) > 0
 
+    def test_zero_imaginary_parts(self, horseshoe_spectra):
+        # real points of the real horseshoe: every operation on an imaginary
+        # part has a zero operand
+        rng = np.random.default_rng(13)
+        pts = [(complex(x.real), complex(y.real)) for x, y in _escaping_points(rng, 40)]
+        for o in horseshoe_spectra[4].orbits:
+            z = verify.refine_orbit_hp(HORSESHOE, o.xs.real)
+            assert all(v.imag == 0 for v in z)
+            pts += [(z[k], z[k - 1]) for k in range(len(z))]
+        got = [(verify.green_plus_hp(HORSESHOE, pt), verify.green_minus_hp(HORSESHOE, pt)) for pt in pts]
+        assert [pt for pt, g in zip(pts, got) if g != _reference_greens(HORSESHOE, pt)] == []
+
+    def test_precisions_alternate_on_one_map(self):
+        # the map keeps its constants per precision: none may leak into a
+        # later call at another precision.  Parts of a and the coefficients
+        # are exact at both, but |Re a|^2 + |Im a|^2 needs 164 bits,
+        # so mpc_div's |a|^2 is rounded at dps 30 and exact at dps 60
+        m = hl.HenonMap(coeffs=CUBIC.coeffs, a=0.4 - 3e-11j)
+        rng = np.random.default_rng(17)
+        # polished at the lower precision: a point with more digits than dps
+        # is rounded to dps on entry, which _green_reference does not do
+        pts = _escaping_points(rng, 20) + _polished_points(m, 3, dps=30)
+        for dps in (30, 60, 30):
+            got = [(verify.green_plus_hp(m, pt, dps=dps), verify.green_minus_hp(m, pt, dps=dps)) for pt in pts]
+            assert [pt for pt, g in zip(pts, got) if g != _reference_greens(m, pt, dps=dps)] == []
+
     @pytest.mark.parametrize("m", [HORSESHOE, MIXED, CUBIC], ids=["horseshoe", "mixed", "cubic"])
     def test_screen_edge(self, m):
         vs = _screen_edge_values()
@@ -410,6 +492,12 @@ class TestBadInput:
     def test_orbit_functions_reject_dps_below_one(self, f, dps):
         with pytest.raises(ValueError, match="dps"):
             f(HORSESHOE, np.array([1.0 + 0j, 2.0 + 0j]), dps=dps)
+
+    @pytest.mark.parametrize("steps", [0, -2])
+    def test_refine_rejects_steps_below_one(self, steps):
+        # zero steps would return the unpolished double orbit as if polished
+        with pytest.raises(ValueError, match="steps"):
+            verify.refine_orbit_hp(HORSESHOE, np.array([1.0 + 0j, 2.0 + 0j]), steps=steps)
 
     @pytest.mark.parametrize("f", [verify.refine_orbit_hp, verify.orbit_greens_hp])
     def test_empty_orbit_vector_rejected(self, f):

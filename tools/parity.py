@@ -34,9 +34,15 @@ that the map, n, ``complete``, the counts and the period and kind of
 every orbit in order are equal, and gives the largest move of an orbit's
 xs, also as a fraction of its certificate radius in outA; for a CSV or
 ``verify-*.txt`` file it gives the largest absolute difference of each
-column that differs (inf where text or nan changes).  It exits 1 when a
+column that differs (inf where text or nan changes).  For a
+``verify-*.txt`` file it also gives the largest move of a re-polished
+coordinate, |z_B - z_A| / (1 + |z_A|), the scale of the re-polish's own
+stopping tolerance, and the largest G+ or G- in outB.  It exits 1 when a
 spectrum differs in more than its last bits (an orbit moves outside its
-outA radius) or a file is missing on one side.
+outA radius), when a ``verify-*.txt`` file's rows do not pair up, a
+coordinate moves by more than ``Z_MOVE_LIMIT`` (1e-55) or a potential in
+outB reaches ``GREEN_LIMIT`` (1e-6), since the periodic points lie in K,
+where G+ and G- vanish, or when a file is missing on one side.
 
 One documented difference: against a tree whose escape-rate loop stops
 at |v| > ESCAPE_THRESHOLD alone and returns log|y_n| / d^n backward, the
@@ -98,6 +104,20 @@ their sign.  Horseshoe Fix_8 and Fix_10 against Fix_12 read 0.0681 and
 0.00488 in place of 0.645 and 0.485; the mixed map's rows move by at
 most 0.00317.  The moment gaps, the lyapunov and scan CSVs and the
 ``verify-*.txt`` files are byte-identical.
+
+A fifth one: against a tree whose re-polish stops only at a correction
+below 2^-prec (1 + max |z_k|), the three ``verify-*.txt`` files differ.
+The re-polish now also stops when quadratic convergence predicts the
+next correction below that, so it takes two solves where it took three.
+At full precision the coordinates move by at most 1.03e-61 (horseshoe),
+8.0e-62 (mixed) and 2.2e-61 (cubic) of 1 + |z|; in the printed digits
+only parts at round-off level change, by at most 4.5e-65 (horseshoe)
+and 5.3e-107 (mixed).  G+ and G- change with them and stay at round-off
+level: the largest is 2.3e-14 in ``verify-horseshoe-fix08.txt``,
+6.1e-25 in ``verify-mixed-fix08.txt`` and 1.7e-25 in
+``verify-cubic-fix05.txt``.  The other 46 files are byte-identical; the
+escape-rate loop's skipped calls on exact zeros, made in the same
+change, alone leave all 49 byte-identical.
 """
 
 from __future__ import annotations
@@ -157,6 +177,10 @@ def verify_lines(spec) -> str:
 #: the columns of a ``verify-*.txt`` line
 VERIFY_COLUMNS = ("re z", "im z", "G+", "G-")
 
+#: --compare fails when a re-polished coordinate moves by more than
+#: Z_MOVE_LIMIT (1 + |z|) or a potential at a periodic point reaches GREEN_LIMIT
+Z_MOVE_LIMIT, GREEN_LIMIT = 1e-55, 1e-6
+
 NUMBER = re.compile(r"[-+]?(?:\d+\.?\d*|\.\d+)(?:[eE][-+]?\d+)?|[-+]?(?:nan|inf)")
 
 
@@ -192,6 +216,22 @@ def column_differences(old: list[list[str]], new: list[list[str]], names) -> str
     return ", ".join(f"{name} {diff:.3g}" for name, diff in largest.items()) or "text differs"
 
 
+def compare_verify(old: list[list[str]], new: list[list[str]]) -> tuple[str, bool]:
+    """The largest relative move of a coordinate and the largest potential in
+    new, as one line, and whether both are inside the gate (a nan is not)."""
+    if len(old) != len(new) or any(len(a) != len(b) or len(a) not in (0, 4) for a, b in zip(old, new)):
+        return "", False
+    moves, greens = [], []
+    for a, b in zip(old, new):
+        if a:
+            za, zb = (complex(float(r[0]), float(r[1])) for r in (a, b))
+            moves.append(abs(zb - za) / (1 + abs(za)))
+            greens += map(float, b[2:])
+    inside = all(v <= Z_MOVE_LIMIT for v in moves) and all(g < GREEN_LIMIT for g in greens)
+    return (f"; z moves by at most {max(moves, default=0.0):.3g} of 1 + |z|, greens at most "
+            f"{max(greens, default=0.0):.3g}" + ("" if inside else ", OUTSIDE the gate")), inside
+
+
 def compare(old_dir: Path, new_dir: Path) -> int:
     """Print one line per file of two parity outputs that differs; 1 if beyond last bits."""
     names = sorted({p.name for p in old_dir.iterdir()} | {p.name for p in new_dir.iterdir()})
@@ -215,6 +255,9 @@ def compare(old_dir: Path, new_dir: Path) -> int:
         else:
             a, b = ([NUMBER.findall(s) for s in p.read_text().splitlines()] for p in (old, new))
             line = column_differences(a, b, VERIFY_COLUMNS)
+            gate, inside = compare_verify(a, b)
+            line += gate
+            ok &= inside
         differ += 1
         print(f"{name}: {line}")
     print(f"{differ} of {len(names)} files differ")
