@@ -53,7 +53,7 @@ from functools import cached_property
 
 import mpmath as mp
 import numpy as np
-from mpmath.libmp import from_float, from_man_exp, mpc_abs, mpf_ge, mpf_gt
+from mpmath.libmp import from_float, from_man_exp, fzero, mpc_abs, mpf_ge, mpf_gt
 
 Point = tuple[complex, complex]
 
@@ -80,11 +80,20 @@ def _require_finite(pt: Point) -> Point:
 
 def _mp_point(pt) -> tuple:
     """``_mpc_`` tuples of the point's coordinates: mpmath coordinates keep
-    their digits, Python and numpy numbers go through complex."""
-    x, y = (mp.mpc(v) if isinstance(v, (mp.mpf, mp.mpc)) else mp.mpc(complex(v)) for v in pt[:2])
-    if not (mp.isfinite(x) and mp.isfinite(y)):
+    all their digits, unrounded; Python and numpy numbers go through
+    complex and are rounded to the working precision."""
+    def parts(v):
+        if isinstance(v, mp.mpc):
+            return v._mpc_
+        if isinstance(v, mp.mpf):
+            return v._mpf_, fzero
+        return mp.mpc(complex(v))._mpc_
+
+    x, y = parts(pt[0]), parts(pt[1])
+    # a special value (0, inf, nan) has a zero mantissa, and only 0 is finite
+    if not all(p[1] or p == fzero for p in x + y):
         raise ValueError(f"non-finite point {pt!r}")
-    return x._mpc_, y._mpc_
+    return x, y
 
 
 def _round(m: int, e: int, prec: int, down: bool = False) -> tuple[int, int]:

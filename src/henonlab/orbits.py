@@ -21,8 +21,9 @@ so one path per primitive necklace (Lyndon word of length k over the d-th
 roots of unity) reaches one orbit of exact period k.  A length-k path runs
 in the system of a multiple L of k as the word repeated L/k times, so
 every divisor length of Fix_n is tracked in one batch of the length-n
-homotopy.  Rows of a batch may also belong to different maps, so a
-parameter scan tracks every grid cell at once.  Each endpoint is
+homotopy.  Rows of a batch may also belong to different maps and run in
+systems of different lengths, each row at its own width, so a parameter
+scan tracks every grid cell and every length at once.  Each endpoint is
 Newton-polished at its own length wherever its path stopped; its
 residual, exact period and certificate decide.  Canonical rotations,
 period gaps, certificates and multipliers run over all endpoints of one
@@ -143,14 +144,18 @@ def _as_rows(m, B: int) -> _MapRows:
     return m if isinstance(m, _MapRows) else _MapRows.stack([m], np.zeros(B, dtype=int))
 
 
-def cyclic_residual(m: HenonMap, xs: np.ndarray) -> np.ndarray:
+def cyclic_residual(m: HenonMap, xs: np.ndarray, shifts=None) -> np.ndarray:
     """Residual of the cyclic period system; zero iff a genuine orbit.
 
     The system runs along the trailing axis, so ``xs`` may be one vector
-    (n,), a batch (B, n) or an object array of mpmath numbers.
+    (n,), a batch (B, n) or an object array of mpmath numbers.  ``shifts``,
+    a pair of index arrays shaped like xs, gives the flat positions of
+    x_{k-1} and x_{k+1} in xs when rows close their cycles at their own
+    widths (see ``_track``).
     """
     xs = _orbit_array(xs)
-    return m.p(xs) - m.a * _prev(xs) - _next(xs)
+    prev, nxt = (_prev(xs), _next(xs)) if shifts is None else (xs.take(shifts[0]), xs.take(shifts[1]))
+    return m.p(xs) - m.a * prev - nxt
 
 
 def _band_matrix(diag: np.ndarray, sub, sup) -> np.ndarray:
@@ -217,7 +222,7 @@ _FALLBACK_RTOL = 1e-6
 _CANCEL_MAX = 1e4
 
 
-def _band_solve(diag: np.ndarray, sub, sup, F: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _band_solve(diag: np.ndarray, sub, sup, F: np.ndarray, width=None) -> tuple[np.ndarray, np.ndarray]:
     """Solves of the cyclic tridiagonal systems J S = F, one per row, in O(n) each.
 
     J has diagonal ``diag`` (B, n) and constant sub- and superdiagonals
@@ -230,9 +235,20 @@ def _band_solve(diag: np.ndarray, sub, sup, F: np.ndarray) -> tuple[np.ndarray, 
     section 2.7).  When A is nearly singular although J is not (J close to
     a cyclic shift), y and z are large and the correction cancels them;
     |v.z| then is large as well.  Rows with a tiny pivot or denominator, a
-    large |v.z| or a non-finite step, and every row when n < 3, are solved
-    here on their ``_band_matrix`` by ``_lapack_solve``, which flags the
-    rows whose J is singular to working precision.  Returns (S, singular).
+    large |v.z| or a non-finite step, and every row of width < 3 (its
+    corners fall on the off-diagonals), are solved here on their
+    ``_band_matrix`` by ``_lapack_solve``, which flags the rows whose J is
+    singular to working precision.  Returns (S, singular).
+
+    ``width`` (B,), n by default and non-increasing, gives each row its
+    own system size w <= n; rows of several widths take (B, 1) bands.  A
+    row's columns from w on are inert and its S is 0 there: the
+    elimination at column i runs over the leading rows wider than i, the
+    corners sit at column w - 1, the fallback tests read real columns
+    only, and the dense solve takes each width's rows on their own w x w
+    matrices.  So a row's S and singular flag are, to the bit, those of a
+    batch of its own width, and a batch of one width does the arithmetic
+    of the uniform solve.
 
     The bands and F may also be object arrays of mpmath numbers, which
     raise on a zero divisor where doubles give inf or nan: then every row
@@ -241,55 +257,90 @@ def _band_solve(diag: np.ndarray, sub, sup, F: np.ndarray) -> tuple[np.ndarray, 
     """
     B, n = diag.shape
     sub, sup = np.reshape(sub, -1), np.reshape(sup, -1)
+    # the runs of equal width, as (start, stop, w)
+    if width is None or width[0] == width[-1]:
+        groups = [(0, B, n if width is None else int(width[0]))]
+    else:
+        cuts = [0, *(np.flatnonzero(np.diff(width)) + 1).tolist(), B]
+        groups = [(a, b, int(width[a])) for a, b in zip(cuts, cuts[1:])]
+    # wider[i] counts the leading rows wider than i; views[c] are their parts
+    wider, w0 = [], 0
+    for _, b, w in reversed(groups):
+        wider += [b] * (w - w0)
+        w0 = w
+    wider += [0] * (n - w0)
+    bad = np.zeros(B, dtype=bool)
 
-    def dense(rows):
-        # broadcast here only: on the Thomas path it slows the many small batches of a scan
-        J = _band_matrix(diag[rows], *(np.broadcast_to(s, (B,))[rows, None] for s in (sub, sup)))
-        if J.dtype != object:
-            return _lapack_solve(J, F[rows])
-        S = [list(mp.lu_solve(mp.matrix(j), mp.matrix(f))) for j, f in zip(J, F[rows])]
-        return np.array(S, dtype=object), np.zeros(len(S), dtype=bool)
+    def dense(fallback, S):
+        """Solve the ``fallback`` rows on their own w x w matrices, into S and bad."""
+        for a, b, w in groups:
+            rows = a + np.flatnonzero(fallback[a:b])
+            if rows.size == 0:
+                continue
+            # broadcast here only: on the Thomas path it slows the many small batches of a scan
+            J = _band_matrix(diag[rows, :w], *(np.broadcast_to(s, (B,))[rows, None] for s in (sub, sup)))
+            if J.dtype != object:
+                S[rows, :w], bad[rows] = _lapack_solve(J, F[rows, :w])
+            else:
+                S[rows, :w] = [list(mp.lu_solve(mp.matrix(j), mp.matrix(f)))
+                               for j, f in zip(J, F[rows, :w])]
+            S[rows, w:] = 0
+        return S, bad
 
     if n < 3:  # the corners fall on the off-diagonals
-        return dense(np.ones(B, dtype=bool))
+        return dense(np.ones(B, dtype=bool), np.zeros_like(F))
     gamma = -diag[:, 0]
     gamma[gamma == 0] = 1.0
     rhs = np.zeros((n, 2, B), dtype=F.dtype)
     rhs[:, 0] = F.T
     rhs[0, 1] = gamma
-    rhs[-1, 1] = sup
     piv = diag.T.copy()
+    short = [(a, b, w) for a, b, w in groups if w < n]
+    for a, b, w in short:
+        rhs[w:, 0, a:b] = 0
+        piv[w:, a:b] = 0
+    scale = np.abs(piv).max(axis=0) + np.abs(sub) + np.abs(sup)
     piv[0] -= gamma
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         try:
             v_last = sub / gamma
-            piv[-1] -= sup * v_last
+            for a, b, w in groups:
+                rhs[w - 1, 1, a:b] = sup[a:b]
+                piv[w - 1, a:b] -= sup[a:b] * v_last[a:b]
+            views = {c: (piv[:, :c], rhs[:, :, :c], sub[:c], sup[:c]) for c in set(wider)}
             for i in range(1, n):
-                f = sub / piv[i - 1]
-                piv[i] -= f * sup
-                rhs[i] -= f * rhs[i - 1]
-            rhs[-1] /= piv[-1]
-            for i in range(n - 2, -1, -1):
-                rhs[i] -= sup * rhs[i + 1]
-                rhs[i] /= piv[i]
-            (y0, z0), (y1, z1) = rhs[0], rhs[-1]
+                P, R, lo, up = views[wider[i]]
+                f = lo / P[i - 1]
+                P[i] -= f * up
+                R[i] -= f * R[i - 1]
+            for i in range(n - 1, -1, -1):
+                if i < n - 1:  # rows wider than i + 1 couple column i to it
+                    _, R, _, up = views[wider[i + 1]]
+                    R[i] -= up * R[i + 1]
+                P, R, _, _ = views[wider[i]]
+                R[i] /= P[i]
+            (y0, z0), (y1, z1) = rhs[0], np.concatenate([rhs[w - 1, :, a:b] for a, b, w in groups], axis=1)
             vz = z0 + v_last * z1
             den = 1.0 + vz
-            S = (rhs[:, 0] - rhs[:, 1] * ((y0 + v_last * y1) / den)).T
+            # S = y - z (v.y) / den, formed in place
+            rhs[:, 1] *= (y0 + v_last * y1) / den
+            rhs[:, 0] -= rhs[:, 1]
+            S = rhs[:, 0].T
         except ZeroDivisionError:
-            return dense(np.ones(B, dtype=bool))
+            return dense(np.ones(B, dtype=bool), np.zeros_like(F))
         # mpmath moduli never overflow, so only nan fails the object-array test
         finite = np.isfinite(S) if S.dtype != object else np.abs(S) < np.inf
-        scale = np.abs(diag).max(axis=1) + np.abs(sub) + np.abs(sup)
-        avz = np.abs(vz)
-        fallback = ((np.abs(piv).min(axis=0) < _FALLBACK_RTOL * scale)
+        apiv, avz = np.abs(piv), np.abs(vz)
+        for a, b, w in short:
+            apiv[w:, a:b] = np.inf
+        fallback = ((apiv.min(axis=0) < _FALLBACK_RTOL * scale)
                     | (np.abs(den) < _FALLBACK_RTOL * (1.0 + avz))
                     | (avz > _CANCEL_MAX)
                     | ~finite.all(axis=1))
-    bad = np.zeros(B, dtype=bool)
-    if fallback.any():
-        S[fallback], bad[fallback] = dense(fallback)
-    return S, bad
+        for a, b, w in groups:
+            if w < 3:
+                fallback[a:b] = True
+    return dense(fallback, S) if fallback.any() else (S, bad)
 
 
 def _newton_batch(m: HenonMap, X: np.ndarray, tol: float, max_steps: int = 60
@@ -712,18 +763,19 @@ def _gamma(rng_seed: int, k: int, attempt: int) -> complex:
     return cmath.exp(2j * math.pi * rng.random())
 
 
-def _homotopy(rows: _MapRows, gamma: np.ndarray, X: np.ndarray, t: np.ndarray):
+def _homotopy(rows: _MapRows, gamma: np.ndarray, X: np.ndarray, t: np.ndarray, shifts=None):
     """H(X, t), dH/dt and the diagonal of dH/dX for the gamma trick.
 
     H = (1 - t) gamma (x^d - 1) + t F(x); ``gamma`` and ``t`` are (B, 1)
-    columns, so each row follows its own gamma.  The sub- and
-    superdiagonal of dH/dX are -t a and -t.
+    columns, so each row follows its own gamma, and ``shifts`` are
+    ``cyclic_residual``'s.  The sub- and superdiagonal of dH/dX are -t a
+    and -t.
     """
     Xd1 = X
     for _ in range(rows.degree - 2):
         Xd1 = Xd1 * X
     G = gamma * (X * Xd1 - 1.0)
-    F = cyclic_residual(rows, X)
+    F = cyclic_residual(rows, X, shifts)
     diag = (1.0 - t) * gamma * rows.degree * Xd1 + t * rows.dp(X)
     return (1.0 - t) * G + t * F, F - G, diag
 
@@ -734,10 +786,16 @@ def _homotopy(rows: _MapRows, gamma: np.ndarray, X: np.ndarray, t: np.ndarray):
 _DT_MIN, _TRACK_STEPS, _PREDICTOR_TOL, _THETA_MAX = 1e-8, 2000, 1e-2, 0.25
 
 
-def _track(rows: _MapRows, X: np.ndarray, gamma: np.ndarray) -> np.ndarray:
+def _track(rows: _MapRows, X: np.ndarray, gamma: np.ndarray, width: np.ndarray) -> np.ndarray:
     """Follow H(x, t) = 0 from the start points X at t = 0 to t = 1, row by row.
 
-    ``gamma`` is a (B, 1) column: row i follows the homotopy of ``gamma[i]``.
+    ``gamma`` is a (B, 1) column: row i follows the homotopy of ``gamma[i]``
+    in the length-``width[i]`` system on its first ``width[i]`` columns.
+    Its other columns of X are 0 and stay 0: ``_band_solve`` treats them
+    as inert, and the cyclic shifts of ``cyclic_residual`` close each row's
+    cycle at its width through gather indices built once here.  Rows do
+    not interact, so a row's path is, to the bit, that of a batch of its
+    own width, and the batch takes as many steps as its slowest row.
 
     Each step predicts with RK4 on dx/dt = -H_x^-1 H_t and corrects with
     two Newton steps at the new t.  It is accepted when the first
@@ -748,8 +806,14 @@ def _track(rows: _MapRows, X: np.ndarray, gamma: np.ndarray) -> np.ndarray:
     point, for ``_track_and_check`` to polish: its endpoint at t = 1, or
     wherever its path stopped.
     """
+    if (np.diff(width) > 0).any():
+        raise ValueError("rows must come widest first")
     X = np.array(X, dtype=complex)
-    B = len(X)
+    B, n = X.shape
+    cols = np.arange(n)
+    real, w = cols < width[:, None], width[:, None]
+    # each row's x_{k-1} and x_{k+1}, mod its width; an inert column points at itself
+    prev, nxt = (np.where(real, (cols + s) % w, cols) for s in (-1, 1))
     t = np.zeros(B)
     h = np.full(B, 0.1)
     live = np.ones(B, dtype=bool)
@@ -758,23 +822,30 @@ def _track(rows: _MapRows, X: np.ndarray, gamma: np.ndarray) -> np.ndarray:
         if act.size == 0:
             break
         r, g, x0, t0 = rows.take(act), gamma[act], X[act], t[act, None]
+        base = n * np.arange(act.size)[:, None]
+        shifts, wa = (prev[act] + base, nxt[act] + base), width[act]
         last = h[act] >= 1.0 - t[act]
         dt = np.where(last, 1.0 - t[act], h[act])[:, None]
         bad = np.zeros(act.size, dtype=bool)
 
         def step(x, tt, rhs):
             """-H_x^-1 times H (rhs 0) or H_t (rhs 1) at (x, tt)."""
-            parts = _homotopy(r, g, x, tt)
-            S, singular = _band_solve(parts[2], -tt * r.a, -tt, parts[rhs])
+            parts = _homotopy(r, g, x, tt, shifts)
+            S, singular = _band_solve(parts[2], -tt * r.a, -tt, parts[rhs], wa)
             bad[singular] = True
             return -S
 
         with np.errstate(all="ignore"):
-            k1 = step(x0, t0, 1)
-            k2 = step(x0 + 0.5 * dt * k1, t0 + 0.5 * dt, 1)
-            k3 = step(x0 + 0.5 * dt * k2, t0 + 0.5 * dt, 1)
-            k4 = step(x0 + dt * k3, t0 + dt, 1)
-            x = x0 + dt / 6.0 * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+            # k1 + 2 k2 + 2 k3 + k4, summed as each stage ends so that no
+            # more than two stages are held
+            k = step(x0, t0, 1)
+            ks = k
+            k = step(x0 + 0.5 * dt * k, t0 + 0.5 * dt, 1)
+            ks = ks + 2.0 * k
+            k = step(x0 + 0.5 * dt * k, t0 + 0.5 * dt, 1)
+            ks = ks + 2.0 * k
+            k = step(x0 + dt * k, t0 + dt, 1)
+            x = x0 + dt / 6.0 * (ks + k)
             t1 = np.where(last, 1.0, t0[:, 0] + dt[:, 0])[:, None]
             S1 = step(x, t1, 0)
             S2 = step(x + S1, t1, 0)
@@ -856,9 +927,10 @@ def _catalogue(maps: list[HenonMap], ks, rng_seed: int, tols: Tolerances, budget
     unity repeated L/k times.  The cyclic system commutes with the shift,
     so the subspace of L/k-fold repeats is invariant, and the row is one
     path of the length-L total-degree homotopy with its own gamma.  Each
-    attempt tracks the rows of every map and every length of one host as
-    one batch, and the first k coordinates of each endpoint go on to
-    ``_track_and_check`` at length k.  A map whose certified orbits of
+    attempt makes one ``_track`` call: the rows of every map and every
+    length, each of width L and widest first, form one ragged batch as
+    wide as the largest host, and the first k coordinates of each
+    endpoint go on to ``_track_and_check`` at length k.  A map whose certified orbits of
     length k fall short of the necklace count (a path failed, or two
     paths ended on one orbit) has all its length-k paths tracked again
     with the gamma of the next attempt.  The orbits of all attempts and
@@ -882,30 +954,33 @@ def _catalogue(maps: list[HenonMap], ks, rng_seed: int, tols: Tolerances, budget
     failed: dict[int, list] = {k: [] for k in ks}
     paths = 0
     for attempt in range(_ATTEMPTS):
-        batches: dict[int, list[int]] = {}
+        lengths = []
         for k in ks:
             size = len(words[k]) * todo[k].size
             if size and paths + size <= budget:
                 paths += size
-                batches.setdefault(host[k], []).append(k)
-        for L, lengths in batches.items():
-            owners = [np.repeat(todo[k], len(words[k])) for k in lengths]
-            owner = np.concatenate(owners)
-            starts = np.concatenate([np.tile(words[k], (todo[k].size, L // k)) for k in lengths])
-            gamma = np.repeat([_gamma(rng_seed, k, attempt) for k in lengths],
-                              [o.size for o in owners])
-            X, start = _track(_MapRows.stack(maps, owner), starts, gamma[:, None]), 0
-            for k, o in zip(lengths, owners):
-                ends, failed[k] = _track_and_check(maps, o, X[start:start + o.size, :k], tols)
-                start += o.size
-                _merge(kept[k], ends, tols)
-                need = len(words[k])
-                counts = np.bincount([i for i, _, _ in kept[k]], minlength=len(maps))[todo[k]]
-                if (counts > need).any():
-                    raise AmbiguousOrbitError(
-                        f"{counts.max()} certified orbits of period {k} exceed "
-                        f"the {need} necklaces: one orbit was kept twice")
-                todo[k] = todo[k][counts < need]
+                lengths.append(k)
+        if not lengths:
+            continue
+        lengths.sort(key=lambda k: -host[k])  # _track takes the widest rows first
+        owners = [np.repeat(todo[k], len(words[k])) for k in lengths]
+        sizes = [o.size for o in owners]
+        W = host[lengths[0]]
+        starts = np.concatenate([np.pad(np.tile(words[k], (todo[k].size, host[k] // k)),
+                                        ((0, 0), (0, W - host[k]))) for k in lengths])
+        width = np.repeat([host[k] for k in lengths], sizes)
+        gamma = np.repeat([_gamma(rng_seed, k, attempt) for k in lengths], sizes)
+        X = _track(_MapRows.stack(maps, np.concatenate(owners)), starts, gamma[:, None], width)
+        for k, o, Xk in zip(lengths, owners, np.split(X, np.cumsum(sizes)[:-1])):
+            found, failed[k] = _track_and_check(maps, o, Xk[:, :k], tols)
+            _merge(kept[k], found, tols)
+            need = len(words[k])
+            counts = np.bincount([i for i, _, _ in kept[k]], minlength=len(maps))[todo[k]]
+            if (counts > need).any():
+                raise AmbiguousOrbitError(
+                    f"{counts.max()} certified orbits of period {k} exceed "
+                    f"the {need} necklaces: one orbit was kept twice")
+            todo[k] = todo[k][counts < need]
     orbits: list[dict] = [{} for _ in maps]
     complete = np.ones(len(maps), dtype=bool)
     unresolved: list[list[np.ndarray]] = [[] for _ in maps]

@@ -117,10 +117,11 @@ def scan(
 
     Every grid cell of the bounding square is computed (output rows cover
     the full grid); the disk mask only restricts which cells enter the
-    Laplacian statistics.  The orbits of each exact period k <= n come from
-    one necklace-homotopy batch over all cells.  lambda_n and lambda_prev
-    are the ``chi_average`` of the saddle orbits of Fix_n and Fix_{n-1}
-    (Fix_1 for both when n = 1).  The homotopy's gamma derives from
+    Laplacian statistics.  The orbits of every exact period k <= n come
+    from one necklace-homotopy batch per attempt over all cells, each
+    period tracked in the largest period <= n it divides.  lambda_n and
+    lambda_prev are the ``chi_average`` of the saddle orbits of Fix_n and
+    Fix_{n-1} (Fix_1 for both when n = 1).  The homotopy's gamma derives from
     rng_seed, so reruns are byte-identical.
     """
     if n < 1:

@@ -30,7 +30,8 @@ corrections stall at a round-off floor above tol, it ends the polish at
 that floor, not after ``steps`` steps.
 
 The potentials ``green_plus_hp`` and ``green_minus_hp`` run the one
-escape-rate loop, ``HenonMap._green``, at ``dps`` digits; ``HenonMap``'s
+escape-rate loop, ``HenonMap._green``, at ``dps`` digits, on mpmath
+coordinates as given, with all their digits; ``HenonMap``'s
 own methods run it at 53 bits, so at dps 15 both give the same floats.
 The loop steps on signed (mantissa, exponent) pairs of Python ints, not
 on mpc objects, and still returns their floats bit for bit: each libmp

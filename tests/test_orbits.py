@@ -385,25 +385,28 @@ class TestEnumerate:
             s.select("nope")
 
 
-def dense_band_solve(diag, sub, sup, F):
-    """The dense LAPACK solve that the cyclic-tridiagonal solve replaced."""
+def dense_band_solve(diag, sub, sup, F, width=None):
+    """The dense LAPACK solve that the cyclic-tridiagonal solve replaced, each row at its width."""
     B, n = diag.shape
-    J = np.zeros((B, n, n), dtype=diag.dtype)
-    i = np.arange(n)
-    J[:, i, i] += diag
-    J[:, i, (i - 1) % n] += np.reshape(sub, (-1, 1))
-    J[:, i, (i + 1) % n] += np.reshape(sup, (-1, 1))
-    bad = np.zeros(B, dtype=bool)
-    try:
-        return np.linalg.solve(J, F[..., None])[..., 0], bad
-    except np.linalg.LinAlgError:
-        S = np.zeros_like(F)
-        for r in range(B):
-            try:
-                S[r] = np.linalg.solve(J[r], F[r])
-            except np.linalg.LinAlgError:
-                bad[r] = True
-        return S, bad
+    width = np.full(B, n) if width is None else width
+    sub, sup = (np.broadcast_to(np.reshape(s, -1), (B,)) for s in (sub, sup))
+    S, bad = np.zeros_like(F), np.zeros(B, dtype=bool)
+    for w in set(width.tolist()):
+        rows = np.flatnonzero(width == w)
+        J = np.zeros((rows.size, w, w), dtype=diag.dtype)
+        i = np.arange(w)
+        J[:, i, i] += diag[rows, :w]
+        J[:, i, (i - 1) % w] += sub[rows, None]
+        J[:, i, (i + 1) % w] += sup[rows, None]
+        try:
+            S[rows, :w] = np.linalg.solve(J, F[rows, :w, None])[..., 0]
+        except np.linalg.LinAlgError:
+            for r, j, f in zip(rows, J, F[rows, :w]):
+                try:
+                    S[r, :w] = np.linalg.solve(j, f)
+                except np.linalg.LinAlgError:
+                    bad[r] = True
+    return S, bad
 
 
 class TestSolveParity:
@@ -449,7 +452,8 @@ def per_length_catalogue(maps, ks, rng_seed, tols, budget=math.inf):
             owner = np.repeat(todo, need)
             paths += owner.size
             gamma = np.full((owner.size, 1), orb._gamma(rng_seed, k, attempt))
-            X = orb._track(orb._MapRows.stack(maps, owner), np.tile(starts, (todo.size, 1)), gamma)
+            X = orb._track(orb._MapRows.stack(maps, owner), np.tile(starts, (todo.size, 1)), gamma,
+                           np.full(owner.size, k))
             ends, failed = orb._track_and_check(maps, owner, X, tols)
             new = {}
             for i, w, rho in ends:
@@ -476,16 +480,16 @@ def per_length_catalogue(maps, ks, rng_seed, tols, budget=math.inf):
     return orbits, complete, paths, unresolved
 
 
-def _tracked_lengths(monkeypatch):
-    """Record the length of every ``_track`` batch."""
-    track, lengths = hl.orbits._track, []
+def _tracked_widths(monkeypatch):
+    """Record the row widths of every ``_track`` batch, each batch's distinct widths in order."""
+    track, widths = hl.orbits._track, []
 
-    def counted(rows, X, gamma):
-        lengths.append(X.shape[1])
-        return track(rows, X, gamma)
+    def counted(rows, X, gamma, width):
+        widths.append(sorted(set(width.tolist())))
+        return track(rows, X, gamma, width)
 
     monkeypatch.setattr(hl.orbits, "_track", counted)
-    return lengths
+    return widths
 
 
 def _track_solves(monkeypatch):
@@ -551,15 +555,20 @@ class TestHostLengths:
         assert 0 < count["solves"] < ceiling
 
     def test_fix_n_is_one_track(self, horseshoe_map, monkeypatch):
-        lengths = _tracked_lengths(monkeypatch)
+        widths = _tracked_widths(monkeypatch)
         assert hl.enumerate_fix(horseshoe_map, 12).complete
-        assert lengths == [12]
+        assert widths == [[12]]
 
-    def test_scan_tracks_only_host_lengths(self, monkeypatch):
+    def test_scan_is_one_ragged_track_per_attempt(self, monkeypatch):
+        # an n = 6 scan tracks 1, 2, 3 and 6 in host 6, 4 in 4 and 5 in 5,
+        # every cell and host in one batch; one cell loses a length-4 orbit
+        # at attempt 0, and its length 4 alone is tracked again
         fam = hl.FamilySpec(coeffs=(0j, 0.0), a=0.5, center=0j, radius=0.25, grid_size=5)
-        lengths = _tracked_lengths(monkeypatch)
+        widths = _tracked_widths(monkeypatch)
+        lengths = TestEnumerate._dropping(monkeypatch, every_attempt=False)
         assert hl.scan(fam, 6).complete.all()
-        assert set(lengths) == {4, 5, 6}
+        assert widths == [[4, 5, 6], [4]]
+        assert lengths == [1, 2, 3, 6, 5, 4, 4]  # checked by host, widest first, then the retrack
 
     @pytest.mark.parametrize("delta", [0.0, 1e-9])
     def test_fixed_point_of_multiplier_minus_one_in_its_host(self, delta, monkeypatch):
@@ -567,15 +576,60 @@ class TestHostLengths:
         # multiplier -1: in the length-2 system it is a double root, yet
         # tracked there as a repeated word it is still judged at length 1
         m = hl.quadratic_map(-1.6875 + delta, 0.5)
-        lengths = _tracked_lengths(monkeypatch)
+        widths = _tracked_widths(monkeypatch)
         for n in (2, 4, 6):
             assert hl.enumerate_fix(m, n).counts["per"][1] == 2
-        assert 1 not in lengths
+        assert {w for ws in widths for w in ws} == {2, 4, 6}
 
     def test_near_period_doubling_is_complete(self):
         m = hl.quadratic_map(-1.6875 + 1e-6, 0.5)
         for n in (1, 2, 4, 6):
             assert hl.enumerate_fix(m, n).complete
+
+
+def _ragged_batch(maps, widths, per=6):
+    """Start rows of every map and width, widest first, by ``_catalogue``'s
+    recipe: at most ``per`` Lyndon words of each length k dividing w, each
+    repeated w/k times with the gamma of k, and zeros past w."""
+    orb = hl.orbits
+    d, top = maps[0].degree, max(widths)
+    X, owner, gamma, width = [], [], [], []
+    for w in sorted(widths, reverse=True):
+        for k in orb._divisors(w):
+            words = np.exp(2j * np.pi / d * np.array(orb._lyndon_words(d, k)[:per]))
+            for i in range(len(maps)):
+                X.append(np.pad(np.tile(words, (1, w // k)), ((0, 0), (0, top - w))))
+                owner += [i] * len(words)
+                gamma += [orb._gamma(1729, k, 0)] * len(words)
+                width += [w] * len(words)
+    return (orb._MapRows.stack(maps, np.array(owner)), np.concatenate(X),
+            np.array(gamma)[:, None], np.array(width))
+
+
+class TestRaggedTrack:
+    @pytest.mark.parametrize("maps, thomas_fallback", [
+        ([hl.HenonMap(coeffs=(0.3 + 0.2j, -1.5, 0.1j), a=0.4 - 0.3j)], False),
+        ([hl.quadratic_map(-0.8 + 0.4j, 0.6 - 0.5j), hl.quadratic_map(0.0, 1e-3)], True),
+    ], ids=["cubic", "complex-a-and-near1d"])
+    def test_rows_match_a_batch_of_their_own_width(self, maps, thomas_fallback, monkeypatch):
+        orb = hl.orbits
+        rows, X, gamma, width = _ragged_batch(maps, [2, 3, 4, 5, 6])
+        solve, dense = orb._lapack_solve, []
+        monkeypatch.setattr(orb, "_lapack_solve", lambda J, F: dense.append(J.shape[1]) or solve(J, F))
+        got = orb._track(rows, X, gamma, width)
+        # width-2 rows always take the dense solve; near a = 0 some rows of
+        # width >= 3 fail the Thomas checks and take it as well
+        assert min(dense) == 2 and (max(dense) >= 3) == thomas_fallback
+        for w in range(2, 7):
+            sel = np.flatnonzero(width == w)
+            alone = orb._track(rows.take(sel), X[sel, :w], gamma[sel], width[sel])
+            assert got[sel, :w].tobytes() == alone.tobytes()
+            assert not got[sel, w:].any()
+
+    def test_rejects_widths_that_increase(self):
+        rows, X, gamma, width = _ragged_batch([MIXED], [3, 4])
+        with pytest.raises(ValueError):
+            hl.orbits._track(rows, X[::-1], gamma[::-1], width[::-1])
 
 
 class TestFlatCatalogue:

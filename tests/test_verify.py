@@ -355,12 +355,36 @@ class TestGreensBitIdentity:
         # so mpc_div's |a|^2 is rounded at dps 30 and exact at dps 60
         m = hl.HenonMap(coeffs=CUBIC.coeffs, a=0.4 - 3e-11j)
         rng = np.random.default_rng(17)
-        # polished at the lower precision: a point with more digits than dps
-        # is rounded to dps on entry, which _green_reference does not do
-        pts = _escaping_points(rng, 20) + _polished_points(m, 3, dps=30)
+        # polished at dps 60: at dps 30 the loop runs on all their digits,
+        # as _green_reference does, and does not round them on entry
+        pts = _escaping_points(rng, 20) + _polished_points(m, 3, dps=60)
         for dps in (30, 60, 30):
             got = [(verify.green_plus_hp(m, pt, dps=dps), verify.green_minus_hp(m, pt, dps=dps)) for pt in pts]
             assert [pt for pt, g in zip(pts, got) if g != _reference_greens(m, pt, dps=dps)] == []
+
+    #: re-polished horseshoe points of Fix_8 to Fix_10, (re, im) of z_k and
+    #: z_{k-1} as mpmath writes them at dps 15 and 30
+    ROUNDED_DIVISION = {
+        15: [(("-2.8821499742634127", "-1.835241881624585e-55"), ("2.0026646004354367", "0.0")),
+             (("2.9908994173884995", "-2.237975516758869e-54"), ("3.1390418760772869", "0.0")),
+             (("2.6613046139367902", "0.0"), ("-3.0175777289412729", "0.0"))],
+        30: [(("-1.92197094361395819034609168659186", "0.0"),
+              ("1.79147196526955810040931694901931", "0.0")),
+             (("3.18033218797691604030963694412817", "0.0"),
+              ("3.18296531868068571732104428309128", "-1.02951151789360578362779043469434e-84")),
+             (("1.7823651648456245137379724035273", "0.0"),
+              ("-2.86978368026235455779929312699832", "-1.96363738611909062123830878199451e-90"))],
+    }
+
+    @pytest.mark.parametrize("dps", [15, 30])
+    def test_real_a_numerators_round_toward_zero(self, dps):
+        # with a real a, mpc_div rounds each numerator part times a toward
+        # zero at prec + 10 bits, then divides by |a|^2 to nearest: at these
+        # points, dividing the exact products instead changes G-
+        with mp.workdps(dps):
+            pts = [tuple(mp.mpc(*z) for z in pt) for pt in self.ROUNDED_DIVISION[dps]]
+        got = [verify.green_minus_hp(HORSESHOE, pt, dps=dps) for pt in pts]
+        assert got == [_reference_greens(HORSESHOE, pt, dps=dps)[1] for pt in pts]
 
     @pytest.mark.parametrize("m", [HORSESHOE, MIXED, CUBIC], ids=["horseshoe", "mixed", "cubic"])
     def test_screen_edge(self, m):

@@ -11,13 +11,15 @@ writes, at rng_seed 1729, the spectrum JSON of
 - the near-one-dimensional map p = x^2, a = 1e-3, at n = 1..8,
 
 the scan CSV of the 11x11 horseshoe and sink families, the 5x5 sink
-family and a 5x5 family sweeping the cubic's x coefficient at n = 6,
+family and a 5x5 family sweeping the cubic's x coefficient at n = 6, of
+the 5x5 sink family at n = 3, whose host lengths 2 and 3 put rows of the
+dense solve and of the Thomas solve into one tracker batch,
 and, through ``cli.main`` on the horseshoe and mixed Fix_8, Fix_10 and
 Fix_12 files, the ``lyapunov --which fix,per,sper`` and ``measure
 --moment-order 3`` CSVs.  For horseshoe and mixed Fix_8 and cubic Fix_5
 it also writes one ``verify-*.txt`` file through ``henonlab.verify``:
 the ``repr`` of every orbit coordinate re-polished at dps 60 and of
-``green_plus_hp`` and ``green_minus_hp`` at each point.  That is 49
+``green_plus_hp`` and ``green_minus_hp`` at each point.  That is 50
 files in all.  It imports henonlab from the ``src/`` beside this
 script, so two checkouts compare with
 
@@ -148,17 +150,21 @@ MAPS = {
     "near1d": (hl.quadratic_map(0.0, 1e-3), 8),
 }
 
-FAMILIES = {
-    "horseshoe-11": hl.FamilySpec(coeffs=(-6.0 + 0j, 0.0), a=0.3, center=-6.0 + 0j,
-                                  radius=0.25, grid_size=11),
-    "sink-11": hl.FamilySpec(coeffs=(0j, 0.0), a=0.5, center=0j, radius=0.25, grid_size=11),
-    "sink-5": hl.FamilySpec(coeffs=(0j, 0.0), a=0.5, center=0j, radius=0.25, grid_size=5),
+SINK_5 = hl.FamilySpec(coeffs=(0j, 0.0), a=0.5, center=0j, radius=0.25, grid_size=5)
+
+#: (name, family, n) of each scan
+SCANS = [
+    ("horseshoe-11", hl.FamilySpec(coeffs=(-6.0 + 0j, 0.0), a=0.3, center=-6.0 + 0j,
+                                   radius=0.25, grid_size=11), 6),
+    ("sink-11", hl.FamilySpec(coeffs=(0j, 0.0), a=0.5, center=0j, radius=0.25, grid_size=11), 6),
+    ("sink-5", SINK_5, 6),
+    ("sink-5", SINK_5, 3),
     # p' of the families above does not depend on the swept constant term, so
     # their multipliers would not show a cell's orbits classified with another
     # cell's map; the cubic's swept x coefficient enters p'
-    "cubic-x-5": hl.FamilySpec(coeffs=(0.3 + 0.2j, -1.5, 0.1j), a=0.4 - 0.3j,
-                               center=-1.5 + 0j, radius=0.2, grid_size=5, slot=1),
-}
+    ("cubic-x-5", hl.FamilySpec(coeffs=(0.3 + 0.2j, -1.5, 0.1j), a=0.4 - 0.3j,
+                                center=-1.5 + 0j, radius=0.2, grid_size=5, slot=1), 6),
+]
 
 
 def verify_lines(spec) -> str:
@@ -281,8 +287,8 @@ def main(argv: list[str]) -> int:
             (out / f"{name}-fix{n:02d}.json").write_text(hl.spectrum_to_json(spec) + "\n")
             if VERIFY.get(name) == n:
                 (out / f"verify-{name}-fix{n:02d}.txt").write_text(verify_lines(spec))
-    for name, family in FAMILIES.items():
-        (out / f"scan-{name}-n6.csv").write_text(hl.scan_to_csv(hl.scan(family, 6, rng_seed=SEED)))
+    for name, family, n in SCANS:
+        (out / f"scan-{name}-n{n}.csv").write_text(hl.scan_to_csv(hl.scan(family, n, rng_seed=SEED)))
     for name in ("horseshoe", "mixed"):
         spectra = [str(out / f"{name}-fix{n:02d}.json") for n in (8, 10, 12)]
         for cmd, extra in (("lyapunov", ["--which", "fix,per,sper"]),
