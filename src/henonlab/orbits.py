@@ -263,7 +263,7 @@ def _band_solve(diag: np.ndarray, sub, sup, F: np.ndarray, width=None) -> tuple[
     else:
         cuts = [0, *(np.flatnonzero(np.diff(width)) + 1).tolist(), B]
         groups = [(a, b, int(width[a])) for a, b in zip(cuts, cuts[1:])]
-    # wider[i] counts the leading rows wider than i; views[c] are their parts
+    # wider[i] counts the leading rows wider than column i
     wider, w0 = [], 0
     for _, b, w in reversed(groups):
         wider += [b] * (w - w0)
@@ -307,7 +307,7 @@ def _band_solve(diag: np.ndarray, sub, sup, F: np.ndarray, width=None) -> tuple[
             for a, b, w in groups:
                 rhs[w - 1, 1, a:b] = sup[a:b]
                 piv[w - 1, a:b] -= sup[a:b] * v_last[a:b]
-            views = {c: (piv[:, :c], rhs[:, :, :c], sub[:c], sup[:c]) for c in set(wider)}
+            views = {c: (piv[:, :c], rhs[:, :, :c], sub[:c], sup[:c]) for c in set(wider)}  # c leading rows
             for i in range(1, n):
                 P, R, lo, up = views[wider[i]]
                 f = lo / P[i - 1]
@@ -927,10 +927,10 @@ def _catalogue(maps: list[HenonMap], ks, rng_seed: int, tols: Tolerances, budget
     unity repeated L/k times.  The cyclic system commutes with the shift,
     so the subspace of L/k-fold repeats is invariant, and the row is one
     path of the length-L total-degree homotopy with its own gamma.  Each
-    attempt makes one ``_track`` call: the rows of every map and every
-    length, each of width L and widest first, form one ragged batch as
-    wide as the largest host, and the first k coordinates of each
-    endpoint go on to ``_track_and_check`` at length k.  A map whose certified orbits of
+    attempt makes one ``_track`` call: the rows of every map and length,
+    each of width L and widest first, form one ragged batch as wide as
+    the largest host, and the first k coordinates of each endpoint go on
+    to ``_track_and_check`` at length k.  A map whose certified orbits of
     length k fall short of the necklace count (a path failed, or two
     paths ended on one orbit) has all its length-k paths tracked again
     with the gamma of the next attempt.  The orbits of all attempts and
