@@ -222,7 +222,19 @@ _FALLBACK_RTOL = 1e-6
 _CANCEL_MAX = 1e4
 
 
-def _band_solve(diag: np.ndarray, sub, sup, F: np.ndarray, width=None) -> tuple[np.ndarray, np.ndarray]:
+def _ragged_layout(width: np.ndarray, n: int) -> tuple[list, list]:
+    """``_band_solve``'s ``layout`` of rows of non-increasing ``width`` in n
+    columns: the runs of equal width, as (start, stop, w), and wider[i],
+    the number of leading rows wider than column i."""
+    cuts = [0, *(np.flatnonzero(np.diff(width)) + 1).tolist(), len(width)]
+    groups = [(a, b, int(width[a])) for a, b in zip(cuts, cuts[1:])]
+    wider = [0] * n
+    for _, b, w in groups:  # widest first, so narrower runs overwrite
+        wider[:w] = [b] * w
+    return groups, wider
+
+
+def _band_solve(diag: np.ndarray, sub, sup, F: np.ndarray, layout=None) -> tuple[np.ndarray, np.ndarray]:
     """Solves of the cyclic tridiagonal systems J S = F, one per row, in O(n) each.
 
     J has diagonal ``diag`` (B, n) and constant sub- and superdiagonals
@@ -240,13 +252,13 @@ def _band_solve(diag: np.ndarray, sub, sup, F: np.ndarray, width=None) -> tuple[
     ``_band_matrix`` by ``_lapack_solve``, which flags the rows whose J is
     singular to working precision.  Returns (S, singular).
 
-    ``width`` (B,), n by default and non-increasing, gives each row its
-    own system size w <= n; rows of several widths take (B, 1) bands.  A
-    row's columns from w on are inert and its S is 0 there: the
-    elimination at column i runs over the leading rows wider than i, the
-    corners sit at column w - 1, the fallback tests read real columns
-    only, and the dense solve takes each width's rows on their own w x w
-    matrices.  So a row's S and singular flag are, to the bit, those of a
+    ``layout``, ``_ragged_layout`` of the rows' non-increasing widths (all
+    n by default), gives each row its own system size w <= n; rows of
+    several widths take (B, 1) bands.  A row's columns from w on are
+    inert and its S is 0 there: the elimination at column i runs over the
+    leading rows wider than i, the corners sit at column w - 1, the
+    fallback tests read real columns only, and the dense solve takes each
+    width's rows on their own w x w matrices.  So a row's S and singular flag are, to the bit, those of a
     batch of its own width, and a batch of one width does the arithmetic
     of the uniform solve.
 
@@ -257,18 +269,7 @@ def _band_solve(diag: np.ndarray, sub, sup, F: np.ndarray, width=None) -> tuple[
     """
     B, n = diag.shape
     sub, sup = np.reshape(sub, -1), np.reshape(sup, -1)
-    # the runs of equal width, as (start, stop, w)
-    if width is None or width[0] == width[-1]:
-        groups = [(0, B, n if width is None else int(width[0]))]
-    else:
-        cuts = [0, *(np.flatnonzero(np.diff(width)) + 1).tolist(), B]
-        groups = [(a, b, int(width[a])) for a, b in zip(cuts, cuts[1:])]
-    # wider[i] counts the leading rows wider than column i
-    wider, w0 = [], 0
-    for _, b, w in reversed(groups):
-        wider += [b] * (w - w0)
-        w0 = w
-    wider += [0] * (n - w0)
+    groups, wider = ([(0, B, n)], [B] * n) if layout is None else layout
     bad = np.zeros(B, dtype=bool)
 
     def dense(fallback, S):
@@ -297,8 +298,7 @@ def _band_solve(diag: np.ndarray, sub, sup, F: np.ndarray, width=None) -> tuple[
     piv = diag.T.copy()
     short = [(a, b, w) for a, b, w in groups if w < n]
     for a, b, w in short:
-        rhs[w:, 0, a:b] = 0
-        piv[w:, a:b] = 0
+        rhs[w:, 0, a:b] = piv[w:, a:b] = 0
     scale = np.abs(piv).max(axis=0) + np.abs(sub) + np.abs(sup)
     piv[0] -= gamma
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
@@ -337,9 +337,7 @@ def _band_solve(diag: np.ndarray, sub, sup, F: np.ndarray, width=None) -> tuple[
                     | (np.abs(den) < _FALLBACK_RTOL * (1.0 + avz))
                     | (avz > _CANCEL_MAX)
                     | ~finite.all(axis=1))
-        for a, b, w in groups:
-            if w < 3:
-                fallback[a:b] = True
+        fallback[wider[2]:] = True  # the rows narrower than 3
     return dense(fallback, S) if fallback.any() else (S, bad)
 
 
@@ -763,8 +761,8 @@ def _gamma(rng_seed: int, k: int, attempt: int) -> complex:
     return cmath.exp(2j * math.pi * rng.random())
 
 
-def _homotopy(rows: _MapRows, gamma: np.ndarray, X: np.ndarray, t: np.ndarray, shifts=None):
-    """H(X, t), dH/dt and the diagonal of dH/dX for the gamma trick.
+def _homotopy(rows: _MapRows, gamma: np.ndarray, X: np.ndarray, t: np.ndarray, shifts=None, h_t=False):
+    """H(X, t), or H_t = dH/dt if ``h_t``, and the diagonal of dH/dX for the gamma trick.
 
     H = (1 - t) gamma (x^d - 1) + t F(x); ``gamma`` and ``t`` are (B, 1)
     columns, so each row follows its own gamma, and ``shifts`` are
@@ -777,7 +775,7 @@ def _homotopy(rows: _MapRows, gamma: np.ndarray, X: np.ndarray, t: np.ndarray, s
     G = gamma * (X * Xd1 - 1.0)
     F = cyclic_residual(rows, X, shifts)
     diag = (1.0 - t) * gamma * rows.degree * Xd1 + t * rows.dp(X)
-    return (1.0 - t) * G + t * F, F - G, diag
+    return F - G if h_t else (1.0 - t) * G + t * F, diag
 
 
 #: path tracking: the smallest step in t, the number of steps a batch may
@@ -814,8 +812,7 @@ def _track(rows: _MapRows, X: np.ndarray, gamma: np.ndarray, width: np.ndarray) 
     real, w = cols < width[:, None], width[:, None]
     # each row's x_{k-1} and x_{k+1}, mod its width; an inert column points at itself
     prev, nxt = (np.where(real, (cols + s) % w, cols) for s in (-1, 1))
-    t = np.zeros(B)
-    h = np.full(B, 0.1)
+    t, h = np.zeros(B), np.full(B, 0.1)
     live = np.ones(B, dtype=bool)
     for _ in range(_TRACK_STEPS):
         act = np.flatnonzero(live)
@@ -823,32 +820,31 @@ def _track(rows: _MapRows, X: np.ndarray, gamma: np.ndarray, width: np.ndarray) 
             break
         r, g, x0, t0 = rows.take(act), gamma[act], X[act], t[act, None]
         base = n * np.arange(act.size)[:, None]
-        shifts, wa = (prev[act] + base, nxt[act] + base), width[act]
+        shifts, layout = (prev[act] + base, nxt[act] + base), _ragged_layout(width[act], n)
         last = h[act] >= 1.0 - t[act]
         dt = np.where(last, 1.0 - t[act], h[act])[:, None]
         bad = np.zeros(act.size, dtype=bool)
 
-        def step(x, tt, rhs):
-            """-H_x^-1 times H (rhs 0) or H_t (rhs 1) at (x, tt)."""
-            parts = _homotopy(r, g, x, tt, shifts)
-            S, singular = _band_solve(parts[2], -tt * r.a, -tt, parts[rhs], wa)
+        def step(x, tt, h_t):
+            """-H_x^-1 times H, or H_t if ``h_t``, at (x, tt)."""
+            rhs, diag = _homotopy(r, g, x, tt, shifts, h_t)
+            S, singular = _band_solve(diag, -tt * r.a, -tt, rhs, layout)
             bad[singular] = True
             return -S
 
         with np.errstate(all="ignore"):
             # k1 + 2 k2 + 2 k3 + k4, summed as each stage ends so that no
             # more than two stages are held
-            k = step(x0, t0, 1)
-            ks = k
-            k = step(x0 + 0.5 * dt * k, t0 + 0.5 * dt, 1)
+            ks = k = step(x0, t0, True)
+            k = step(x0 + 0.5 * dt * k, t0 + 0.5 * dt, True)
             ks = ks + 2.0 * k
-            k = step(x0 + 0.5 * dt * k, t0 + 0.5 * dt, 1)
+            k = step(x0 + 0.5 * dt * k, t0 + 0.5 * dt, True)
             ks = ks + 2.0 * k
-            k = step(x0 + dt * k, t0 + dt, 1)
+            k = step(x0 + dt * k, t0 + dt, True)
             x = x0 + dt / 6.0 * (ks + k)
             t1 = np.where(last, 1.0, t0[:, 0] + dt[:, 0])[:, None]
-            S1 = step(x, t1, 0)
-            S2 = step(x + S1, t1, 0)
+            S1 = step(x, t1, False)
+            S2 = step(x + S1, t1, False)
             x = x + S1 + S2
             first, second = np.abs(S1).max(axis=1), np.abs(S2).max(axis=1)
             scale = 1.0 + np.abs(x).max(axis=1)

@@ -86,12 +86,16 @@ class TestCyclicSystem:
         rows = hl.orbits._MapRows.stack([m], np.zeros(6, dtype=int))
         d, Xd1 = m.degree, X ** (m.degree - 1)
         G, F = gamma * (X * Xd1 - 1.0), hl.orbits.cyclic_residual(rows, X)
-        want = ((1.0 - t) * G + t * F, F - G, (1.0 - t) * gamma * d * Xd1 + t * rows.dp(X))
-        for got, ref in zip(hl.orbits._homotopy(rows, gamma, X, t), want):
-            if d == 2:
-                assert got.tobytes() == ref.tobytes()
-            else:
-                assert np.allclose(got, ref, rtol=1e-13, atol=0)
+        diag = (1.0 - t) * gamma * d * Xd1 + t * rows.dp(X)
+        # H alone, then H_t alone, each with the diagonal
+        for h_t, want in ((False, ((1.0 - t) * G + t * F, diag)), (True, (F - G, diag))):
+            got = hl.orbits._homotopy(rows, gamma, X, t, h_t=h_t)
+            assert len(got) == 2
+            for mine, ref in zip(got, want):
+                if d == 2:
+                    assert mine.tobytes() == ref.tobytes()
+                else:
+                    assert np.allclose(mine, ref, rtol=1e-13, atol=0)
 
     def test_jacobian_matches_finite_differences(self):
         rng = np.random.default_rng(2)
@@ -385,10 +389,11 @@ class TestEnumerate:
             s.select("nope")
 
 
-def dense_band_solve(diag, sub, sup, F, width=None):
+def dense_band_solve(diag, sub, sup, F, layout=None):
     """The dense LAPACK solve that the cyclic-tridiagonal solve replaced, each row at its width."""
     B, n = diag.shape
-    width = np.full(B, n) if width is None else width
+    groups = [(0, B, n)] if layout is None else layout[0]
+    width = np.repeat([w for _, _, w in groups], [b - a for a, b, _ in groups])
     sub, sup = (np.broadcast_to(np.reshape(s, -1), (B,)) for s in (sub, sup))
     S, bad = np.zeros_like(F), np.zeros(B, dtype=bool)
     for w in set(width.tolist()):
