@@ -799,10 +799,13 @@ def _track(rows: _MapRows, X: np.ndarray, gamma: np.ndarray, width: np.ndarray) 
     two Newton steps at the new t.  It is accepted when the first
     correction is small and Newton contracts (Telen, Van Barel & Verschelde
     2020): the second is within ``_THETA_MAX`` of the first or at
-    round-off.  Its length then doubles, else it is halved, and a row whose
-    step falls below ``_DT_MIN`` stops.  Returns each row's last accepted
-    point, for ``_track_and_check`` to polish: its endpoint at t = 1, or
-    wherever its path stopped.
+    round-off.  A rejected step halves, and a row whose step falls below
+    ``_DT_MIN`` stops.  An accepted step doubles only if the row's step
+    before it was accepted too, else keeps its length: a step does not go
+    straight back to the length that just failed (Bertini grows a step only
+    after successes; Bates, Hauenstein, Sommese & Wampler 2013).  Returns
+    each row's last accepted point, for ``_track_and_check`` to polish: its
+    endpoint at t = 1, or wherever its path stopped.
     """
     if (np.diff(width) > 0).any():
         raise ValueError("rows must come widest first")
@@ -813,7 +816,7 @@ def _track(rows: _MapRows, X: np.ndarray, gamma: np.ndarray, width: np.ndarray) 
     # each row's x_{k-1} and x_{k+1}, mod its width; an inert column points at itself
     prev, nxt = (np.where(real, (cols + s) % w, cols) for s in (-1, 1))
     t, h = np.zeros(B), np.full(B, 0.1)
-    live = np.ones(B, dtype=bool)
+    live, grow = np.ones(B, dtype=bool), np.ones(B, dtype=bool)
     for _ in range(_TRACK_STEPS):
         act = np.flatnonzero(live)
         if act.size == 0:
@@ -853,7 +856,8 @@ def _track(rows: _MapRows, X: np.ndarray, gamma: np.ndarray, width: np.ndarray) 
         acc, rej = act[good], act[~good]
         X[acc] = x[good]
         t[acc] = t1[good, 0]
-        h[act] *= np.where(good, 2.0, 0.5)
+        h[act] *= np.where(good, np.where(grow[act], 2.0, 1.0), 0.5)
+        grow[act] = good
         live[acc[last[good]]] = False
         live[rej[h[rej] < _DT_MIN]] = False
     return X

@@ -559,6 +559,30 @@ class TestHostLengths:
         assert hl.enumerate_fix(m, 12).complete
         assert 0 < count["solves"] < ceiling
 
+    @pytest.mark.parametrize("c, n, ceiling, per, unresolved", [
+        (-1.6875, 2, 1404, {1: 2}, 1),
+        (-1.6875, 4, 1512, {1: 2, 4: 12}, 1),
+        (-1.6875, 6, 1404, {1: 2, 3: 6, 6: 54}, 1),
+        (0.5625, 4, 1416, {2: 2, 4: 12}, 2),
+    ], ids=["period-doubling-2", "period-doubling-4", "period-doubling-6", "saddle-node-4"])
+    def test_no_step_retries_the_length_that_just_failed(self, c, n, ceiling, per, unresolved,
+                                                         monkeypatch):
+        # a step that doubled right after a rejection, back to the length that
+        # had failed, took ``ceiling`` solves on these stalling paths
+        count = _track_solves(monkeypatch)
+        s = hl.enumerate_fix(hl.quadratic_map(c, 0.5), n)
+        assert (s.counts["per"], s.complete, len(s.unresolved)) == (per, False, unresolved)
+        assert 0 < count["solves"] < ceiling
+
+    def test_sink_scan_solves_fewer_than_a_doubling_retry(self, monkeypatch):
+        # the slowest row spent 16 of its 35 iterations on rejected steps
+        # when a step doubled right after a rejection: 210 solves
+        fam = hl.FamilySpec(coeffs=(0j, 0.0), a=0.5, center=0j, radius=0.25, grid_size=5)
+        count = _track_solves(monkeypatch)
+        fld = hl.scan(fam, 6)
+        assert fld.complete.all() and (fld.n_sinks == 1).all() and not fld.n_elliptic.any()
+        assert 0 < count["solves"] < 210
+
     def test_fix_n_is_one_track(self, horseshoe_map, monkeypatch):
         widths = _tracked_widths(monkeypatch)
         assert hl.enumerate_fix(horseshoe_map, 12).complete
