@@ -135,6 +135,8 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parents[1]
 sys.path.insert(0, str(ROOT / "src"))
 
+import mpmath as mp  # noqa: E402
+
 import henonlab as hl  # noqa: E402
 from henonlab.cli import main as cli_main  # noqa: E402
 
@@ -174,8 +176,9 @@ def verify_lines(spec) -> str:
         z = hl.refine_orbit_hp(spec.map, o.xs, dps=60)
         for k in range(len(z)):
             pt = (z[k], z[k - 1])
-            lines.append(" ".join(map(repr, (z[k], hl.green_plus_hp(spec.map, pt),
-                                             hl.green_minus_hp(spec.map, pt)))))
+            greens = (hl.green_plus_hp(spec.map, pt), hl.green_minus_hp(spec.map, pt))
+            with mp.workdps(60):  # all the re-polish's digits, not the 17 of the default dps
+                lines.append(" ".join(map(repr, (z[k], *greens))))
         lines.append("")
     return "\n".join(lines)
 
@@ -206,6 +209,12 @@ def compare_spectra(old: dict, new: dict) -> tuple[str, bool]:
     return line + ("" if inside else ", OUTSIDE it"), inside
 
 
+def _number_gap(u: str, v: str) -> float:
+    """|u - v| of two numbers written out, at more digits than ``verify_lines`` writes."""
+    with mp.workdps(70):
+        return float(abs(mp.mpf(u) - mp.mpf(v)))
+
+
 def column_differences(old: list[list[str]], new: list[list[str]], names) -> str:
     """The largest absolute difference of each column that differs, as one line."""
     if len(old) != len(new) or any(len(a) != len(b) for a, b in zip(old, new)):
@@ -215,7 +224,7 @@ def column_differences(old: list[list[str]], new: list[list[str]], names) -> str
         for name, u, v in zip(names, a, b):
             if u != v:
                 try:
-                    diff = abs(float(u) - float(v))
+                    diff = _number_gap(u, v)
                 except ValueError:
                     diff = math.inf
                 largest[name] = max(largest.get(name, 0.0), diff if diff == diff else math.inf)
@@ -230,8 +239,9 @@ def compare_verify(old: list[list[str]], new: list[list[str]]) -> tuple[str, boo
     moves, greens = [], []
     for a, b in zip(old, new):
         if a:
-            za, zb = (complex(float(r[0]), float(r[1])) for r in (a, b))
-            moves.append(abs(zb - za) / (1 + abs(za)))
+            with mp.workdps(70):
+                za, zb = (mp.mpc(r[0], r[1]) for r in (a, b))
+                moves.append(float(abs(zb - za) / (1 + abs(za))))
             greens += map(float, b[2:])
     inside = all(v <= Z_MOVE_LIMIT for v in moves) and all(g < GREEN_LIMIT for g in greens)
     return (f"; z moves by at most {max(moves, default=0.0):.3g} of 1 + |z|, greens at most "
