@@ -37,6 +37,10 @@ class UsageError(Exception):
     pass
 
 
+#: the point classes of ``PeriodSpectrum.select``
+_SELECTIONS = ("fix", "per", "sper")
+
+
 class _Parser(argparse.ArgumentParser):
     def error(self, message):  # argparse default exits 2; the contract is 1
         raise UsageError(message)
@@ -175,9 +179,12 @@ def cmd_measure(args) -> int:
 
 
 def cmd_lyapunov(args) -> int:
+    which_list = [w.strip() for w in args.which.split(",") if w.strip()]
+    if not which_list or not set(which_list) <= set(_SELECTIONS):
+        raise UsageError(f"--which must list one or more of {', '.join(_SELECTIONS)}, "
+                         f"not {args.which!r}")
     specs = _load_spectra(args.spectra)
     specs.sort(key=lambda s: s.n)
-    which_list = [w.strip() for w in args.which.split(",") if w.strip()]
     buf = io.StringIO()
     buf.write("n,which,point_count,lambda_n,chi_sum_form,psi_sum_form,agreement_gap\n")
     for s in specs:
@@ -269,7 +276,7 @@ def build_parser() -> _Parser:
 
     pm = sub.add_parser("measure", help="empirical-measure convergence table")
     pm.add_argument("--spectra", nargs="+", required=True)
-    pm.add_argument("--which", default="fix", choices=["fix", "per", "sper"])
+    pm.add_argument("--which", default="fix", choices=_SELECTIONS)
     pm.add_argument("--resolution", type=float, default=DEFAULT_RESOLUTION)
     pm.add_argument("--moment-order", type=int, default=0)
     pm.add_argument("--seed", type=int, default=DEFAULT_RNG_SEED)

@@ -62,8 +62,8 @@ def discrepancy(m1: EmpiricalMeasure, m2: EmpiricalMeasure, resolution: float = 
     Half the summed absolute cell-mass differences over the 4-d grid of
     side ``resolution``; symmetric, and zero iff the binned masses agree.
     """
-    if resolution <= 0:
-        raise ValueError("resolution must be positive")
+    if not 0 < resolution < np.inf:  # nan fails both tests
+        raise ValueError(f"resolution must be finite and positive, not {resolution!r}")
     if m1.points.shape[0] == 0 and m2.points.shape[0] == 0:
         return 0.0
     keys = np.vstack([_bin_keys(m1, resolution), _bin_keys(m2, resolution)])

@@ -201,6 +201,14 @@ class TestMeasure:
         last = lines[-1].split(",")
         assert float(last[4]) == 0.0  # reference spectrum against itself
 
+    @pytest.mark.parametrize("resolution", ["nan", "inf"])
+    def test_non_finite_resolution_is_runtime_error(self, resolution, mapfile, tmp_path):
+        _, spec = _enumerate(mapfile, tmp_path, "r.json", n=2)
+        out = tmp_path / "r.csv"
+        assert main(["measure", "--spectra", str(spec), "--resolution", resolution,
+                     "--out", str(out)]) == 2
+        assert not out.exists()
+
     def test_mismatched_maps_rejected(self, mapfile, tmp_path):
         other = tmp_path / "other.json"
         other.write_text(json.dumps(MIXED_SPEC))
@@ -223,6 +231,26 @@ class TestLyapunov:
         assert abs(float(by_which["fix"][3]) - 0.34564) < 1e-4
         assert abs(float(by_which["sper"][3]) - 0.51893) < 1e-4
         assert all(float(r[6]) < 1e-6 for r in rows)
+
+    @pytest.mark.parametrize("which", [",,", "", "fix,nope", "FIX"])
+    def test_bad_which_is_usage_error(self, which, mapfile, tmp_path):
+        _, spec = _enumerate(mapfile, tmp_path, "w.json", n=1)
+        out = tmp_path / "w.csv"
+        assert main(["lyapunov", "--spectra", str(spec), "--which", which,
+                     "--out", str(out)]) == 1
+        assert not out.exists()
+
+    def test_which_is_checked_before_the_spectra_are_read(self, tmp_path):
+        # a missing spectrum would exit 2; the bad --which is found first
+        assert main(["lyapunov", "--spectra", str(tmp_path / "none.json"), "--which", "fax",
+                     "--out", str(tmp_path / "w.csv")]) == 1
+
+    def test_which_takes_spaced_names(self, mapfile, tmp_path):
+        _, spec = _enumerate(mapfile, tmp_path, "s.json", n=1)
+        out = tmp_path / "s.csv"
+        assert main(["lyapunov", "--spectra", str(spec), "--which", " fix , sper ",
+                     "--out", str(out)]) == 0
+        assert [r.split(",")[1] for r in out.read_text().splitlines()[1:]] == ["fix", "sper"]
 
 
 class TestIgnoredOptions:

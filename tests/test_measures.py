@@ -1,5 +1,7 @@
 """Empirical measures, binned total-variation distance, moments."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -103,6 +105,12 @@ class TestDiscrepancy:
     def test_bad_resolution(self):
         with pytest.raises(ValueError):
             hl.discrepancy(_atom(0, 0, 1), _atom(0, 0, 1), 0.0)
+
+    @pytest.mark.parametrize("resolution", [math.nan, math.inf])
+    def test_non_finite_resolution(self, resolution):
+        # nan passed a test of resolution <= 0; inf put every point in one cell
+        with pytest.raises(ValueError):
+            hl.discrepancy(_atom(0, 0, 1), _atom(1, 0, 1), resolution)
 
     def test_convergence_trend(self, horseshoe_spectra):
         mus = {n: hl.empirical_measure(horseshoe_spectra[n], "fix") for n in (4, 8, 9)}
