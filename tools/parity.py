@@ -18,10 +18,10 @@ and, through ``cli.main`` on the horseshoe and mixed Fix_8, Fix_10 and
 Fix_12 files, the ``lyapunov --which fix,per,sper`` and ``measure
 --moment-order 3`` CSVs.  For horseshoe and mixed Fix_8 and cubic Fix_5
 it also writes one ``verify-*.txt`` file through ``henonlab.verify``:
-the ``repr`` of every orbit coordinate re-polished at dps 60 and of
-``green_plus_hp`` and ``green_minus_hp`` at each point.  That is 50
-files in all.  It imports henonlab from the ``src/`` beside this
-script, so two checkouts compare with
+the ``repr`` of every orbit coordinate re-polished at dps 60, with all
+its 60 digits, and of ``green_plus_hp`` and ``green_minus_hp`` at each
+point.  That is 50 files in all.  It imports henonlab from the ``src/``
+beside this script, so two checkouts compare with
 
     python3 A/tools/parity.py outA && python3 B/tools/parity.py outB && diff -r outA outB
 
@@ -31,20 +31,22 @@ and
 
 prints one line per file that differs.  A spectrum JSON whose parsed
 record equals outA's, apart from keys that outA lacks, is ``layout
-only``.  For any other spectrum JSON it checks
-that the map, n, ``complete``, the counts and the period and kind of
-every orbit in order are equal, and gives the largest move of an orbit's
-xs, also as a fraction of its certificate radius in outA; for a CSV or
-``verify-*.txt`` file it gives the largest absolute difference of each
-column that differs (inf where text or nan changes).  For a
-``verify-*.txt`` file it also gives the largest move of a re-polished
-coordinate, |z_B - z_A| / (1 + |z_A|), the scale of the re-polish's own
-stopping tolerance, and the largest G+ or G- in outB.  It exits 1 when a
-spectrum differs in more than its last bits (an orbit moves outside its
-outA radius), when a ``verify-*.txt`` file's rows do not pair up, a
-coordinate moves by more than ``Z_MOVE_LIMIT`` (1e-55) or a potential in
-outB reaches ``GREEN_LIMIT`` (1e-6), since the periodic points lie in K,
-where G+ and G- vanish, or when a file is missing on one side.
+only``.  For any other spectrum JSON it checks that the map, n,
+``complete``, the counts, ``budget_used``, the number of ``unresolved``
+endpoints and the period and kind of every orbit in order are equal,
+and gives the largest move of an orbit's xs, also as a fraction of its
+certificate radius in outA; for a CSV or ``verify-*.txt`` file it gives
+the largest absolute difference of each column that differs (inf where
+text or nan changes).  For a ``verify-*.txt`` file it also gives the
+largest move of a re-polished coordinate, |z_B - z_A| / (1 + |z_A|),
+the scale of the re-polish's own stopping tolerance, and the largest G+
+or G- in outB.  Numbers are compared in mpmath at 70 digits, so moves
+below double precision show.  It exits 1 when a spectrum differs in
+more than its last bits (an orbit moves outside its outA radius), when
+a ``verify-*.txt`` file's rows do not pair up, a coordinate moves by
+more than ``Z_MOVE_LIMIT`` (1e-55) or a potential in outB reaches
+``GREEN_LIMIT`` (1e-6), since the periodic points lie in K, where G+
+and G- vanish, or when a file is missing on one side.
 
 One documented difference: against a tree whose escape-rate loop stops
 at |v| > ESCAPE_THRESHOLD alone and returns log|y_n| / d^n backward, the
@@ -120,6 +122,26 @@ level: the largest is 2.3e-14 in ``verify-horseshoe-fix08.txt``,
 ``verify-cubic-fix05.txt``.  The other 46 files are byte-identical; the
 escape-rate loop's skipped calls on exact zeros, made in the same
 change, alone leave all 49 byte-identical.
+
+Outputs compare only when one version of this script wrote both: until
+the verify files carried all 60 digits, they carried the 17 of mpmath's
+default precision, and every coordinate of the three files differs
+between the two layouts.
+
+A sixth one: against a tree whose tracker doubles every accepted step,
+also one taken right after a rejection, 35 of the 50 files differ in
+their last bits; the same tree with only the step rule reverted leaves
+all 50 byte-identical.  Every count, ``complete``, ``unresolved``,
+``budget_used``, the orbit order and every kind are equal.  xs move by
+at most 4.4e-16 (horseshoe Fix_3, 6 and 9-12), 2.6e-16 (mixed Fix_3 and
+5-12), 9.4e-16 (cubic Fix_1-6) and 1.6e-16 (near1d Fix_3, 4 and 6-8),
+at most 0.044 of the old certificate radius.  All five scans move
+lambda_n and lambda_prev_n by at most 3e-16 and laplacian_defect by at
+most 7.1e-13; the ``measure`` CSVs move only in moment gaps at
+round-off level (at most 1.1e-16).  ``verify-mixed-fix08.txt`` and
+``verify-cubic-fix05.txt`` move z by at most 7.4e-62 and 1.9e-61 of
+1 + |z|, with G+ and G- at most 6.1e-25; ``verify-horseshoe-fix08.txt``
+and both ``lyapunov`` CSVs are byte-identical.
 """
 
 from __future__ import annotations
@@ -197,9 +219,11 @@ def compare_spectra(old: dict, new: dict) -> tuple[str, bool]:
     """One line on how two spectrum records differ, and whether only in last bits."""
     pairs = list(zip(old["orbits"], new["orbits"]))
     if (any(old[key] != new[key] for key in ("map", "n", "complete", "counts"))
+            or old.get("budget_used") != new.get("budget_used")
+            or len(old.get("unresolved", [])) != len(new.get("unresolved", []))
             or len(old["orbits"]) != len(new["orbits"])
             or any((o["period"], o["kind"]) != (q["period"], q["kind"]) for o, q in pairs)):
-        return "counts, complete, orbit order or kinds differ", False
+        return "counts, complete, paths, unresolved, orbit order or kinds differ", False
     moves = [(max(abs(complex(*x) - complex(*y)) for x, y in zip(o["xs"], q["xs"])), o["radius"])
              for o, q in pairs]
     move = max((m for m, _ in moves), default=0.0)
