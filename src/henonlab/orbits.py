@@ -684,7 +684,8 @@ def rotation_distance(u: np.ndarray, v: np.ndarray) -> float:
 
 
 def canonical_rotation(xs: np.ndarray) -> np.ndarray:
-    """Rotation minimizing the (re, im) lexicographic key, ties to the smallest shift."""
+    """Rotation minimizing the (re, im) lexicographic key as ``_lex_order``
+    compares it, ties to the smallest shift."""
     return _rotation_rows(np.asarray(xs, dtype=complex).reshape(1, -1))[0][0]
 
 
