@@ -101,4 +101,4 @@ __all__ = [
     "vector_period",
 ]
 
-__version__ = "0.4.0"
+__version__ = "0.5.0"

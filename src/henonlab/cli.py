@@ -139,24 +139,29 @@ def cmd_classify(args) -> int:
     tols = Tolerances(eps_hyp=args.eps_hyp)
     orbits = list(spec.orbits)
     for idx, X in _by_length(spec.orbits):
-        for i, o in zip(idx, _classify_rows(spec.map, X, *_certify_rows(spec.map, X, tols), tols)):
+        ok, radii, _ = _certify_rows(spec.map, X, tols)
+        for i, o in zip(idx, _classify_rows(spec.map, X, ok, radii, tols)):
             orbits[i] = o
     _write_out(args.out, spectrum_to_json(dataclasses.replace(spec, orbits=orbits)) + "\n", None)
     return 0
 
 
 def _load_spectra(paths) -> list:
+    """The spectra in ``paths``, sorted by n: one map, each n at most once."""
     specs = [spectrum_from_file(p) for p in paths]
     base = specs[0].map.to_spec()
     for s in specs[1:]:
         if s.map.to_spec() != base:
             raise ValueError("spectrum files refer to different maps")
+    specs.sort(key=lambda s: s.n)
+    for s, t in zip(specs, specs[1:]):
+        if s.n == t.n:
+            raise ValueError(f"two spectrum files hold n = {s.n}")
     return specs
 
 
 def cmd_measure(args) -> int:
     specs = _load_spectra(args.spectra)
-    specs.sort(key=lambda s: s.n)
     ref = specs[-1]
     ref_measure = empirical_measure(ref, args.which)
     ref_moments = moments(ref_measure, args.moment_order) if args.moment_order else None
@@ -183,8 +188,9 @@ def cmd_lyapunov(args) -> int:
     if not which_list or not set(which_list) <= set(_SELECTIONS):
         raise UsageError(f"--which must list one or more of {', '.join(_SELECTIONS)}, "
                          f"not {args.which!r}")
+    if len(set(which_list)) < len(which_list):
+        raise UsageError(f"--which names a point class twice: {args.which!r}")
     specs = _load_spectra(args.spectra)
-    specs.sort(key=lambda s: s.n)
     buf = io.StringIO()
     buf.write("n,which,point_count,lambda_n,chi_sum_form,psi_sum_form,agreement_gap\n")
     for s in specs:

@@ -452,13 +452,16 @@ def _residual_rounding(m: HenonMap, xs: np.ndarray) -> np.ndarray:
 _STACK_ENTRIES = 4096
 
 
-def _certify_rows(m: HenonMap, X: np.ndarray,
-                  tols: Tolerances = DEFAULT_TOLERANCES) -> tuple[np.ndarray, np.ndarray]:
-    """``certify`` for each row of X (B, n): (certified, radius), radius 0 where not.
+def _certify_rows(m: HenonMap, X: np.ndarray, tols: Tolerances = DEFAULT_TOLERANCES
+                  ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``certify`` for each row of X (B, n): (certified, radius, reach), 0 where not certified.
 
-    ``m`` is one map or a ``_MapRows`` batch.  The Jacobians of a block of
-    rows are inverted as one stack; if LAPACK finds one exactly singular,
-    the block is inverted row by row, so a singular row rejects only itself.
+    ``reach`` = min(1 / (beta L), ``tols.certify_ball``) is a radius
+    around the row inside which its zero is the only one (Kantorovich's
+    uniqueness half; see ``_real_rows``).  ``m`` is one map or a
+    ``_MapRows`` batch.  The Jacobians of a block of rows are inverted as
+    one stack; if LAPACK finds one exactly singular, the block is
+    inverted row by row, so a singular row rejects only itself.
     """
     step = max(1, _STACK_ENTRIES // X.shape[1] ** 2)
     if len(X) > step:
@@ -485,9 +488,11 @@ def _certify_rows(m: HenonMap, X: np.ndarray,
         L = np.reshape(m.d2p_bound(top[:, None] + tols.certify_ball), -1)
         h = beta * L * eta
         rho = (1.0 - np.sqrt(1.0 - 2.0 * h)) / (beta * L)
+        reach = np.minimum(1.0 / (beta * L), tols.certify_ball)
     ok &= (L > 0.0) & np.isfinite(beta) & (h <= 0.5) & (rho <= tols.certify_ball)
     # floating representation of xs itself is only good to machine precision
-    return ok, np.where(ok, np.maximum(rho, np.finfo(float).eps * (1.0 + top)), 0.0)
+    return (ok, np.where(ok, np.maximum(rho, np.finfo(float).eps * (1.0 + top)), 0.0),
+            np.where(ok, reach, 0.0))
 
 
 def certify(m: HenonMap, xs: np.ndarray, tols: Tolerances = DEFAULT_TOLERANCES) -> tuple[bool, float]:
@@ -497,11 +502,29 @@ def certify(m: HenonMap, xs: np.ndarray, tols: Tolerances = DEFAULT_TOLERANCES) 
     rounding error of the computed residual F_j, beta = |J^-1|_inf and L
     the Lipschitz bound for the Jacobian on the ball of radius
     ``tols.certify_ball`` (driven by max |p''| there), h = beta L eta <= 1/2
-    guarantees a unique zero within rho = (1 - sqrt(1 - 2h)) / (beta L).
+    guarantees a zero z* within rho = (1 - sqrt(1 - 2h)) / (beta L), and
+    no other zero within min(1 / (beta L), ``tols.certify_ball``) of xs.
+    When p and a are real, the conjugate of z* is a zero too, within
+    rho + 2 max_k |Im x_k| of xs; if that is inside the uniqueness radius
+    it is z* itself, so z* is real (``_real_rows``).
     Returns (certified, rho), (False, 0.0) when the test fails.
     """
-    ok, rho = _certify_rows(m, np.asarray(xs, dtype=complex).reshape(1, -1), tols)
+    ok, rho, _ = _certify_rows(m, np.asarray(xs, dtype=complex).reshape(1, -1), tols)
     return bool(ok[0]), float(rho[0])
+
+
+def _real_rows(maps: list[HenonMap], owner: np.ndarray, X: np.ndarray, radius: np.ndarray,
+               reach: np.ndarray) -> np.ndarray:
+    """Which certified rows of X (B, n) hold a real orbit; row i belongs to ``maps[owner[i]]``.
+
+    For a map with real coefficients and real a, F(conj z) = conj F(z), so
+    the conjugate of the zero z* within ``radius`` of a row is a zero
+    within radius + 2 max_k |Im x_k|.  Inside ``reach`` z* is the only
+    zero, so there conj z* = z*: the orbit is real.  Re x is then at
+    least as close to z* as x is, so the row's radius still holds for it.
+    """
+    real = np.array([m.a.imag == 0 and not any(c.imag for c in m.coeffs) for m in maps])
+    return real[owner] & (radius + 2 * np.abs(X.imag).max(axis=1, initial=0.0) < reach)
 
 
 # ---------------------------------------------------------------------------
@@ -646,6 +669,12 @@ def _rotations(xs: np.ndarray) -> np.ndarray:
     return xs[..., (np.arange(n)[:, None] + np.arange(n)) % n]
 
 
+def _coarse(keys: np.ndarray) -> np.ndarray:
+    """``keys`` rounded to 30 significant bits, as ``_lex_order`` first compares them."""
+    mant, expo = np.frexp(keys)
+    return np.ldexp(np.round(np.ldexp(mant, 30)), expo - 30)
+
+
 def _lex_order(rows: np.ndarray, group=None) -> np.ndarray:
     """Stable order of complex rows by their (group, re_0, im_0, re_1, ...) keys.
 
@@ -655,9 +684,7 @@ def _lex_order(rows: np.ndarray, group=None) -> np.ndarray:
     that remain.  ``group``, one integer per row, is optional.
     """
     keys = np.stack((rows.real, rows.imag), axis=-1).reshape(len(rows), 2 * rows.shape[1])
-    mant, expo = np.frexp(keys)
-    coarse = np.ldexp(np.round(np.ldexp(mant, 30)), expo - 30)
-    cols = list(np.concatenate((coarse, keys), axis=1).T[::-1])
+    cols = list(np.concatenate((_coarse(keys), keys), axis=1).T[::-1])
     return np.lexsort(cols if group is None else cols + [group])
 
 
@@ -872,18 +899,29 @@ def _track_and_check(maps: list[HenonMap], owner: np.ndarray, X: np.ndarray,
     wherever its path stopped, and these checks alone judge it: its
     residual is at most 1e-10, every proper-divisor shift moves it by at
     least ``tols.separation`` (exact period k) and ``certify`` accepts its
-    canonical rotation.  Returns (ends, failed): (owner, xs, radius) for
-    the endpoints that pass, (owner, polished endpoint) for the rest.
+    canonical rotation.  A row that ``_real_rows`` proves real is stored
+    as its real part, with imaginary parts +0.0, so dedup, classification,
+    the JSON and the verify layer see exact zeros there.  Returns (ends,
+    failed): (owner, xs, radius) for the endpoints that pass, (owner,
+    polished endpoint) for the rest.
     """
     rows = _MapRows.stack(maps, owner)
     X, ok, _, rn = _newton_batch(rows, X, tols.newton)
     idx = np.flatnonzero(ok & (rn <= 1e-10))
     W, gaps = _rotation_rows(X[idx])
     apart = (gaps >= tols.separation).all(axis=1)
-    ok, radii = _certify_rows(rows.take(idx[apart]), W[apart], tols)
-    idx, W = idx[apart][ok], W[apart][ok]
+    ok, radii, reach = _certify_rows(rows.take(idx[apart]), W[apart], tols)
+    idx, W, radii = idx[apart][ok], W[apart][ok], radii[ok]
+    real = _real_rows(maps, owner[idx], W, radii, reach[ok])
+    W[real] = W[real].real
+    # the imaginary round-off was a key of the canonical rotation; it decided
+    # only where another rotation ties in the leading real key
+    lead = _coarse(W.real)
+    again = real & ((lead == lead[:, :1]).sum(axis=1) > 1)
+    if again.any():
+        W[again] = _rotation_rows(W[again])[0]
     failed = ~np.isin(np.arange(len(X)), idx)
-    return list(zip(owner[idx], W, radii[ok])), list(zip(owner[failed], X[failed]))
+    return list(zip(owner[idx], W, radii)), list(zip(owner[failed], X[failed]))
 
 
 def _merge(kept: list, new: list, tols: Tolerances) -> None:

@@ -218,6 +218,18 @@ class TestMeasure:
                    "--out", str(tmp_path / "x.csv")])
         assert rc == 2
 
+    @pytest.mark.parametrize("cmd", ["measure", "lyapunov"])
+    def test_repeated_period_rejected(self, cmd, mapfile, tmp_path, capsys):
+        # one n twice would count its row twice in the table
+        _, s1 = _enumerate(mapfile, tmp_path, "d1.json", n=2)
+        _, s2 = _enumerate(mapfile, tmp_path, "d2.json", n=2)
+        _, s3 = _enumerate(mapfile, tmp_path, "d3.json", n=3)
+        for files in ([s1, s1], [s1, s3, s2]):
+            out = tmp_path / "d.csv"
+            assert main([cmd, "--spectra", *map(str, files), "--out", str(out)]) == 2
+            assert not out.exists()
+            assert "two spectrum files hold n = 2" in capsys.readouterr().err
+
 
 class TestLyapunov:
     def test_fixed_point_oracle(self, tmp_path):
@@ -244,6 +256,12 @@ class TestLyapunov:
         # a missing spectrum would exit 2; the bad --which is found first
         assert main(["lyapunov", "--spectra", str(tmp_path / "none.json"), "--which", "fax",
                      "--out", str(tmp_path / "w.csv")]) == 1
+
+    def test_repeated_which_is_usage_error(self, tmp_path, capsys):
+        # found before the spectra are read: the missing file would exit 2
+        assert main(["lyapunov", "--spectra", str(tmp_path / "none.json"), "--which", "fix, fix",
+                     "--out", str(tmp_path / "w.csv")]) == 1
+        assert "twice" in capsys.readouterr().err
 
     def test_which_takes_spaced_names(self, mapfile, tmp_path):
         _, spec = _enumerate(mapfile, tmp_path, "s.json", n=1)

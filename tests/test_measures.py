@@ -96,10 +96,16 @@ class TestDiscrepancy:
                 assert hl.discrepancy(*mus, resolution) == _discrepancy_by_unique(*mus, resolution)
 
     def test_round_off_imaginary_parts_do_not_move_it(self, horseshoe_spectra):
-        # the horseshoe is real: its orbits' imaginary parts are round-off of either sign
-        mus = [hl.empirical_measure(horseshoe_spectra[n], "fix") for n in (8, 10)]
-        assert any((mu.points.imag != 0).any() for mu in mus)
-        real = [hl.EmpiricalMeasure(mu.points.real + 0j, mu.weights) for mu in mus]
+        # the horseshoe's orbits are stored exactly real; imaginary round-off
+        # of either sign, as a polish in complex arithmetic leaves, must not
+        # move the discrepancy
+        real = [hl.empirical_measure(horseshoe_spectra[n], "fix") for n in (8, 10)]
+        assert not any(mu.points.imag.any() for mu in real)
+        rng = np.random.default_rng(1729)
+        mus = [hl.EmpiricalMeasure(mu.points + 1e-17j * np.abs(mu.points)
+                                   * rng.choice((-1.0, 1.0), mu.points.shape), mu.weights)
+               for mu in real]
+        assert all((mu.points.imag > 0).any() and (mu.points.imag < 0).any() for mu in mus)
         assert hl.discrepancy(*mus) == hl.discrepancy(*real)
 
     def test_bad_resolution(self):

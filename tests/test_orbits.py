@@ -190,6 +190,67 @@ class TestCertify:
                 assert dist <= o.certificate_radius
 
 
+class TestRealOrbits:
+    """A certified orbit of a real map that conjugation proves real is stored with imaginary parts +0.0."""
+
+    @staticmethod
+    def _real(spec):
+        return [o for o in spec.orbits if not o.xs.imag.any()]
+
+    def test_horseshoe_orbits_are_real(self, horseshoe_map, horseshoe_spectra):
+        # every point of the real horseshoe is real (Devaney-Nitecki)
+        spectra = dict(horseshoe_spectra)
+        spectra.update({n: hl.enumerate_fix(horseshoe_map, n) for n in (11, 12)})
+        for n, s in spectra.items():
+            assert s.complete and self._real(s) == s.orbits
+            for o in s.orbits:
+                assert np.signbit(o.xs.imag).sum() == 0
+                assert np.array_equal(hl.canonical_rotation(o.xs), o.xs)
+                z = hl.refine_orbit_hp(s.map, o.xs, dps=30)
+                with mp.workdps(30):
+                    assert all(zk.imag == 0 for zk in z)
+                    dist = float(max(abs(zk - xk.real) for zk, xk in zip(z, o.xs)))
+                assert dist <= o.certificate_radius
+
+    def test_reversible_horseshoe_keeps_canonical_rotations(self):
+        # at a = 1 the map is reversible and a symmetric orbit repeats its
+        # coordinates, so rotations tie in the leading real key, where the
+        # dropped imaginary round-off had chosen among them
+        m = hl.quadratic_map(-12.0, 1.0)
+        for n in range(4, 9):
+            s = hl.enumerate_fix(m, n)
+            assert s.complete and self._real(s) == s.orbits
+            assert all(np.array_equal(hl.canonical_rotation(o.xs), o.xs) for o in s.orbits)
+
+    def test_mixed_map_has_two_real_orbits(self, mixed_spectra):
+        # p = x^2, a = 0.5: the fixed points 0 and 1.5 are its only real points
+        real = self._real(mixed_spectra[8])
+        assert [o.n for o in real] == [1, 1]
+        assert np.allclose([o.xs[0].real for o in real], [0.0, 1.5], atol=1e-15)
+        assert all(o.xs.imag.any() for o in mixed_spectra[8].orbits if o.n > 1)
+
+    def test_conjugate_pair_stays_complex(self):
+        # just past the saddle-node at c = 9/16 the two fixed points
+        # 0.75 +- i sqrt(c - 9/16) are a conjugate pair 1e-3 off the real axis
+        s = hl.enumerate_fix(hl.quadratic_map(0.5625 + 1e-6, 0.5), 1)
+        assert s.complete and len(s.orbits) == 2
+        assert sorted(o.xs[0].imag for o in s.orbits) == pytest.approx([-1e-3, 1e-3], rel=1e-6)
+
+    def test_complex_a_has_no_real_row(self):
+        # a is 1e-9 off the real axis, so every orbit is within about 1e-9
+        # of real, but the map is not real and conjugation proves nothing
+        s = hl.enumerate_fix(hl.quadratic_map(-6.0, 0.3 + 1e-9j), 6)
+        assert s.complete
+        assert max(np.abs(o.xs.imag).max() for o in s.orbits) < 1e-7
+        assert self._real(s) == []
+
+    def test_real_cubic_keeps_its_complex_orbits(self):
+        s = hl.enumerate_fix(hl.HenonMap(coeffs=(0.3, -1.5, 0.1), a=0.4), 3)
+        assert s.complete
+        small = [o for o in s.orbits if np.abs(o.xs.imag).max() < 1e-9]
+        assert self._real(s) == small and len(small) == 3
+
+
 class TestClassify:
     def test_sink_at_origin(self):
         o = hl.classify(MIXED, np.array([0.0 + 0j]))

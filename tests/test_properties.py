@@ -433,7 +433,7 @@ def _close(got, want, rtol, atol=0.0):
 
 def _check_rows(m, X, start=0, tols=hl.orbits.DEFAULT_TOLERANCES):
     """Each batched layer on X (B, n) against the loops, and each public one-row call bit for bit."""
-    ok, rho = _certify_rows(m, X, tols)
+    ok, rho, _ = _certify_rows(m, X, tols)
     orbits = _classify_rows(m, X, ok, rho, tols)
     M, log_scale = _monodromy_rows(m, X, start)
     psi = _psi_sum_rows(m, X)
@@ -531,7 +531,7 @@ def test_certify_batch_rejects_only_its_singular_row(horseshoe_spectra):
         rows = _MapRows.stack(maps, np.arange(len(maps)))
         with pytest.raises(np.linalg.LinAlgError):
             np.linalg.inv(hl.cyclic_jacobian(rows, X))
-        ok, rho = _certify_rows(rows, X, tols)
+        ok, rho, _ = _certify_rows(rows, X, tols)
         assert ok.tolist() == [i != singular for i in range(len(X))]
         for i, (m, xs) in enumerate(zip(maps, X)):
             ok_ref, rho_ref = _loop_certify(m, xs, tols)
@@ -553,7 +553,7 @@ def test_classify_batch_across_maps_matches_per_map_calls(sink_family, horseshoe
         owner = np.array([i for i, _ in rows])[perm]
         X = np.array([xs for _, xs in rows], dtype=complex)[perm]
         assert np.count_nonzero(np.diff(owner)) >= len(maps)  # some map's rows are split
-        ok, rho = _certify_rows(_MapRows.stack(maps, owner), X, tols)
+        ok, rho, _ = _certify_rows(_MapRows.stack(maps, owner), X, tols)
         batch = _classify_rows(_MapRows.stack(maps, owner), X, ok, rho, tols)
         for i, m in enumerate(maps):
             mine = np.flatnonzero(owner == i)
