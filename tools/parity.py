@@ -142,6 +142,23 @@ round-off level (at most 1.1e-16).  ``verify-mixed-fix08.txt`` and
 ``verify-cubic-fix05.txt`` move z by at most 7.4e-62 and 1.9e-61 of
 1 + |z|, with G+ and G- at most 6.1e-25; ``verify-horseshoe-fix08.txt``
 and both ``lyapunov`` CSVs are byte-identical.
+
+A seventh one: against a tree that stores every certified orbit as the
+polish leaves it, 34 of the 50 files differ.  A certified orbit of a
+real map is now stored as its real part, with imaginary parts +0.0,
+when its conjugate zero lies inside the Kantorovich uniqueness radius
+(``orbits._real_rows``).  The spectra of the three real maps differ:
+horseshoe Fix_2-12, mixed Fix_1-12 and near1d Fix_1-8.  There the xs of
+the real orbits lose imaginary parts of at most 9.4e-17 (horseshoe),
+1.3e-22 (mixed) and 1.0e-18 (near1d), at most 0.0055 of the old
+radius.  Their residuals and lambdas change in the last bits; chi,
+every count, ``complete``, ``unresolved``, ``budget_used``, the orbit
+order and every kind are equal.  ``measure-horseshoe.csv`` moves only
+in moment gaps at round-off level (at most 7.4e-19).
+``verify-horseshoe-fix08.txt`` and ``verify-mixed-fix08.txt`` move z by
+at most 9.7e-62 and 6.4e-62 of 1 + |z|, with G+ and G- at most 2.3e-14
+and 6.1e-25.  ``horseshoe-fix01.json``, the cubic spectra and verify
+file, every scan and both ``lyapunov`` CSVs are byte-identical.
 """
 
 from __future__ import annotations
