@@ -10,10 +10,6 @@ from .maps import EscapeOverflow, HenonMap, Point, quadratic_map
 from .orbits import (
     AmbiguousOrbitError,
     DEFAULT_RNG_SEED,
-    NewtonDiverged,
-    NewtonFailure,
-    NewtonSingular,
-    NewtonStalled,
     PeriodSpectrum,
     PeriodicOrbit,
     Tolerances,
@@ -22,11 +18,8 @@ from .orbits import (
     classify,
     cyclic_jacobian,
     cyclic_residual,
-    decompose_periods,
     enumerate_fix,
-    newton_refine,
     rotation_distance,
-    shadow_pseudo_orbit,
     spectrum_from_file,
     spectrum_to_json,
     vector_period,
@@ -56,10 +49,6 @@ __all__ = [
     "FamilySpec",
     "HenonMap",
     "LyapunovEstimate",
-    "NewtonDiverged",
-    "NewtonFailure",
-    "NewtonSingular",
-    "NewtonStalled",
     "PeriodSpectrum",
     "PeriodicOrbit",
     "Point",
@@ -71,7 +60,6 @@ __all__ = [
     "classify",
     "cyclic_jacobian",
     "cyclic_residual",
-    "decompose_periods",
     "discrepancy",
     "empirical_measure",
     "enumerate_fix",
@@ -84,7 +72,6 @@ __all__ = [
     "lyapunov_noise_floor",
     "max_interior_defect",
     "moments",
-    "newton_refine",
     "orbit_greens_hp",
     "psi",
     "refine_orbit_hp",
@@ -92,7 +79,6 @@ __all__ = [
     "rotation_distance",
     "scan",
     "scan_to_csv",
-    "shadow_pseudo_orbit",
     "spectrum_from_file",
     "spectrum_to_json",
     "stencil_defect",
@@ -101,4 +87,4 @@ __all__ = [
     "vector_period",
 ]
 
-__version__ = "0.5.0"
+__version__ = "0.6.0"

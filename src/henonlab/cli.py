@@ -47,17 +47,12 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _tolerances(args) -> Tolerances:
-    return Tolerances(
-        newton=args.tol_newton,
-        dedup=args.tol_dedup,
-        eps_hyp=args.eps_hyp,
-    )
+    return Tolerances(dedup=args.tol_dedup, eps_hyp=args.eps_hyp)
 
 
 def _add_common(p, solves: bool) -> None:
     p.add_argument("--seed", type=int, default=DEFAULT_RNG_SEED)
     if solves:  # classify only re-certifies: it reads neither tolerance
-        p.add_argument("--tol-newton", type=float, default=Tolerances.newton)
         p.add_argument("--tol-dedup", type=float, default=Tolerances.dedup)
     p.add_argument("--eps-hyp", type=float, default=Tolerances.eps_hyp)
     p.add_argument("--out", required=True)

@@ -46,22 +46,6 @@ from .maps import HenonMap
 DEFAULT_RNG_SEED = 1729
 
 
-class NewtonFailure(RuntimeError):
-    reason = "failed"
-
-
-class NewtonDiverged(NewtonFailure):
-    reason = "diverged"
-
-
-class NewtonStalled(NewtonFailure):
-    reason = "stalled"
-
-
-class NewtonSingular(NewtonFailure):
-    reason = "singular"
-
-
 class AmbiguousOrbitError(RuntimeError):
     """Two certified orbits landed between the certificate and dedup scales."""
 
@@ -70,19 +54,18 @@ class AmbiguousOrbitError(RuntimeError):
 class Tolerances:
     """Numeric tolerances shared across the solver and its consumers."""
 
-    newton: float = 1e-12       # residual sup-norm target for refinement
     dedup: float = 1e-8         # orbit identification scale (sup over rotations)
     eps_hyp: float = 1e-6       # hyperbolicity band around |lambda| = 1
     separation: float = 1e-6    # proper-divisor cycles must differ by this much
     certify_ball: float = 1e-3  # radius on which the Jacobian Lipschitz bound is taken
 
     def __post_init__(self) -> None:
-        for name in ("newton", "dedup", "eps_hyp", "separation", "certify_ball"):
+        for name in ("dedup", "eps_hyp", "separation", "certify_ball"):
             if getattr(self, name) <= 0:
                 raise ValueError(f"tolerance {name} must be positive")
 
     def key(self) -> tuple:
-        return (self.newton, self.dedup, self.eps_hyp, self.separation, self.certify_ball)
+        return (self.dedup, self.eps_hyp, self.separation, self.certify_ball)
 
 
 DEFAULT_TOLERANCES = Tolerances()
@@ -179,12 +162,6 @@ def cyclic_jacobian(m: HenonMap, xs: np.ndarray) -> np.ndarray:
     """Jacobian of ``cyclic_residual``, shaped xs.shape + (n,), same dtype."""
     xs = _orbit_array(xs)
     return _band_matrix(m.dp(xs), -m.a, -1.0)
-
-
-def _residual_floor(m: HenonMap):
-    R = m.filtration_radius
-    scale = R**m.degree + abs(m.a) * R + sum(abs(c) * R**j for j, c in enumerate(m.coeffs))
-    return 1e-15 * (1.0 + scale)
 
 
 def _lapack_solve(J: np.ndarray, F: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -341,93 +318,77 @@ def _band_solve(diag: np.ndarray, sub, sup, F: np.ndarray, layout=None) -> tuple
     return dense(fallback, S) if fallback.any() else (S, bad)
 
 
-def _newton_batch(m: HenonMap, X: np.ndarray, tol: float, max_steps: int = 60
-                  ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Damped Newton on a batch of cyclic orbit vectors.
+def _newton(m, X: np.ndarray, prec: int = 53, steps: int = 60) -> tuple[np.ndarray, np.ndarray]:
+    """Newton's method on cyclic orbit vectors, the rows of X (B, n): (X, converged).
 
-    ``m`` is one map or a ``_MapRows`` batch with a map per row.  Returns
-    (X, converged, singular, residual_norms).  Rows converge when the
-    residual sup-norm drops below ``tol`` and further steps stop improving
-    (iteration continues to the round-off floor so certified orbits carry
-    residuals near machine precision).  A row that leaves twice the
-    filtration radius is dead.  Each step is solved in O(n) per row by
-    ``_band_solve``; a row is singular when its dense fallback finds the
-    Jacobian singular to working precision.
+    ``m`` is one map or a ``_MapRows`` batch with a map per row.  X holds
+    complex numbers, or mpmath numbers in an object array, for which the
+    coefficients are converted to mpc once, here.  Each step makes one
+    ``_band_solve`` over the running rows and sets tol = 2^-prec
+    (1 + max |x_k|) at the stepped row.  A row whose correction
+    ds = max |s_k| is at most tol, or whose next one quadratic convergence
+    predicts at most tol (ds^3 <= tol prev^2, prev the correction before;
+    Deuflhard 2004, Newton Methods for Nonlinear Problems, section 2.1),
+    takes its full step and has converged.  Every other row halves its
+    step up to 3 times until the residual sup-norm falls; a row that no
+    halving improves stays where it is, at its round-off floor, and has
+    converged too, for the caller's checks to judge.  A row dies when its
+    solve is singular (on mpmath numbers: ZeroDivisionError) or it leaves
+    twice the filtration radius; one still running after ``steps`` steps
+    has not converged.
     """
-    X = np.array(X, dtype=complex)
-    B, n = X.shape
+    obj = X.dtype == object
+    X = X.copy() if obj else X.astype(complex)
+    B = len(X)
     m = _as_rows(m, B)
+    sup, unit = -1.0, math.ldexp(1.0, -prec)
+    if obj:
+        mpc = np.frompyfunc(mp.mpc, 1, 1)
+        m = _MapRows(tuple(mpc(c) for c in m.coeffs), mpc(m.a), m.filtration_radius)
+        sup, unit = mp.mpc(-1), mp.ldexp(1, -prec)
     safety = 2.0 * m.filtration_radius[:, 0]
-    floor = _residual_floor(m)[:, 0]
-    target = np.maximum(tol, floor)
-
-    rn = np.abs(cyclic_residual(m, X)).max(axis=1)
-    done = np.zeros(B, dtype=bool)
-    dead = np.zeros(B, dtype=bool)
-    singular = np.zeros(B, dtype=bool)
-
-    for _ in range(max_steps):
-        act = np.flatnonzero(~done & ~dead)
-        if act.size == 0:
-            break
-        ma, Xa = m.take(act), X[act]
-        S, bad = _band_solve(ma.dp(Xa), -ma.a, -1.0, cyclic_residual(ma, Xa))
-        if bad.any():
-            idx = act[bad]
-            dead[idx] = True
-            singular[idx] = True
-            keep = ~bad
-            act, Xa, S, ma = act[keep], Xa[keep], S[keep], ma.take(keep)
-            if act.size == 0:
-                continue
-        r0 = rn[act]
-        cand = Xa - S
-        rc = np.abs(cyclic_residual(ma, cand)).max(axis=1)
-        worse = rc >= r0
-        t = 1.0
-        for _ in range(3):
-            if not worse.any():
+    F = cyclic_residual(m, X)
+    rn = np.abs(F).max(axis=1)
+    prev = np.zeros(B, dtype=rn.dtype)  # no prediction from the first step
+    converged = np.zeros(B, dtype=bool)
+    run = np.arange(B)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for _ in range(steps):
+            if run.size == 0:
                 break
-            t *= 0.5
-            cand[worse] = Xa[worse] - t * S[worse]
-            rc[worse] = np.abs(cyclic_residual(ma.take(worse), cand[worse])).max(axis=1)
-            worse = worse & (rc >= r0)
-        stuck = worse  # no damping factor improved: at the attainable floor
-        done[act[stuck & (r0 <= target[act])]] = True
-        dead[act[stuck & (r0 > target[act])]] = True
-        moved = ~stuck
-        mi = act[moved]
-        X[mi] = cand[moved]
-        rn[mi] = rc[moved]
-        out = np.abs(X[mi]).max(axis=1) > safety[mi]
-        dead[mi[out]] = True
-        done[mi[~out][rn[mi[~out]] <= floor[mi[~out]]]] = True
-    # rows that ran out of steps but already satisfy tol still count
-    done |= (~dead) & (rn <= tol)
-    return X, done, singular, rn
-
-
-def newton_refine(
-    m: HenonMap,
-    seed: np.ndarray,
-    tol: float = DEFAULT_TOLERANCES.newton,
-    max_steps: int = 60,
-) -> np.ndarray:
-    """Refine one cyclic seed; raises NewtonDiverged/Stalled/Singular."""
-    if tol <= 0:
-        raise ValueError("tol must be positive")
-    seed = np.atleast_1d(np.asarray(seed, dtype=complex))
-    safety = 2.0 * m.filtration_radius
-    if np.abs(seed).max() > safety:
-        raise NewtonDiverged("seed outside the safety region")
-    X, done, singular, rn = _newton_batch(m, seed[None, :], tol, max_steps)
-    if done[0]:
-        return X[0]
-    if singular[0]:
-        raise NewtonSingular("cyclic Jacobian numerically singular (possible multiple root)")
-    if np.abs(X[0]).max() > safety or not np.isfinite(rn[0]):
-        raise NewtonDiverged("iterates left the safety region")
-    raise NewtonStalled(f"no convergence after {max_steps} steps (residual {rn[0]:.3e})")
+            ma, Xr = (m if run.size == B else m.take(run)), X[run]
+            S, bad = _band_solve(ma.dp(Xr), -ma.a, sup, F[run])
+            new = Xr - S
+            ds, reach = np.abs(S).max(axis=1), np.abs(new).max(axis=1)
+            tol = (1 + reach) * unit
+            done = ~bad & ((ds <= tol) | (ds**3 <= tol * prev[run]**2))
+            damp = np.flatnonzero(~bad & ~done)
+            better = np.zeros(run.size, dtype=bool)  # damped rows whose residual fell
+            if damp.size:
+                md, r0 = ma.take(damp), rn[run[damp]]
+                Fd = cyclic_residual(md, new[damp])
+                rd = np.abs(Fd).max(axis=1)
+                worse = ~(rd < r0)
+                t = 1.0
+                for _ in range(3):
+                    if not worse.any():
+                        break
+                    t *= 0.5
+                    w = damp[worse]
+                    new[w] = Xr[w] - t * S[w]
+                    reach[w] = np.abs(new[w]).max(axis=1)
+                    Fd[worse] = cyclic_residual(md.take(worse), new[w])
+                    rd[worse] = np.abs(Fd[worse]).max(axis=1)
+                    worse &= ~(rd < r0)
+                ok = damp[~worse]
+                better[ok] = True
+                F[run[ok]], rn[run[ok]], prev[run[ok]] = Fd[~worse], rd[~worse], ds[ok]
+            move = done | better
+            X[run[move]] = new[move]
+            out = move & (reach > safety[run])
+            converged[run[~bad & ~better & ~out]] = True  # a full step, or none that improves
+            run = run[better & ~out]
+    return X, converged
 
 
 # ---------------------------------------------------------------------------
@@ -906,8 +867,8 @@ def _track_and_check(maps: list[HenonMap], owner: np.ndarray, X: np.ndarray,
     polished endpoint) for the rest.
     """
     rows = _MapRows.stack(maps, owner)
-    X, ok, _, rn = _newton_batch(rows, X, tols.newton)
-    idx = np.flatnonzero(ok & (rn <= 1e-10))
+    X, ok = _newton(rows, X)
+    idx = np.flatnonzero(ok & (np.abs(cyclic_residual(rows, X)).max(axis=1) <= 1e-10))
     W, gaps = _rotation_rows(X[idx])
     apart = (gaps >= tols.separation).all(axis=1)
     ok, radii, reach = _certify_rows(rows.take(idx[apart]), W[apart], tols)
@@ -1077,79 +1038,6 @@ def enumerate_fix(
         budget_used=paths,
         unresolved=unresolved[0],
     )
-
-
-# ---------------------------------------------------------------------------
-# period decomposition across divisor spectra
-# ---------------------------------------------------------------------------
-
-def decompose_periods(spectra: dict[int, PeriodSpectrum],
-                      tols: Tolerances = DEFAULT_TOLERANCES) -> PeriodSpectrum:
-    """Cross-check the exact-period decomposition of Fix_n against divisors.
-
-    ``spectra`` must hold a complete spectrum for every divisor of the
-    largest key n.  Each Fix_n point is matched against the divisor
-    catalogues; matching must reproduce the recorded exact periods, and
-    the disjoint-union count identity must hold exactly.
-    """
-    n = max(spectra)
-    spec_n = spectra[n]
-    for k in _divisors(n):
-        if k not in spectra:
-            raise ValueError(f"missing spectrum for divisor {k} of {n}")
-        if not spectra[k].complete:
-            raise ValueError(f"spectrum for divisor {k} is incomplete")
-
-    # the points of the divisors' exact-period orbits, each with its orbit's id
-    pool = [(z, (k, j)) for k in _divisors(n)[:-1]
-            for j, o in enumerate(spectra[k].orbits) if o.n == k for z in o.xs]
-    pts = np.array([z for z, _ in pool], dtype=complex)
-    for o in spec_n.orbits:
-        for z in o.xs:
-            hits = {pool[i][1] for i in np.flatnonzero(np.abs(pts - z) < tols.dedup)}
-            if len(hits) > 1:
-                raise AmbiguousOrbitError(
-                    f"point {z} matches {len(hits)} divisor orbits (tolerance collision)")
-            matched_period = next(iter(hits))[0] if hits else n
-            if matched_period != o.n:
-                raise AmbiguousOrbitError(
-                    f"orbit recorded with period {o.n} but matched divisor period {matched_period}")
-    counts = spec_n.counts
-    if sum(counts["per"].values()) != counts["fix"]:
-        raise AmbiguousOrbitError("disjoint-union count identity violated")
-    return spec_n
-
-
-# ---------------------------------------------------------------------------
-# shadowing
-# ---------------------------------------------------------------------------
-
-def shadow_pseudo_orbit(
-    m: HenonMap,
-    pt: tuple[complex, complex],
-    n: int,
-    tols: Tolerances = DEFAULT_TOLERANCES,
-) -> PeriodicOrbit:
-    """Refine the forward orbit of an approximately returning point.
-
-    The seed is the actual length-n forward orbit of ``pt``; Newton
-    refinement plus certification produces the unique nearby true
-    periodic orbit.  Point 0 of the result stays near ``pt``.
-    """
-    z = (complex(pt[0]), complex(pt[1]))
-    seed = np.empty(n, dtype=complex)
-    cur = z
-    for i in range(n):
-        seed[i] = cur[0]
-        cur = m.evaluate(cur)
-    xs = newton_refine(m, seed, tols.newton)
-    k = vector_period(xs, tols.dedup)
-    if k < n:  # average the n/k repeats and re-polish the length-k vector
-        xs = newton_refine(m, xs.reshape(n // k, k).mean(axis=0), tols.newton, 20)
-    ok, rho = certify(m, xs, tols)
-    if not ok:
-        raise NewtonSingular("refined orbit failed certification")
-    return classify(m, xs, tols, certified=True, certificate_radius=rho)
 
 
 # ---------------------------------------------------------------------------

@@ -12,10 +12,10 @@ potentials without rounding back to doubles.  Non-finite points and
 orbit vectors are rejected with ValueError, as ``HenonMap`` rejects them,
 and so are empty orbit vectors, ``dps < 1`` and ``steps < 1``.
 
-The Newton steps call the O(n) cyclic tridiagonal solve of the
-double-precision solver, ``orbits._band_solve``, on object arrays of
-mpmath numbers; that solve runs its own dense ``mp.lu_solve`` for n < 3
-and for the systems it sends to its fallback, and raises
+The re-polish is the double-precision solver's own Newton loop,
+``orbits._newton``, run at the working precision on an object array of
+mpmath numbers; its O(n) ``_band_solve`` runs a dense ``mp.lu_solve``
+for n < 3 and for the systems it sends to its fallback, and raises
 ZeroDivisionError on a singular Jacobian.  Newton converges
 quadratically from the certified double orbit, so the polish stops once a
 correction ds = max |s_k| is below the working precision, tol = 2^-prec
@@ -25,9 +25,10 @@ it, ds^3 <= tol prev^2 with prev the correction before, and after
 only confirm convergence: on the horseshoe and mixed Fix_8 the
 corrections are about 1e-16, 1e-32 and then round-off, and the polish
 stops after two.  Under linear convergence with ratio theta = ds / prev
-it fires only once ds <= tol / theta^2.  Near a saddle-node, where the
-corrections stall at a round-off floor above tol, it ends the polish at
-that floor, not after ``steps`` steps.
+it fires only once ds <= tol / theta^2.  Where the corrections stall at
+a round-off floor above tol, as they may near a saddle-node, the polish
+ends at that floor, by the prediction or because no halved step lowers
+the residual, not after ``steps`` steps.
 
 The potentials ``green_plus_hp`` and ``green_minus_hp`` run the one
 escape-rate loop, ``HenonMap._green``, at ``dps`` digits, on mpmath
@@ -47,7 +48,7 @@ import mpmath as mp
 import numpy as np
 
 from .maps import HenonMap
-from .orbits import _band_solve, cyclic_residual
+from .orbits import _newton
 
 
 def _workdps(dps: int):
@@ -67,19 +68,8 @@ def refine_orbit_hp(m: HenonMap, xs: np.ndarray, dps: int = 60, steps: int = 6) 
     if not np.isfinite(xs).all():
         raise ValueError(f"non-finite orbit vector {xs!r}")
     with _workdps(dps):
-        z = np.array([mp.mpc(v) for v in xs], dtype=object)
-        prev = 0  # no prediction from the first step
-        for _ in range(steps):
-            F = cyclic_residual(m, z)
-            s = _band_solve(m.dp(z)[None], -mp.mpc(m.a), mp.mpc(-1), F[None])[0][0]
-            z = z - s
-            ds = max(abs(v) for v in s)
-            tol = mp.ldexp(1 + max(abs(v) for v in z), -mp.mp.prec)
-            # quadratic convergence predicts a next correction of ds^3 / prev^2
-            if ds <= tol or ds**3 <= tol * prev**2:
-                break
-            prev = ds
-        return list(z)
+        z = np.array([[mp.mpc(v) for v in xs]], dtype=object)
+        return list(_newton(m, z, mp.mp.prec, steps)[0][0])
 
 
 def green_plus_hp(m: HenonMap, pt, max_iter: int = 100, dps: int = 60) -> float:

@@ -288,9 +288,22 @@ class TestIgnoredOptions:
 
     @pytest.mark.parametrize("flag", ["--tol-newton", "--tol-dedup"])
     def test_classify_rejects_solver_tolerances(self, flag, spectrum, tmp_path):
-        # classify re-certifies and re-classifies: it runs no Newton and no dedup
+        # classify re-certifies and re-classifies: it runs no Newton and no
+        # dedup (and no command takes --tol-newton: the polish stops at the
+        # working precision)
         assert main(["classify", "--spectrum", spectrum, flag, "1e-9",
                      "--out", str(tmp_path / "c.json")]) == 1
+
+    @pytest.mark.parametrize("command", ["enumerate", "scan"])
+    def test_no_newton_tolerance(self, command, mapfile, tmp_path):
+        # the Newton polish stops at the working precision, so no command
+        # takes a residual target
+        fam = tmp_path / "fam.json"
+        fam.write_text(json.dumps(FAMILY_SPEC))
+        source = ["--map", mapfile] if command == "enumerate" else ["--family", str(fam)]
+        args = [command, *source, "--n", "2", "--out", str(tmp_path / "o")]
+        assert main([*args, "--tol-dedup", "1e-8"]) == 0
+        assert main([*args, "--tol-newton", "1e-12"]) == 1
 
     def test_classify_keeps_seed_and_eps_hyp(self, spectrum, tmp_path):
         assert main(["classify", "--spectrum", spectrum, "--seed", "1729", "--eps-hyp", "1e-6",

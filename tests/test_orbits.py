@@ -1,5 +1,5 @@
-"""Cyclic orbit system: residuals, Newton refinement, certification,
-enumeration, classification and the exact-period decomposition."""
+"""Cyclic orbit system: residuals, the Newton polish, certification,
+enumeration, classification and exact periods."""
 
 import dataclasses
 import json
@@ -109,34 +109,68 @@ class TestCyclicSystem:
             assert np.abs(col - J[:, j]).max() < 1e-5
 
 
+# x* = 0.75 is a double root of p(x) = (1 + a) x for p = x^2 + 0.5625,
+# a = 0.5, so p'(x*) = 1 + a and the cyclic Jacobian at the constant vector
+# is singular for every n
+SADDLE_NODE = hl.quadratic_map(0.5625, 0.5)
+
+
+def _newton_rows(m, *rows):
+    """``orbits._newton`` on the given rows of one length."""
+    return hl.orbits._newton(m, np.array(rows, dtype=complex))
+
+
 class TestNewtonRefine:
     def test_converges_to_fixed_point(self):
-        xs = hl.newton_refine(MIXED, np.array([1.4 + 0j]))
-        assert abs(xs[0] - 1.5) < 1e-10
-        assert np.abs(hl.cyclic_residual(MIXED, xs)).max() < 1e-12
+        X, ok = _newton_rows(MIXED, [1.4])
+        assert ok[0] and abs(X[0, 0] - 1.5) < 1e-15
+        assert np.abs(hl.cyclic_residual(MIXED, X[0])).max() < 1e-15
 
-    def test_exact_zero_is_returned(self):
-        xs = hl.newton_refine(MIXED, np.array([1.5 + 0j]))
-        assert abs(xs[0] - 1.5) < 1e-14
+    def test_exact_zero_is_returned(self, monkeypatch):
+        solves = []
+        solve = hl.orbits._band_solve
+        monkeypatch.setattr(hl.orbits, "_band_solve", lambda *args: solves.append(1) or solve(*args))
+        X0 = np.array([[1.5 + 0j], [1.5 - 0j]])
+        X, ok = hl.orbits._newton(MIXED, X0)
+        # its correction is 0: it stops after one solve, with its bits, signed zeros too
+        assert ok.all() and len(solves) == 1 and X.tobytes() == X0.tobytes()
 
     def test_seed_outside_safety_region(self):
-        with pytest.raises(hl.NewtonDiverged):
-            hl.newton_refine(MIXED, np.array([100.0 + 0j]))
-
-    def test_bad_tolerance(self):
-        with pytest.raises(ValueError):
-            hl.newton_refine(MIXED, np.array([1.4 + 0j]), tol=0.0)
+        X, ok = _newton_rows(MIXED, [100.0])
+        assert not ok[0] and abs(X[0, 0]) > 2 * MIXED.filtration_radius
 
     @pytest.mark.parametrize("n", [1, 2, 3, 4, 6])
-    def test_double_fixed_point_is_singular(self, n):
-        # x* = 0.75 is a double root of p(x) = (1 + a) x for p = x^2 + 0.5625,
-        # a = 0.5, so p'(x*) = 1 + a and the cyclic Jacobian at the constant
-        # vector is singular for every n.  (At n = 3 LAPACK's last pivot
-        # rounds to a nonzero value, so singularity is judged by the
-        # singular values, not by an exactly zero pivot.)
-        m = hl.quadratic_map(0.5625, 0.5)
-        with pytest.raises(hl.NewtonSingular):
-            hl.newton_refine(m, np.full(n, 0.75 + 0j))
+    def test_double_fixed_point_is_singular(self, n, monkeypatch):
+        # (at n = 3 LAPACK's last pivot rounds to a nonzero value, so
+        # singularity is judged by the singular values, not by an exactly
+        # zero pivot)
+        flags = []
+        solve = hl.orbits._band_solve
+
+        def recording(*args):
+            S, bad = solve(*args)
+            flags.append(bad.copy())
+            return S, bad
+
+        monkeypatch.setattr(hl.orbits, "_band_solve", recording)
+        X, ok = _newton_rows(SADDLE_NODE, [0.75] * n)
+        assert not ok[0] and [f.tolist() for f in flags] == [[True]]
+        assert (X == 0.75).all()
+
+    @pytest.mark.parametrize("n", [1, 2, 4])
+    def test_batch_rows_are_judged_alone(self, n):
+        # each row of a batch ends where it ends alone, converged or not,
+        # whatever the other rows do: converge, stop at once, leave the
+        # safety radius or meet a singular solve
+        maps = [MIXED, SADDLE_NODE]
+        cases = [(0, 1.4), (0, 1.5), (0, 100.0), (1, 0.75), (1, 0.75 + 1e-3), (0, 1.4 + 0.1j)]
+        owner = np.array([i for i, _ in cases])
+        X, ok = hl.orbits._newton(hl.orbits._MapRows.stack(maps, owner),
+                                  np.array([[x] * n for _, x in cases], dtype=complex))
+        for r, (i, x) in enumerate(cases):
+            Xr, okr = _newton_rows(maps[i], [x] * n)
+            assert ok[r] == okr[0] and X[r].tobytes() == Xr[0].tobytes()
+        assert ok.tolist() == [True, True, False, False, True, True]
 
     def test_zero_thomas_pivot_takes_dense_solve(self, monkeypatch):
         # at the fixed point 0 of p = x^2 the diagonal vanishes and, at even n,
@@ -747,41 +781,6 @@ class TestFlatCatalogue:
         monkeypatch.setattr(hl.orbits, "vector_period", refuse)
         assert hl.spectrum_to_json(hl.enumerate_fix(horseshoe_map, 12)) == hl.spectrum_to_json(spec)
         assert hl.scan_to_csv(hl.scan(fam, 6)) == hl.scan_to_csv(fld)
-
-
-class TestDecomposition:
-    def test_mixed_n2(self, mixed_spectra):
-        refined = hl.decompose_periods({1: mixed_spectra[1], 2: mixed_spectra[2]})
-        assert refined.counts["per"][2] == 2  # #Per_2 = #Fix_2 - #Fix_1
-
-    def test_horseshoe_n4(self, horseshoe_spectra):
-        sub = {k: horseshoe_spectra[k] for k in (1, 2, 4)}
-        refined = hl.decompose_periods(sub)
-        assert refined.counts["per"][4] == 12  # 16 - #Fix_2
-
-    def test_missing_divisor(self, mixed_spectra):
-        with pytest.raises(ValueError):
-            hl.decompose_periods({2: mixed_spectra[2]})
-
-
-class TestShadowing:
-    def test_exact_point_returns_same_orbit(self, horseshoe_spectra):
-        o = horseshoe_spectra[6].select("per")[0]
-        got = hl.shadow_pseudo_orbit(horseshoe_spectra[6].map, o.points[0], 6)
-        assert hl.rotation_distance(got.xs, o.xs) < 1e-10
-
-    def test_perturbed_returning_point(self, horseshoe_spectra):
-        m = horseshoe_spectra[6].map
-        o = horseshoe_spectra[6].select("per")[0]
-        pt = (o.points[0][0] + 1e-7, o.points[0][1] - 1e-7)
-        got = hl.shadow_pseudo_orbit(m, pt, 6)
-        assert got.certified
-        assert abs(complex(got.xs[0]) - pt[0]) < 1e-2
-
-    def test_non_returning_point_fails(self):
-        m = hl.quadratic_map(-6.0, 0.3)
-        with pytest.raises(hl.NewtonFailure):
-            hl.shadow_pseudo_orbit(m, (5.9, -0.3), 6)
 
 
 class TestSerialization:

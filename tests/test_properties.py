@@ -252,8 +252,10 @@ def test_cyclic_tridiagonal_solve_matches_dense(m, n, B, radius, seed):
 
 
 def _mp_band_solve(m, z, F):
-    """The O(n) solve on an object array of mpc, called as verify.refine_orbit_hp calls it."""
-    return hl.orbits._band_solve(m.dp(z)[None], -mp.mpc(m.a), mp.mpc(-1), F[None])[0][0]
+    """The O(n) solve on an object array of mpc, as ``orbits._newton`` makes it for
+    ``verify.refine_orbit_hp``: one row, bands and right-hand side in mpc."""
+    return hl.orbits._band_solve(m.dp(z)[None], np.array([[-mp.mpc(m.a)]], dtype=object),
+                                 mp.mpc(-1), F[None])[0][0]
 
 
 @settings(max_examples=40, deadline=None)
@@ -261,8 +263,8 @@ def _mp_band_solve(m, z, F):
 # J close to a cyclic shift: the Sherman-Morrison correction cancels ~1e6 times the step
 @example(hl.HenonMap(coeffs=(0j, 0j), a=0.0625), 12, 0.125, 0)
 def test_cyclic_tridiagonal_solve_in_extended_precision(m, n, radius, seed):
-    # the same O(n) solve on object arrays of mpmath numbers, as used by
-    # verify.refine_orbit_hp, against a dense mp.lu_solve
+    # the same O(n) solve on object arrays of mpmath numbers, as the Newton
+    # polish of verify.refine_orbit_hp makes it, against a dense mp.lu_solve
     dps = 40
     rng = np.random.default_rng(seed)
     x = radius * (rng.normal(size=n) + 1j * rng.normal(size=n))

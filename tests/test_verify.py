@@ -94,8 +94,8 @@ class TestRefine:
 
     def test_stops_once_converged(self, horseshoe_spectra, monkeypatch):
         steps = []
-        solve = verify._band_solve
-        monkeypatch.setattr(verify, "_band_solve", lambda *args: steps.append(1) or solve(*args))
+        solve = hl.orbits._band_solve
+        monkeypatch.setattr(hl.orbits, "_band_solve", lambda *args: steps.append(1) or solve(*args))
         s = horseshoe_spectra[8]
         for o in s.orbits:
             verify.refine_orbit_hp(s.map, o.xs)
@@ -105,8 +105,8 @@ class TestRefine:
     def _solves_per_orbit(m, orbits, monkeypatch):
         """The number of _band_solve calls that re-polishing each orbit makes."""
         calls = []
-        solve = verify._band_solve
-        monkeypatch.setattr(verify, "_band_solve", lambda *args: calls.append(1) or solve(*args))
+        solve = hl.orbits._band_solve
+        monkeypatch.setattr(hl.orbits, "_band_solve", lambda *args: calls.append(1) or solve(*args))
         counts = []
         for o in orbits:
             before = len(calls)
@@ -118,12 +118,15 @@ class TestRefine:
     def test_fix8_takes_two_solves(self, which, horseshoe_spectra, mixed_spectra, monkeypatch):
         # corrections of about 1e-16 and then 1e-32 predict a next one far
         # below 2^-prec: a third solve would only confirm convergence.  A row
-        # that is an exact zero (the mixed map's fixed point 1.5, stored
-        # real) stops after its first correction, which is 0
+        # that is an exact zero at 60 digits (the mixed map's fixed points 0
+        # and 1.5) stops after its first correction, which is 0; the mixed
+        # period-2 row has a zero residual in doubles but not at 60 digits
         s = {"horseshoe": horseshoe_spectra, "mixed": mixed_spectra}[which][8]
-        want = [2 if hl.cyclic_residual(s.map, o.xs).any() else 1 for o in s.orbits]
+        with mp.workdps(60):
+            want = [2 if hl.cyclic_residual(s.map, [mp.mpc(complex(v)) for v in o.xs]).any() else 1
+                    for o in s.orbits]
         assert self._solves_per_orbit(s.map, s.orbits, monkeypatch) == want
-        assert want.count(1) == {"horseshoe": 0, "mixed": 1}[which]
+        assert want.count(1) == {"horseshoe": 0, "mixed": 2}[which]
 
     @pytest.mark.parametrize("n", [1, 3])
     def test_near_saddle_node(self, n, monkeypatch):
@@ -139,20 +142,24 @@ class TestRefine:
                 assert max(abs(u - v) for u, v in zip(z, ref)) <= mp.mpf(10) ** -55
 
     def test_linear_convergence_is_not_cut_short(self, monkeypatch):
-        # corrections that halve at every step: there the quadratic test
-        # ds^3 <= tol prev^2 reads ds <= 4 tol, so the polish may not stop
-        # while ds > 4 tol, and stops at the first correction below it
-        xs = np.array([0.5 + 0j, -0.25 + 0j])
+        # Newton halves the distance to the double fixed point 0.75 of
+        # NEAR_SADDLE_NODE's c = 0.5625 at every step, exactly in dyadic
+        # arithmetic: there the quadratic test ds^3 <= tol prev^2 reads
+        # ds <= 4 tol, so the polish may not stop while ds > 4 tol, and stops
+        # at the first correction below it
         dss = []
+        solve = hl.orbits._band_solve
 
-        def halving(*args):
-            dss.append(mp.ldexp(1, -130 - len(dss)))
-            return [[np.array([mp.mpc(dss[-1])] * len(xs), dtype=object)]]
+        def recording(*args):
+            S, bad = solve(*args)
+            dss.append(max(abs(v) for v in S[0]))
+            return S, bad
 
-        monkeypatch.setattr(verify, "_band_solve", halving)
-        verify.refine_orbit_hp(MIXED, xs, steps=100)
+        monkeypatch.setattr(hl.orbits, "_band_solve", recording)
+        z = verify.refine_orbit_hp(hl.quadratic_map(0.5625, 0.5), np.array([0.75 + 2.0**-20]), steps=400)
         with mp.workdps(60):
-            four_tol = 4 * mp.ldexp(1 + 0.5, -mp.mp.prec)  # max |z| stays 0.5 - 2^-129
+            four_tol = 4 * mp.ldexp(1 + abs(z[0]), -mp.mp.prec)
+            assert len(dss) < 400 and dss[1] == dss[0] / 2
             assert all(ds > four_tol for ds in dss[:-1]) and dss[-1] <= four_tol
 
 

@@ -9,6 +9,10 @@ writes, at rng_seed 1729, the spectrum JSON of
 - the cubic map p = x^3 + 0.1j x^2 - 1.5 x + 0.3+0.2j, a = 0.4-0.3j, at
   n = 1..6,
 - the near-one-dimensional map p = x^2, a = 1e-3, at n = 1..8,
+- the degenerate maps p = x^2 + 0.5625, a = 0.5 (a saddle-node) at
+  n = 1..4, p = x^2 - 1.6875, a = 0.5 (a period doubling) at n = 2, 4
+  and 6, p = x^2, a = 1 at n = 4, and p = x^2 + 0.5625 - 1e-6, a = 0.5
+  at n = 1..6,
 
 the scan CSV of the 11x11 horseshoe and sink families, the 5x5 sink
 family and a 5x5 family sweeping the cubic's x coefficient at n = 6, of
@@ -20,7 +24,7 @@ Fix_12 files, the ``lyapunov --which fix,per,sper`` and ``measure
 it also writes one ``verify-*.txt`` file through ``henonlab.verify``:
 the ``repr`` of every orbit coordinate re-polished at dps 60, with all
 its 60 digits, and of ``green_plus_hp`` and ``green_minus_hp`` at each
-point.  That is 50 files in all.  It imports henonlab from the ``src/``
+point.  That is 64 files in all.  It imports henonlab from the ``src/``
 beside this script, so two checkouts compare with
 
     python3 A/tools/parity.py outA && python3 B/tools/parity.py outB && diff -r outA outB
@@ -184,11 +188,18 @@ SEED = 1729
 #: the spectra whose orbits go through the verify layer
 VERIFY = {"horseshoe": 8, "mixed": 8, "cubic": 5}
 
+#: name -> (map, the n of its spectra)
 MAPS = {
-    "horseshoe": (hl.quadratic_map(-6.0, 0.3), 12),
-    "mixed": (hl.quadratic_map(0.0, 0.5), 12),
-    "cubic": (hl.HenonMap(coeffs=(0.3 + 0.2j, -1.5, 0.1j), a=0.4 - 0.3j), 6),
-    "near1d": (hl.quadratic_map(0.0, 1e-3), 8),
+    "horseshoe": (hl.quadratic_map(-6.0, 0.3), range(1, 13)),
+    "mixed": (hl.quadratic_map(0.0, 0.5), range(1, 13)),
+    "cubic": (hl.HenonMap(coeffs=(0.3 + 0.2j, -1.5, 0.1j), a=0.4 - 0.3j), range(1, 7)),
+    "near1d": (hl.quadratic_map(0.0, 1e-3), range(1, 9)),
+    # degenerate parameters: incomplete spectra, whose budget_used and
+    # unresolved endpoints show how the polish treats multiple roots
+    "saddle-node": (hl.quadratic_map(0.5625, 0.5), range(1, 5)),
+    "doubling": (hl.quadratic_map(-1.6875, 0.5), (2, 4, 6)),
+    "conservative": (hl.quadratic_map(0.0, 1.0), (4,)),
+    "near-saddle-node": (hl.quadratic_map(0.5625 - 1e-6, 0.5), range(1, 7)),
 }
 
 SINK_5 = hl.FamilySpec(coeffs=(0j, 0.0), a=0.5, center=0j, radius=0.25, grid_size=5)
@@ -332,8 +343,8 @@ def main(argv: list[str]) -> int:
     out = Path(argv[0])
     out.mkdir(parents=True, exist_ok=True)
     t0 = time.perf_counter()
-    for name, (m, top) in MAPS.items():
-        for n in range(1, top + 1):
+    for name, (m, ns) in MAPS.items():
+        for n in ns:
             spec = hl.enumerate_fix(m, n, rng_seed=SEED)
             (out / f"{name}-fix{n:02d}.json").write_text(hl.spectrum_to_json(spec) + "\n")
             if VERIFY.get(name) == n:
