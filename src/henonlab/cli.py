@@ -52,7 +52,7 @@ def _tolerances(args) -> Tolerances:
 
 def _add_common(p, solves: bool) -> None:
     p.add_argument("--seed", type=int, default=DEFAULT_RNG_SEED)
-    if solves:  # classify only re-certifies: it reads neither tolerance
+    if solves:  # classify only re-certifies: it runs no dedup
         p.add_argument("--tol-dedup", type=float, default=Tolerances.dedup)
     p.add_argument("--eps-hyp", type=float, default=Tolerances.eps_hyp)
     p.add_argument("--out", required=True)

@@ -163,6 +163,28 @@ in moment gaps at round-off level (at most 7.4e-19).
 at most 9.7e-62 and 6.4e-62 of 1 + |z|, with G+ and G- at most 2.3e-14
 and 6.1e-25.  ``horseshoe-fix01.json``, the cubic spectra and verify
 file, every scan and both ``lyapunov`` CSVs are byte-identical.
+
+An eighth one: against a tree that polishes endpoints with a damped
+Newton loop run down to a residual floor, and re-polishes with a Newton
+loop of its own, 61 of the 64 files differ in their last bits (that
+tree's outputs written by this script, which adds the 14 files of the
+degenerate maps).  One loop, ``orbits._newton``, now does both; a double
+row stops once its correction is below 2^-53 (1 + max |x_k|) or
+predicted below it.  ``horseshoe-fix01.json``, ``doubling-fix02.json``
+and ``lyapunov-mixed.csv`` are byte-identical.  Every count,
+``complete``, ``budget_used``, ``unresolved``, the orbit order and every
+kind are equal, on the degenerate files too.  xs move by at most
+4.4e-16 (horseshoe), 2.5e-15 (mixed Fix_11), 2.4e-15 (cubic), 2.0e-16
+(near1d), 3.3e-16 (saddle-node, doubling, conservative) and 5.6e-14
+(near-saddle-node), at most 0.159 of the old certificate radius; the
+mixed map's fixed point 0 is now exactly 0, where it was -2.4e-27.  The
+scans move lambda_n and lambda_prev_n by at most 4e-16 and
+laplacian_defect by at most 7.1e-13, the ``measure`` CSVs only their
+moment gaps (at most 4.4e-16) and ``lyapunov-horseshoe.csv`` by at most
+3e-16.  The ``verify-*.txt`` files move z by at most 9.8e-62
+(horseshoe), 9.1e-62 (mixed) and 1.4e-61 (cubic) of 1 + |z|, with G+
+and G- at most 2.3e-14; given the same double orbits, the re-polish
+returns bit-identical z.
 """
 
 from __future__ import annotations
