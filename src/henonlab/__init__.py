@@ -87,4 +87,4 @@ __all__ = [
     "vector_period",
 ]
 
-__version__ = "0.6.0"
+__version__ = "0.7.0"

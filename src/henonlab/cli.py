@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import hashlib
 import io
 import json
@@ -18,12 +19,11 @@ import tempfile
 from . import __version__
 from .maps import HenonMap
 from .measures import DEFAULT_RESOLUTION, discrepancy, empirical_measure, moment_orders, moments
-from .exponents import lambda_estimate
+from .exponents import lambda_estimates
 from .orbits import (
     DEFAULT_RNG_SEED,
     SPECTRUM_SCHEMA,
     Tolerances,
-    _by_length,
     _certify_rows,
     _classify_rows,
     enumerate_fix,
@@ -101,9 +101,7 @@ def _write_out(out_path: str, payload: str, cache_path: str | None) -> None:
         fh.write(data)
 
 
-# ---------------------------------------------------------------------------
-# subcommands
-# ---------------------------------------------------------------------------
+# -- subcommands ---------------------------------------------------------------
 
 def cmd_enumerate(args) -> int:
     if args.n < 1:
@@ -132,12 +130,9 @@ def cmd_enumerate(args) -> int:
 def cmd_classify(args) -> int:
     spec = spectrum_from_file(args.spectrum)
     tols = Tolerances(eps_hyp=args.eps_hyp)
-    orbits = list(spec.orbits)
-    for idx, X in _by_length(spec.orbits):
-        ok, radii, _ = _certify_rows(spec.map, X, tols)
-        for i, o in zip(idx, _classify_rows(spec.map, X, ok, radii, tols)):
-            orbits[i] = o
-    _write_out(args.out, spectrum_to_json(dataclasses.replace(spec, orbits=orbits)) + "\n", None)
+    blocks = [_classify_rows(spec.map, b.xs, *_certify_rows(spec.map, b.xs, tols)[:2], tols)
+              for b in spec.blocks]
+    _write_out(args.out, spectrum_to_json(dataclasses.replace(spec, blocks=blocks)) + "\n", None)
     return 0
 
 
@@ -189,15 +184,10 @@ def cmd_lyapunov(args) -> int:
     buf = io.StringIO()
     buf.write("n,which,point_count,lambda_n,chi_sum_form,psi_sum_form,agreement_gap\n")
     for s in specs:
-        for which in which_list:
-            est = lambda_estimate(s, which)
-            if est.point_count == 0:
-                buf.write(f"{s.n},{which},0,,,,\n")
-            else:
-                buf.write(
-                    f"{s.n},{which},{est.point_count},{est.lambda_n!r},"
-                    f"{est.chi_sum_form!r},{est.psi_sum_form!r},{est.agreement_gap!r}\n"
-                )
+        for est in lambda_estimates(s, which_list):
+            values = (est.lambda_n, est.chi_sum_form, est.psi_sum_form, est.agreement_gap)
+            buf.write(f"{s.n},{est.which},{est.point_count},"
+                      + ",".join("" if v is None else repr(v) for v in values) + "\n")
     _write_out(args.out, buf.getvalue(), None)
     return 0
 
@@ -307,10 +297,13 @@ def build_parser() -> _Parser:
     return p
 
 
+#: the parser of ``main``, built once per process: parsing leaves no state in it
+_parser = functools.cache(build_parser)
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
         return args.func(args)
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)

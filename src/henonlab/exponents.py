@@ -4,7 +4,7 @@ Two routes to the finite-n average are kept side by side as a built-in
 cross-check: the multiplier route sums log|lambda_u| per point, the
 cocycle route sums log of the expansion of Df along unstable directions
 pushed around each orbit (which telescopes to the same quantity).  Both
-run over all orbits of one length at once.
+run over a block of orbits of one length at once.
 """
 
 from __future__ import annotations
@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .maps import HenonMap
-from .orbits import PeriodSpectrum, PeriodicOrbit, _by_length, _eigenpair_rows, _monodromy_rows
+from .orbits import PeriodSpectrum, PeriodicOrbit, _eigenpair_rows, _monodromy_rows
 
 
 @dataclass
@@ -30,14 +30,10 @@ class UnstableDirection:
         nrm = float(np.linalg.norm(self.dir))
         if not math.isfinite(nrm) or nrm == 0.0:
             raise ValueError("direction must be a nonzero finite vector")
-        self.dir = _fix_phase(self.dir / nrm)
-
-
-def _fix_phase(v: np.ndarray) -> np.ndarray:
-    """Make the largest-modulus component real positive (deterministic rep)."""
-    i = int(np.argmax(np.abs(v)))
-    ph = v[i] / abs(v[i])
-    return v / ph
+        # the largest-modulus component made real positive (deterministic rep)
+        v = self.dir / nrm
+        i = int(np.argmax(np.abs(v)))
+        self.dir = v / (v[i] / abs(v[i]))
 
 
 def _unstable_rows(m: HenonMap, X: np.ndarray, steps: int) -> tuple[np.ndarray, np.ndarray]:
@@ -111,33 +107,40 @@ class LyapunovEstimate:
         return abs(self.chi_sum_form - self.psi_sum_form)
 
 
-def chi_average(orbits: list[PeriodicOrbit], degree: int, n: int) -> float:
-    """d^-n sum over the orbits of k chi: their points' finite-n Lyapunov average, NaN if none.
+def chi_average(terms: list[float], degree: int, n: int) -> float:
+    """d^-n sum of ``terms``, the k chi of selected orbits: their points' finite-n Lyapunov average.
 
     A point of exact period k contributes (n/k) log|lambda_u| of its k-cycle
-    to the multiplier of f^n.  ``math.fsum`` makes the orbits' order irrelevant.
+    to the multiplier of f^n.  ``math.fsum`` makes the terms' order irrelevant; NaN if none.
     """
-    if not orbits:
+    if not terms:
         return math.nan
-    return degree ** (-float(n)) * math.fsum(o.n * o.chi for o in orbits)
+    return degree ** (-float(n)) * math.fsum(terms)
 
 
-def lambda_estimate(spectrum: PeriodSpectrum, which: str = "sper") -> LyapunovEstimate:
-    """Finite-n Lyapunov average (1 / (n d^n)) sum over points of log|lambda_u|.
+def lambda_estimates(spectrum: PeriodSpectrum, whiches) -> list[LyapunovEstimate]:
+    """Finite-n Lyapunov average (1 / (n d^n)) sum of log|lambda_u| of each point class in ``whiches``.
 
     The multiplier route is ``chi_average``; the cocycle route recomputes
-    the same value through unstable directions; both are reported.
+    the same value through unstable directions, once per block over the
+    rows that any of the classes selects; both are reported.
     Normalization always divides by d^n, so deficient spectra yield a
     lower-bound-biased value (flagged through spectrum.complete).
     """
-    orbits = spectrum.select(which)
-    d, n = spectrum.map.degree, spectrum.n
-    count = sum(o.n for o in orbits)
-    if count == 0:
-        return LyapunovEstimate(n=n, which=which, point_count=0,
-                                lambda_n=None, chi_sum_form=None, psi_sum_form=None)
-    chi_sum = chi_average(orbits, d, n)
-    psi_sum = d ** (-float(n)) * math.fsum(
-        t for _, X in _by_length(orbits) for t in _psi_sum_rows(spectrum.map, X).tolist())
-    return LyapunovEstimate(n=n, which=which, point_count=count, lambda_n=chi_sum,
-                            chi_sum_form=chi_sum, psi_sum_form=psi_sum)
+    d, n, blocks = spectrum.map.degree, spectrum.n, spectrum.blocks
+    masks = [spectrum.masks(which) for which in whiches]
+    psi = [np.zeros(len(b)) for b in blocks]
+    for b, p, rows in zip(blocks, psi, (np.logical_or.reduce(m) for m in zip(*masks))):
+        p[rows] = _psi_sum_rows(spectrum.map, b.xs[rows])
+    out = []
+    for which, mask in zip(whiches, masks):
+        count = sum(b.period * int(m.sum()) for b, m in zip(blocks, mask))
+        chi = chi_average([t for b, m in zip(blocks, mask) for t in (b.period * b.chi[m]).tolist()], d, n)
+        psi_sum = d ** (-float(n)) * math.fsum(t for p, m in zip(psi, mask) for t in p[m].tolist())
+        out.append(LyapunovEstimate(n, which, count, *((chi, chi, psi_sum) if count else (None,) * 3)))
+    return out
+
+
+def lambda_estimate(spectrum: PeriodSpectrum, which: str = "sper") -> LyapunovEstimate:
+    """``lambda_estimates`` for one point class."""
+    return lambda_estimates(spectrum, [which])[0]

@@ -43,7 +43,7 @@ def empirical_measure(spectrum: PeriodSpectrum, which: str = "fix") -> Empirical
     d = spectrum.map.degree
     w = d ** (-float(spectrum.n))
     points = np.concatenate([np.empty((0, 2), dtype=complex)] + [
-        np.column_stack((o.xs, np.roll(o.xs, 1))) for o in spectrum.select(which)])
+        np.stack((b.xs, np.roll(b.xs, 1, axis=1)), -1).reshape(-1, 2) for b in spectrum.select(which)])
     return EmpiricalMeasure(points, np.full(points.shape[0], w))
 
 

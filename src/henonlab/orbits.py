@@ -8,11 +8,8 @@ The defining system is
 
 whose Jacobian is cyclic tridiagonal: diagonal p'(x_k), subdiagonal -a,
 superdiagonal -1, plus the wrap-around corners J[0, n-1] = -a and
-J[n-1, 0] = -1.  Every linear solve on such a band is O(n) per row without
-forming J: Thomas elimination on the tridiagonal part and a
-Sherman-Morrison correction for the corners.  The same ``_band_solve``
-solves the rows where that is unreliable, and every row when n < 3,
-densely: by LAPACK on doubles, by ``mp.lu_solve`` on mpmath numbers.
+J[n-1, 0] = -1.  ``_band_solve`` solves it in O(n) per row without
+forming J, and densely where that is unreliable.
 
 The orbits come from a total-degree homotopy.  The system has Bezout
 number d^n, exactly the number of fixed points of f^n counted with
@@ -27,7 +24,8 @@ scan tracks every grid cell and every length at once.  Each endpoint is
 Newton-polished at its own length wherever its path stopped; its
 residual, exact period and certificate decide.  Canonical rotations,
 period gaps, certificates and multipliers run over all endpoints of one
-length at once; ``canonical_rotation`` and ``vector_period`` take one row.
+length at once, and the classified orbits of a length are the columns of
+one OrbitBlock; ``canonical_rotation`` and ``vector_period`` take one row.
 """
 
 from __future__ import annotations
@@ -35,7 +33,9 @@ from __future__ import annotations
 import cmath
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
+from functools import cached_property
+from itertools import accumulate, chain, groupby
 
 import mpmath as mp
 import numpy as np
@@ -71,9 +71,7 @@ class Tolerances:
 DEFAULT_TOLERANCES = Tolerances()
 
 
-# ---------------------------------------------------------------------------
-# cyclic system
-# ---------------------------------------------------------------------------
+# -- cyclic system -------------------------------------------------------------
 
 def _orbit_array(xs) -> np.ndarray:
     xs = np.asarray(xs)
@@ -391,9 +389,7 @@ def _newton(m, X: np.ndarray, prec: int = 53, steps: int = 60) -> tuple[np.ndarr
     return X, converged
 
 
-# ---------------------------------------------------------------------------
-# certification (a posteriori Newton-Kantorovich test)
-# ---------------------------------------------------------------------------
+# -- certification (a posteriori Newton-Kantorovich test) ----------------------
 
 def _residual_rounding(m: HenonMap, xs: np.ndarray) -> np.ndarray:
     """Bound on the rounding error of each entry of ``cyclic_residual(m, xs)``.
@@ -464,11 +460,9 @@ def certify(m: HenonMap, xs: np.ndarray, tols: Tolerances = DEFAULT_TOLERANCES) 
     the Lipschitz bound for the Jacobian on the ball of radius
     ``tols.certify_ball`` (driven by max |p''| there), h = beta L eta <= 1/2
     guarantees a zero z* within rho = (1 - sqrt(1 - 2h)) / (beta L), and
-    no other zero within min(1 / (beta L), ``tols.certify_ball``) of xs.
-    When p and a are real, the conjugate of z* is a zero too, within
-    rho + 2 max_k |Im x_k| of xs; if that is inside the uniqueness radius
-    it is z* itself, so z* is real (``_real_rows``).
-    Returns (certified, rho), (False, 0.0) when the test fails.
+    no other zero within min(1 / (beta L), ``tols.certify_ball``) of xs
+    (which ``_real_rows`` uses).  Returns (certified, rho), (False, 0.0)
+    when the test fails.
     """
     ok, rho, _ = _certify_rows(m, np.asarray(xs, dtype=complex).reshape(1, -1), tols)
     return bool(ok[0]), float(rho[0])
@@ -488,9 +482,7 @@ def _real_rows(maps: list[HenonMap], owner: np.ndarray, X: np.ndarray, radius: n
     return real[owner] & (radius + 2 * np.abs(X.imag).max(axis=1, initial=0.0) < reach)
 
 
-# ---------------------------------------------------------------------------
-# classification
-# ---------------------------------------------------------------------------
+# -- classification ------------------------------------------------------------
 
 @dataclass
 class PeriodicOrbit:
@@ -515,16 +507,39 @@ class PeriodicOrbit:
         return self.n * self.chi
 
 
-#: the kinds of ``_classify_rows``, by its class index
+#: the kinds of an orbit, by their codes in ``OrbitBlock.kind``
 _KINDS = ("saddle", "sink", "source", "marginal")
 
 
-def _by_length(orbits: list) -> list[tuple[list[int], np.ndarray]]:
-    """(indices, their stacked xs) for each orbit length, indices in list order."""
-    groups: dict[int, list[int]] = {}
-    for i, o in enumerate(orbits):
-        groups.setdefault(len(o.xs), []).append(i)
-    return [(idx, np.array([orbits[i].xs for i in idx], dtype=complex)) for idx in groups.values()]
+@dataclass(eq=False)
+class OrbitBlock:
+    """Orbits of one length k as columns: ``xs`` is (B, k), each other field one entry
+    per orbit.  Iterating a block gives its orbits as PeriodicOrbit records."""
+
+    xs: np.ndarray
+    lambda_s: np.ndarray
+    lambda_u: np.ndarray
+    chi: np.ndarray
+    kind: np.ndarray
+    residual: np.ndarray
+    certified: np.ndarray
+    radius: np.ndarray
+
+    @property
+    def period(self) -> int:
+        return self.xs.shape[1]
+
+    def __len__(self) -> int:
+        return len(self.xs)
+
+    def take(self, rows) -> "OrbitBlock":
+        """The block of ``rows``: an index array, a mask or a slice."""
+        return OrbitBlock(*(getattr(self, f.name)[rows] for f in fields(self)))
+
+    def __iter__(self):
+        cols = (getattr(self, f.name).tolist() for f in fields(self)[1:])
+        return (PeriodicOrbit(self.period, x, ls, lu, chi, _KINDS[c], r, ok, rho)
+                for x, ls, lu, chi, c, r, ok, rho in zip(self.xs, *cols))
 
 
 def _monodromy_rows(m: HenonMap, X: np.ndarray, start: int = 0) -> tuple[np.ndarray, np.ndarray]:
@@ -571,8 +586,8 @@ def _eigenpair_rows(M: np.ndarray, log_scale: np.ndarray):
 
 
 def _classify_rows(m: HenonMap, X: np.ndarray, certified, radii,
-                   tols: Tolerances = DEFAULT_TOLERANCES) -> list[PeriodicOrbit]:
-    """``classify`` for each row of X (B, n), recording the given certificates."""
+                   tols: Tolerances = DEFAULT_TOLERANCES) -> OrbitBlock:
+    """``classify`` for each row of X (B, n) as one block, recording the given certificates."""
     n, a = X.shape[1], np.reshape(m.a, -1)
     residual = np.abs(cyclic_residual(m, X)).max(axis=1)
     M, log_scale = _monodromy_rows(m, X)
@@ -592,33 +607,17 @@ def _classify_rows(m: HenonMap, X: np.ndarray, certified, radii,
     lo, hi = math.log1p(-tols.eps_hyp), math.log1p(tols.eps_hyp)
     kind = np.select([(log_ls < lo) & (log_lu > hi), (log_ls < lo) & (log_lu < lo),
                       (log_ls > hi) & (log_lu > hi)], [0, 1, 2], 3)
-    return [PeriodicOrbit(n=n, xs=x, lambda_s=ls, lambda_u=lu, chi=lg / n, kind=_KINDS[c],
-                          residual=r, certified=bool(ok), certificate_radius=float(rho))
-            for x, ls, lu, lg, c, r, ok, rho in zip(
-                X, lambda_s.tolist(), lambda_u.tolist(), log_lu.tolist(), kind.tolist(),
-                residual.tolist(), certified, radii)]
+    return OrbitBlock(X, lambda_s, lambda_u, log_lu / n, kind, residual,
+                      np.asarray(certified, dtype=bool), np.asarray(radii, dtype=float))
 
 
-def classify(
-    m: HenonMap,
-    xs: np.ndarray,
-    tols: Tolerances = DEFAULT_TOLERANCES,
-    certified: bool | None = None,
-    certificate_radius: float | None = None,
-) -> PeriodicOrbit:
-    """Build the PeriodicOrbit record (multipliers, exponent, kind).
-
-    Without ``certified`` the orbit is certified here.
-    """
+def classify(m: HenonMap, xs: np.ndarray, tols: Tolerances = DEFAULT_TOLERANCES) -> PeriodicOrbit:
+    """Certify ``xs`` and build its PeriodicOrbit record (multipliers, exponent, kind)."""
     X = np.asarray(xs, dtype=complex).reshape(1, -1)
-    if certified is None:
-        certified, certificate_radius = certify(m, X[0], tols)
-    return _classify_rows(m, X, [certified], [certificate_radius or 0.0], tols)[0]
+    return next(iter(_classify_rows(m, X, *_certify_rows(m, X, tols)[:2], tols)))
 
 
-# ---------------------------------------------------------------------------
-# orbit vector utilities
-# ---------------------------------------------------------------------------
+# -- orbit vector utilities ----------------------------------------------------
 
 def _divisors(n: int) -> list[int]:
     return [k for k in range(1, n + 1) if n % k == 0]
@@ -683,48 +682,47 @@ def vector_period(xs: np.ndarray, tol: float) -> int:
     return next((p for p, gap in zip(_divisors(len(xs)), gaps) if gap < tol), len(xs))
 
 
-# ---------------------------------------------------------------------------
-# spectrum container
-# ---------------------------------------------------------------------------
+# -- spectrum container --------------------------------------------------------
 
 @dataclass
 class PeriodSpectrum:
-    """The catalogue of Fix_n for one map: orbits grouped by exact period."""
+    """The catalogue of Fix_n for one map: an OrbitBlock per run of orbits of one
+    period.  ``orbits`` lists them as PeriodicOrbit rows, built on first use and kept."""
 
     map: HenonMap
     n: int
-    orbits: list[PeriodicOrbit]
+    blocks: list[OrbitBlock]
     complete: bool
     budget_used: int = 0
     unresolved: list[np.ndarray] = field(default_factory=list)
 
+    @cached_property
+    def orbits(self) -> list[PeriodicOrbit]:
+        return [o for b in self.blocks for o in b]
+
     @property
     def counts(self) -> dict:
         per: dict[int, int] = {}
-        for o in self.orbits:
-            per[o.n] = per.get(o.n, 0) + o.n
-        fix = sum(per.values())
-        sper = sum(o.n for o in self.orbits if o.n == self.n and o.kind == "saddle")
-        return {"fix": fix, "per": per, "sper": sper}
+        for b in self.blocks:
+            per[b.period] = per.get(b.period, 0) + b.period * len(b)
+        sper = sum(self.n * int((b.kind == 0).sum()) for b in self.blocks if b.period == self.n)
+        return {"fix": sum(per.values()), "per": per, "sper": sper}
 
-    def select(self, which: str) -> list[PeriodicOrbit]:
-        """Orbit subset for the three point classes of the limit theorem.
+    def masks(self, which: str) -> list[np.ndarray]:
+        """Each block's rows in a point class of the limit theorem: fix, every point
+        of f^n; per, exact period n only; sper, the saddle subset of Fix_n
+        (coincides with fix on all-saddle spectra)."""
+        if which not in ("fix", "per", "sper"):
+            raise ValueError(f"unknown selection {which!r} (expected fix/per/sper)")
+        return [b.kind == 0 if which == "sper" else np.full(len(b), which == "fix" or b.period == self.n)
+                for b in self.blocks]
 
-        fix: every point of f^n; per: exact period n only; sper: the
-        saddle subset of Fix_n (coincides with fix on all-saddle spectra).
-        """
-        if which == "fix":
-            return list(self.orbits)
-        if which == "per":
-            return [o for o in self.orbits if o.n == self.n]
-        if which == "sper":
-            return [o for o in self.orbits if o.kind == "saddle"]
-        raise ValueError(f"unknown selection {which!r} (expected fix/per/sper)")
+    def select(self, which: str) -> list[OrbitBlock]:
+        """The blocks of a point class (see ``masks``), empty ones left out."""
+        return [b.take(m) for b, m in zip(self.blocks, self.masks(which)) if m.any()]
 
 
-# ---------------------------------------------------------------------------
-# necklace homotopy
-# ---------------------------------------------------------------------------
+# -- necklace homotopy ---------------------------------------------------------
 
 def _lyndon_words(d: int, k: int) -> list[tuple[int, ...]]:
     """Lyndon words of length k over {0, ..., d-1}, in lexicographic order (Duval).
@@ -935,9 +933,10 @@ def _catalogue(maps: list[HenonMap], ks, rng_seed: int, tols: Tolerances, budget
     paths ended on one orbit) has all its length-k paths tracked again
     with the gamma of the next attempt.  The orbits of all attempts and
     maps are merged into one list per length, then classified in one
-    batch.  Returns (orbits, complete, paths, unresolved):
-    orbits[i][k] are the classified orbits of maps[i] in canonical
-    rotation and lexicographic order; complete[i] says whether every
+    batch.  Returns (found, complete, paths, unresolved): found[k] is
+    (owner, block), the OrbitBlock of every map's period-k orbits in
+    canonical rotation, by owner and then lexicographically, and each
+    row's index into ``maps``; complete[i] says whether every
     length reached its count; ``paths`` counts tracked paths, retracks
     included; unresolved[i] holds the polished endpoints that failed the
     last attempt of a length still short.  ``budget`` caps ``paths``
@@ -981,7 +980,7 @@ def _catalogue(maps: list[HenonMap], ks, rng_seed: int, tols: Tolerances, budget
                     f"{counts.max()} certified orbits of period {k} exceed "
                     f"the {need} necklaces: one orbit was kept twice")
             todo[k] = todo[k][counts < need]
-    orbits: list[dict] = [{} for _ in maps]
+    found = {}
     complete = np.ones(len(maps), dtype=bool)
     unresolved: list[list[np.ndarray]] = [[] for _ in maps]
     for k in ks:
@@ -993,28 +992,18 @@ def _catalogue(maps: list[HenonMap], ks, rng_seed: int, tols: Tolerances, budget
         X = np.array([w for _, w, _ in kept[k]], dtype=complex).reshape(-1, k)
         order = _lex_order(X, owner)
         radii = np.array([rho for _, _, rho in kept[k]])[order]
-        rows = _classify_rows(_MapRows.stack(maps, owner[order]), X[order], [True] * len(X),
-                              radii, tols)
-        sizes = np.bincount(owner, minlength=len(maps))
-        for i, end in enumerate(np.cumsum(sizes)):
-            orbits[i][k] = rows[end - sizes[i]:end]
-    return orbits, complete, paths, unresolved
+        found[k] = owner[order], _classify_rows(_MapRows.stack(maps, owner[order]), X[order],
+                                                np.ones(len(X), dtype=bool), radii, tols)
+    return found, complete, paths, unresolved
 
 
-def enumerate_fix(
-    m: HenonMap,
-    n: int,
-    budget: int | None = None,
-    rng_seed: int = DEFAULT_RNG_SEED,
-    tols: Tolerances = DEFAULT_TOLERANCES,
-) -> PeriodSpectrum:
-    """All fixed points of f^n, by exact period, from the necklace homotopy.
+def enumerate_fix(m: HenonMap, n: int, budget: int | None = None, rng_seed: int = DEFAULT_RNG_SEED,
+                  tols: Tolerances = DEFAULT_TOLERANCES) -> PeriodSpectrum:
+    """All fixed points of f^n from the necklace homotopy, one OrbitBlock per exact period.
 
-    For each divisor k of n one path per Lyndon word of length k is
-    tracked as the word repeated n/k times, all lengths in one batch of
-    the length-n homotopy; the first k coordinates of each endpoint are
-    polished and checked at length k, and each certified one is one orbit
-    of exact period k.  ``budget`` caps the number of tracked paths,
+    For each divisor k of n, ``_catalogue`` tracks one path per Lyndon word
+    of length k, and each certified endpoint is one orbit of exact period
+    k.  ``budget`` caps the number of tracked paths,
     retracks included (default 1000 d^n, never below d^n, which the first
     attempt always fits).  The spectrum is complete when every period
     reached its necklace count, which makes d^n distinct, certified,
@@ -1029,50 +1018,39 @@ def enumerate_fix(
     if budget < target:
         raise ValueError(f"budget {budget} below d^n = {target}")
     ks = _divisors(n)
-    orbits, complete, paths, unresolved = _catalogue([m], ks, rng_seed, tols, budget)
-    return PeriodSpectrum(
-        map=m,
-        n=n,
-        orbits=[o for k in ks for o in orbits[0][k]],
-        complete=bool(complete[0]),
-        budget_used=paths,
-        unresolved=unresolved[0],
-    )
+    found, complete, paths, unresolved = _catalogue([m], ks, rng_seed, tols, budget)
+    return PeriodSpectrum(m, n, [b for k in ks if len(b := found[k][1])], bool(complete[0]),
+                          paths, unresolved[0])
 
 
-# ---------------------------------------------------------------------------
-# serialization
-# ---------------------------------------------------------------------------
+# -- serialization -------------------------------------------------------------
 
 #: version of the spectrum JSON layout; ``spectrum_from_dict`` refuses a newer one
 SPECTRUM_SCHEMA = 2
 
 
-def _pairs(xs) -> list[list[float]]:
-    return np.ascontiguousarray(xs, dtype=complex).view(float).reshape(-1, 2).tolist()
+def _pairs(z) -> list:
+    """[re, im] of each entry of the complex array z, nested as z is."""
+    return np.stack((np.real(z), np.imag(z)), axis=-1).tolist()
 
 
-def _from_pairs(pairs: list) -> np.ndarray:
-    return np.array([complex(re, im) for re, im in pairs], dtype=complex)
+def _from_pairs(pairs: list) -> np.ndarray | None:
+    """The complex numbers of [re, im] pairs; None unless each is a list of two real, non-bool numbers."""
+    flat = list(chain.from_iterable(pairs)) if set(map(type, pairs)) <= {list} else [None]
+    ok = set(map(type, flat)) <= {int, float} and set(map(len, pairs)) <= {2}
+    return np.array(flat, dtype=float).view(complex) if ok else None
 
 
 def spectrum_to_dict(spec: PeriodSpectrum) -> dict:
-    counts = spec.counts
-    return {
-        "schema": SPECTRUM_SCHEMA,
-        "map": spec.map.to_spec(),
-        "n": spec.n,
-        "complete": spec.complete,
-        "counts": dict(counts, per={str(k): v for k, v in sorted(counts["per"].items())}),
-        "budget_used": spec.budget_used,
-        "unresolved": [_pairs(x) for x in spec.unresolved],
-        "orbits": [{"period": o.n, "xs": _pairs(o.xs),
-                    "lambda_s": [o.lambda_s.real, o.lambda_s.imag],
-                    "lambda_u": [o.lambda_u.real, o.lambda_u.imag],
-                    "chi": o.chi, "kind": o.kind, "residual": o.residual,
-                    "certified": o.certified, "radius": o.certificate_radius}
-                   for o in spec.orbits],
-    }
+    orbits = [{"period": b.period, "xs": x, "lambda_s": ls, "lambda_u": lu, "chi": chi,
+               "kind": _KINDS[c], "residual": r, "certified": ok, "radius": rho}
+              for b in spec.blocks for x, ls, lu, chi, c, r, ok, rho in zip(
+                  _pairs(b.xs), _pairs(b.lambda_s), _pairs(b.lambda_u),
+                  *(col.tolist() for col in (b.chi, b.kind, b.residual, b.certified, b.radius)))]
+    return {"schema": SPECTRUM_SCHEMA, "map": spec.map.to_spec(), "n": spec.n, "complete": spec.complete,
+            "counts": dict(c := spec.counts, per={str(k): v for k, v in sorted(c["per"].items())}),
+            "budget_used": spec.budget_used, "unresolved": [_pairs(x) for x in spec.unresolved],
+            "orbits": orbits}
 
 
 def spectrum_to_json(spec: PeriodSpectrum) -> str:
@@ -1094,24 +1072,46 @@ def _bad_fields(od: dict) -> list[str]:
     return bad + ([] if od["kind"] in _KINDS else ["kind"])
 
 
+def _block(records: list[dict], first: int) -> OrbitBlock:
+    """The OrbitBlock of records of one period that ``_bad_fields`` passes; a ValueError
+    names the first, counted from ``first``, whose xs, lambda_s or lambda_u is not made
+    of [re, im] pairs of real, non-bool numbers, or whose certified is not a bool."""
+    z = [_from_pairs(list(chain.from_iterable(od["xs"] for od in records)))] + [
+        _from_pairs([od[f] for od in records]) for f in ("lambda_s", "lambda_u")]
+    certified = [od["certified"] for od in records]
+    bad = [f for f, c in zip(("xs", "lambda_s", "lambda_u"), z) if c is None]
+    if bad or set(map(type, certified)) - {bool}:
+        for i, od in enumerate(records if len(records) > 1 else []):
+            _block([od], first + i)
+        raise ValueError(f"orbit {first} has a bad {', '.join(bad or ['certified'])}")
+    chi, residual, radius = (np.array([od[f] for od in records], dtype=float)
+                             for f in ("chi", "residual", "radius"))
+    return OrbitBlock(z[0].reshape(len(records), -1), *z[1:], chi,
+                      np.array([_KINDS.index(od["kind"]) for od in records]), residual,
+                      np.array(certified), radius)
+
+
 def spectrum_from_dict(data: dict) -> PeriodSpectrum:
-    """The spectrum a ``spectrum_to_dict`` record describes; ValueError if it is malformed."""
+    """The spectrum a ``spectrum_to_dict`` record describes, an OrbitBlock per run of
+    records of one period in record order; ValueError if it is malformed."""
     try:
         m = HenonMap.from_spec(data["map"])
         if data.get("schema", 1) > SPECTRUM_SCHEMA:
             raise ValueError(f"schema {data['schema']} is newer than {SPECTRUM_SCHEMA}")
-        for i, od in enumerate(data["orbits"]):
-            if bad := _bad_fields(od):
+        n, complete, budget_used = data["n"], data["complete"], data.get("budget_used", 0)
+        if not (type(n) is int and n >= 1 and type(complete) is bool
+                and type(budget_used) is int and budget_used >= 0):
+            raise ValueError(f"bad n, complete or budget_used: {n!r}, {complete!r}, {budget_used!r}")
+        records = data["orbits"]
+        for i, od in enumerate(records):
+            if bad := _bad_fields(od) or (["period"] if n % od["period"] else []):
                 raise ValueError(f"orbit {i} has a bad {', '.join(bad)}")
-        orbits = [PeriodicOrbit(n=od["period"], xs=_from_pairs(od["xs"]),
-                                lambda_s=complex(od["lambda_s"][0], od["lambda_s"][1]),
-                                lambda_u=complex(od["lambda_u"][0], od["lambda_u"][1]),
-                                chi=od["chi"], kind=od["kind"], residual=od["residual"],
-                                certified=od["certified"], certificate_radius=od["radius"])
-                  for od in data["orbits"]]
-        return PeriodSpectrum(map=m, n=data["n"], orbits=orbits, complete=data["complete"],
-                              budget_used=data.get("budget_used", 0),
-                              unresolved=[_from_pairs(u) for u in data.get("unresolved", [])])
+        unresolved = [_from_pairs(u) for u in data.get("unresolved", [])]
+        if any(u is None for u in unresolved):
+            raise ValueError("an unresolved endpoint holds a point that is not two real numbers")
+        runs = [list(run) for _, run in groupby(records, key=lambda od: od["period"])]
+        blocks = list(map(_block, runs, accumulate(map(len, runs), initial=0)))
+        return PeriodSpectrum(m, n, blocks, complete, budget_used, unresolved)
     except (KeyError, TypeError, IndexError, ValueError) as exc:
         raise ValueError(f"malformed spectrum: {exc}") from exc
 

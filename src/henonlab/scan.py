@@ -129,20 +129,24 @@ def scan(
     cs = family.grid()
     g = family.grid_size
     maps = [family.map_at(c) for c in cs.ravel()]
-    orbits, complete, _, _ = _catalogue(maps, range(1, n + 1), rng_seed, tols)
+    found, complete, _, _ = _catalogue(maps, range(1, n + 1), rng_seed, tols)
+    # every orbit of every cell, one entry each; kind 0 is a saddle, 1 a sink, 3 marginal
+    owner, period, kind, chi, lu, ls = (np.concatenate(c) for c in zip(*[
+        (o, np.full(len(b), k), b.kind, b.chi, b.lambda_u, b.lambda_s) for k, (o, b) in found.items()]))
     lam = np.full((2, g, g), np.nan)
-    sinks, elliptic = np.zeros((2, g, g), dtype=int)
-    for i, m, per_k in zip(np.ndindex(g, g), maps, orbits):
-        found = [o for os in per_k.values() for o in os]
-        for row, p in enumerate((n, max(n - 1, 1))):
-            saddles = [o for o in found if o.kind == "saddle" and p % o.n == 0]
-            lam[row][i] = chi_average(saddles, m.degree, p)
-        sinks[i] = sum(o.kind == "sink" for o in found)
-        if abs(abs(m.a) - 1.0) <= 1e-9:  # marginal orbits with both multipliers on |z| = 1
-            elliptic[i] = sum(o.kind == "marginal" and abs(abs(o.lambda_u) - 1.0) <= tols.eps_hyp
-                              and abs(abs(o.lambda_s) - 1.0) <= tols.eps_hyp for o in found)
+    for row, p in enumerate((n, max(n - 1, 1))):
+        saddle = (kind == 0) & (p % period == 0)
+        order = np.argsort(owner[saddle], kind="stable")
+        cuts = np.searchsorted(owner[saddle][order], np.arange(g * g + 1))
+        terms = (period * chi)[saddle][order].tolist()
+        lam[row] = np.reshape([chi_average(terms[a:b], maps[0].degree, p)
+                               for a, b in zip(cuts, cuts[1:])], (g, g))
+    # marginal orbits with both multipliers on |z| = 1, counted when |a| = 1
+    on = (kind == 3) & (np.abs(np.abs(lu) - 1) <= tols.eps_hyp) & (np.abs(np.abs(ls) - 1) <= tols.eps_hyp)
+    elliptic = np.bincount(owner[on], minlength=g * g) * (abs(abs(family.a) - 1.0) <= 1e-9)
     fld = ScanField(family=family, n=n, c=cs, lambda_n=lam[0], lambda_prev=lam[1],
-                    complete=complete.reshape(g, g), n_sinks=sinks, n_elliptic=elliptic)
+                    complete=complete.reshape(g, g), n_elliptic=elliptic.reshape(g, g),
+                    n_sinks=np.bincount(owner[kind == 1], minlength=g * g).reshape(g, g))
     laplacian_defect(fld)
     return fld
 

@@ -1,13 +1,16 @@
 """Command-line harness: exit codes, caching, reproducibility."""
 
+import functools
 import json
 import math
+from pathlib import Path
 
 import pytest
 
 import henonlab as hl
+import per_orbit
 from henonlab import cli
-from henonlab.cli import main
+from henonlab.cli import _SELECTIONS, main
 from henonlab.orbits import SPECTRUM_SCHEMA
 
 MIXED_SPEC = {"a": [0.5, 0.0], "p": [[0.0, 0.0], [0.0, 0.0]]}
@@ -322,18 +325,33 @@ class TestMalformedSpectrum:
     BAD_FIELDS = {"chi-string": ("chi", "abc"), "residual-null": ("residual", None),
                   "radius-bool": ("radius", True), "period-zero": ("period", 0),
                   "period-float": ("period", 1.0), "kind-unknown": ("kind", "elliptic"),
-                  "xs-one-number": ("xs", [[0.5]])}
+                  "xs-one-number": ("xs", [[0.5]]), "xs-bool": ("xs", [[True, 0.0]]),
+                  "lambda-u-three-numbers": ("lambda_u", [1.0, 2.0, 3.0]),
+                  "lambda-s-bool": ("lambda_s", [0.5, False]),
+                  "certified-string": ("certified", "yes"), "certified-int": ("certified", 1)}
 
-    @pytest.fixture(params=["no-orbits", "orbit-without-xs", "json-list", *BAD_FIELDS])
+    #: one field of the header set to a value of the wrong type or range
+    BAD_HEADER = {"n-string": ("n", "4"), "n-zero": ("n", 0), "complete-string": ("complete", "no"),
+                  "budget-negative": ("budget_used", -1), "budget-float": ("budget_used", 2.0)}
+
+    @pytest.fixture(params=["no-orbits", "orbit-without-xs", "json-list", "period-not-dividing-n",
+                            *BAD_FIELDS, *BAD_HEADER])
     def bad_spectrum(self, request, mapfile, tmp_path):
         data = json.loads(_enumerate(mapfile, tmp_path, "good.json", n=1)[1].read_text())
         if request.param == "no-orbits":
             del data["orbits"]
         elif request.param == "orbit-without-xs":
             del data["orbits"][0]["xs"]
+        elif request.param == "period-not-dividing-n":
+            # a fixed point traversed twice, in a spectrum of Fix_3
+            data["n"], data["orbits"][0]["period"] = 3, 2
+            data["orbits"][0]["xs"] *= 2
         elif request.param in self.BAD_FIELDS:
             key, value = self.BAD_FIELDS[request.param]
             data["orbits"][0][key] = value
+        elif request.param in self.BAD_HEADER:
+            key, value = self.BAD_HEADER[request.param]
+            data[key] = value
         else:
             data = [data]
         path = tmp_path / "bad.json"
@@ -421,3 +439,102 @@ class TestReport:
         assert main(["report", "--cache-dir", cache, "--out", str(out)]) == 0
         lines = out.read_text().strip().split("\n")
         assert lines[0] == "file,bytes" and len(lines) == 2
+
+
+def _records(path) -> tuple[str, list[str]]:
+    """The header line of a spectrum file and its orbit lines, each without its separator."""
+    head, *rows = path.read_text().rstrip("\n").split("\n")
+    return head, [r.removesuffix("]}").removesuffix(",") for r in rows]
+
+
+class TestBlocks:
+    """Spectra as blocks, one per run of orbits of one period, through the CLI."""
+
+    def test_runs_of_periods_keep_their_order(self, tmp_path, monkeypatch):
+        # the cubic's Fix_2 holds three fixed points and three period-2 orbits;
+        # here two period-2 records come first, then the fixed points, then the third
+        mapfile = tmp_path / "cubic.json"
+        mapfile.write_text(json.dumps({"p": [[0.3, 0.2], [-1.5, 0.0], [0.0, 0.1]], "a": [0.4, -0.3]}))
+        sorted_file, fix4 = tmp_path / "sorted.json", tmp_path / "fix4.json"
+        for n, out in ((2, sorted_file), (4, fix4)):
+            assert main(["enumerate", "--map", str(mapfile), "--n", str(n), "--out", str(out)]) == 0
+        head, rows = _records(sorted_file)
+        assert [json.loads(r)["period"] for r in rows] == [1, 1, 1, 2, 2, 2]
+        text = head + "\n" + ",\n".join(rows[3:5] + rows[:3] + rows[5:]) + "]}\n"
+        runs = tmp_path / "runs.json"
+        runs.write_text(text)
+        spec = hl.spectrum_from_file(runs)
+        assert [(b.period, len(b)) for b in spec.blocks] == [(2, 2), (1, 3), (2, 1)]
+        assert hl.spectrum_to_json(spec) + "\n" == text
+        commands = [["measure", "--which", which, "--moment-order", "3"] for which in _SELECTIONS]
+        commands.append(["lyapunov", "--which", "fix,per,sper"])
+
+        def tables(tag):
+            outs = [tmp_path / f"{tag}-{i}.csv" for i in range(len(commands))]
+            for argv, out in zip(commands, outs):
+                assert main([*argv, "--spectra", str(runs), str(fix4), "--out", str(out)]) == 0
+            return [out.read_bytes() for out in outs]
+
+        blocks = tables("blocks")
+        # the per-orbit references take the orbits in file order, and the
+        # measure's cell masses are added in that order
+        monkeypatch.setattr(cli, "empirical_measure", per_orbit.empirical_measure)
+        monkeypatch.setattr(cli, "lambda_estimates",
+                            lambda s, whiches: [per_orbit.lambda_estimate(s, w) for w in whiches])
+        assert tables("per-orbit") == blocks
+
+    def test_cli_builds_no_orbit_records(self, mapfile, tmp_path, monkeypatch):
+        made = []
+        init = hl.PeriodicOrbit.__init__
+        monkeypatch.setattr(hl.PeriodicOrbit, "__init__",
+                            lambda self, *args, **kwargs: made.append(1) or init(self, *args, **kwargs))
+        files = [tmp_path / f"fix{n}.json" for n in (4, 6)]
+        for n, out in zip((4, 6), files):
+            _enumerate(mapfile, tmp_path, out.name, n=n, extra=["--cache-dir", str(tmp_path / "c")])
+        spectra = ["--spectra", *map(str, files)]
+        for argv in (["measure", *spectra, "--moment-order", "2"], ["lyapunov", *spectra],
+                     ["classify", "--spectrum", str(files[1])],
+                     ["enumerate", "--map", mapfile, "--n", "6", "--cache-dir", str(tmp_path / "c")]):
+            assert main([*argv, "--out", str(tmp_path / "out")]) == 0
+        assert made == []
+        assert len(hl.spectrum_from_file(files[0]).orbits) == len(made) > 0
+
+
+class TestParser:
+    """``main`` parses every call with one parser, built on its first call."""
+
+    @staticmethod
+    def _session(mapfile, d: Path, capsys):
+        """Exit codes, stderr lines and output files of five calls of ``main``."""
+        d.mkdir()
+        cache, spectra = str(d / "cache"), ["--spectra", str(d / "a.json")]
+        calls = [["enumerate", "--map", mapfile, "--n", "3", "--budget", "8", "--cache-dir", cache,
+                  "--out", str(d / "a.json")],
+                 ["lyapunov", *spectra, "--which", "fix,sper", "--out", str(d / "l.csv")],
+                 ["measure", *spectra, "--which", "none", "--out", str(d / "bad.csv")],
+                 ["measure", *spectra, "--moment-order", "2", "--out", str(d / "m.csv")],
+                 ["enumerate", "--map", mapfile, "--n", "3", "--cache-dir", cache,
+                  "--out", str(d / "b.json")]]
+        codes = []
+        for argv in calls:
+            capsys.readouterr()
+            codes.append((main(argv), capsys.readouterr().err))
+        return codes, {p.name: p.read_bytes() for p in d.iterdir() if p.is_file()}
+
+    def test_one_parser_serves_every_call(self, mapfile, tmp_path, monkeypatch, capsys):
+        assert cli._parser() is cli._parser()
+        built, keys = [], []
+        build, fetch = cli.build_parser, cli._cache_fetch
+        monkeypatch.setattr(cli, "build_parser", lambda: built.append(1) or build())
+        monkeypatch.setattr(cli, "_cache_fetch", lambda d, key, valid: keys.append(key) or fetch(d, key, valid))
+        monkeypatch.setattr(cli, "_parser", functools.cache(cli.build_parser))
+        reused = self._session(mapfile, tmp_path / "reused", capsys)
+        assert len(built) == 1
+        # no option value of one call leaks into the next: the second
+        # enumerate runs under the default budget, a key of its own
+        assert [k["budget"] for k in keys] == [8, None]
+        assert [code for code, _ in reused[0]] == [0, 0, 1, 0, 0]
+        monkeypatch.setattr(cli, "_parser", cli.build_parser)  # a fresh parser per call
+        fresh = self._session(mapfile, tmp_path / "fresh", capsys)
+        assert len(built) == 6
+        assert reused == fresh

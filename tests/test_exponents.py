@@ -8,7 +8,7 @@ import pytest
 
 import henonlab as hl
 from henonlab.exponents import orbit_psi_sum
-from henonlab.orbits import PeriodSpectrum
+from henonlab.orbits import PeriodSpectrum, _certify_rows, _classify_rows
 
 MIXED = hl.quadratic_map(0.0, 0.5)
 LAMBDA_U = (3 + math.sqrt(7)) / 2  # unstable multiplier at the saddle (1.5, 1.5)
@@ -20,6 +20,13 @@ def _saddle():
 
 def _sink():
     return hl.classify(MIXED, np.array([0.0 + 0j]))
+
+
+def _sink_block():
+    """``_sink()`` as the one row of an OrbitBlock."""
+    X = np.array([[0.0 + 0j]])
+    ok, rho, _ = _certify_rows(MIXED, X)
+    return _classify_rows(MIXED, X, ok, rho)
 
 
 class TestUnstableDirection:
@@ -99,7 +106,7 @@ class TestLambdaEstimate:
         assert est.lambda_n >= math.log(2) - 0.01
 
     def test_empty_selection(self):
-        sink_only = PeriodSpectrum(map=MIXED, n=1, orbits=[_sink()], complete=False)
+        sink_only = PeriodSpectrum(map=MIXED, n=1, blocks=[_sink_block()], complete=False)
         est = hl.lambda_estimate(sink_only, "sper")
         assert est.point_count == 0
         assert est.lambda_n is None and est.agreement_gap is None

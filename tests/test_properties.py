@@ -436,7 +436,7 @@ def _close(got, want, rtol, atol=0.0):
 def _check_rows(m, X, start=0, tols=hl.orbits.DEFAULT_TOLERANCES):
     """Each batched layer on X (B, n) against the loops, and each public one-row call bit for bit."""
     ok, rho, _ = _certify_rows(m, X, tols)
-    orbits = _classify_rows(m, X, ok, rho, tols)
+    orbits = list(_classify_rows(m, X, ok, rho, tols))
     M, log_scale = _monodromy_rows(m, X, start)
     psi = _psi_sum_rows(m, X)
     for i, xs in enumerate(X):
@@ -481,7 +481,7 @@ def test_batched_orbit_layers_match_loops_on_random_maps(d, seed, data):
     coeffs = rng.normal(size=d) + 1j * rng.normal(size=d)
     a = rng.uniform(0.1, 1.5) * cmath.exp(2j * cmath.pi * rng.random())
     m = hl.HenonMap(coeffs=tuple(coeffs), a=a)
-    for _, X in hl.orbits._by_length(hl.enumerate_fix(m, n).orbits):
+    for X in (b.xs for b in hl.enumerate_fix(m, n).blocks):
         _check_rows(m, X, start)
 
 
@@ -490,7 +490,7 @@ def test_batched_orbit_layers_match_loops_across_rescales(horseshoe_spectra):
     # 2.1e9, so its length-12 batch mixes rescaled and unrescaled rows
     m = horseshoe_spectra[10].map
     for s in (horseshoe_spectra[10], hl.enumerate_fix(m, 12)):
-        for _, X in hl.orbits._by_length(s.orbits):
+        for X in (b.xs for b in s.blocks):
             _, log_scale = _check_rows(m, X, start=3)
     assert (log_scale > 0).any() and (log_scale == 0).any()
 
@@ -504,7 +504,7 @@ def test_batched_orbit_layers_match_loops_on_sink_family(sink_family):
     kinds = set()
     for c in (sink_family.center, sink_family.center + 0.25 + 0.25j, sink_family.center - 0.25j):
         m = sink_family.map_at(c)
-        for _, X in hl.orbits._by_length(hl.enumerate_fix(m, 6).orbits):
+        for X in (b.xs for b in hl.enumerate_fix(m, 6).blocks):
             kinds.update(o.kind for o in _check_rows(m, X, start=1)[0])
     for X in (np.array([[0.75 + 0j]]), np.array([[0.75 + 0j, 0.75 + 0j]])):
         kinds.update(o.kind for o in _check_rows(SADDLE_NODE, X)[0])
@@ -556,7 +556,7 @@ def test_classify_batch_across_maps_matches_per_map_calls(sink_family, horseshoe
         X = np.array([xs for _, xs in rows], dtype=complex)[perm]
         assert np.count_nonzero(np.diff(owner)) >= len(maps)  # some map's rows are split
         ok, rho, _ = _certify_rows(_MapRows.stack(maps, owner), X, tols)
-        batch = _classify_rows(_MapRows.stack(maps, owner), X, ok, rho, tols)
+        batch = list(_classify_rows(_MapRows.stack(maps, owner), X, ok, rho, tols))
         for i, m in enumerate(maps):
             mine = np.flatnonzero(owner == i)
             for got, want in zip([batch[j] for j in mine],

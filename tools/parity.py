@@ -18,13 +18,19 @@ the scan CSV of the 11x11 horseshoe and sink families, the 5x5 sink
 family and a 5x5 family sweeping the cubic's x coefficient at n = 6, of
 the 5x5 sink family at n = 3, whose host lengths 2 and 3 put rows of the
 dense solve and of the Thomas solve into one tracker batch,
-and, through ``cli.main`` on the horseshoe and mixed Fix_8, Fix_10 and
-Fix_12 files, the ``lyapunov --which fix,per,sper`` and ``measure
---moment-order 3`` CSVs.  For horseshoe and mixed Fix_8 and cubic Fix_5
-it also writes one ``verify-*.txt`` file through ``henonlab.verify``:
-the ``repr`` of every orbit coordinate re-polished at dps 60, with all
-its 60 digits, and of ``green_plus_hp`` and ``green_minus_hp`` at each
-point.  That is 64 files in all.  It imports henonlab from the ``src/``
+and, through ``cli.main``, the ``lyapunov --which fix,per,sper`` and
+``measure --moment-order 3`` CSVs of the horseshoe and mixed Fix_8,
+Fix_10 and Fix_12 files and of the cubic's Fix_4, Fix_5 and Fix_6
+(``lyapunov-*.csv``, ``measure-*.csv``), the ``measure --which per`` and
+``--which sper`` CSVs of the mixed files, where the sink at 0 makes sper
+differ from fix (``measure-mixed-per.csv``, ``measure-mixed-sper.csv``),
+and the ``classify`` output of mixed Fix_12, which reads, re-certifies
+and writes a spectrum (``classify-mixed-fix12.json``).  For horseshoe
+and mixed Fix_8 and cubic Fix_5 it also writes one ``verify-*.txt`` file
+through ``henonlab.verify``: the ``repr`` of every orbit coordinate
+re-polished at dps 60, with all its 60 digits, and of ``green_plus_hp``
+and ``green_minus_hp`` at each point.  That is 69 files in all.  It
+imports henonlab from the ``src/``
 beside this script, so two checkouts compare with
 
     python3 A/tools/parity.py outA && python3 B/tools/parity.py outB && diff -r outA outB
@@ -224,6 +230,9 @@ MAPS = {
     "near-saddle-node": (hl.quadratic_map(0.5625 - 1e-6, 0.5), range(1, 7)),
 }
 
+#: name -> the n of the spectra that ``lyapunov`` and ``measure`` read
+TABLES = {"horseshoe": (8, 10, 12), "mixed": (8, 10, 12), "cubic": (4, 5, 6)}
+
 SINK_5 = hl.FamilySpec(coeffs=(0j, 0.0), a=0.5, center=0j, radius=0.25, grid_size=5)
 
 #: (name, family, n) of each scan
@@ -373,13 +382,20 @@ def main(argv: list[str]) -> int:
                 (out / f"verify-{name}-fix{n:02d}.txt").write_text(verify_lines(spec))
     for name, family, n in SCANS:
         (out / f"scan-{name}-n{n}.csv").write_text(hl.scan_to_csv(hl.scan(family, n, rng_seed=SEED)))
-    for name in ("horseshoe", "mixed"):
-        spectra = [str(out / f"{name}-fix{n:02d}.json") for n in (8, 10, 12)]
-        for cmd, extra in (("lyapunov", ["--which", "fix,per,sper"]),
-                           ("measure", ["--moment-order", "3"])):
-            argv = [cmd, "--spectra", *spectra, *extra, "--out", str(out / f"{cmd}-{name}.csv")]
-            if cli_main(argv) != 0:
-                raise SystemExit(f"henonlab {' '.join(argv)} failed")
+    commands = {}
+    for name, ns in TABLES.items():
+        spectra = [str(out / f"{name}-fix{n:02d}.json") for n in ns]
+        commands[f"lyapunov-{name}.csv"] = ["lyapunov", "--spectra", *spectra, "--which", "fix,per,sper"]
+        commands[f"measure-{name}.csv"] = ["measure", "--spectra", *spectra, "--moment-order", "3"]
+        if name == "mixed":
+            for which in ("per", "sper"):
+                commands[f"measure-mixed-{which}.csv"] = ["measure", "--spectra", *spectra,
+                                                          "--which", which, "--moment-order", "3"]
+    commands["classify-mixed-fix12.json"] = ["classify", "--spectrum", str(out / "mixed-fix12.json")]
+    for name, argv in commands.items():
+        argv += ["--out", str(out / name)]
+        if cli_main(argv) != 0:
+            raise SystemExit(f"henonlab {' '.join(argv)} failed")
     print(f"wrote {len(list(out.iterdir()))} files to {out} in {time.perf_counter() - t0:.1f} s")
     return 0
 
