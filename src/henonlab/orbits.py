@@ -1048,7 +1048,7 @@ def spectrum_to_dict(spec: PeriodSpectrum) -> dict:
                   _pairs(b.xs), _pairs(b.lambda_s), _pairs(b.lambda_u),
                   *(col.tolist() for col in (b.chi, b.kind, b.residual, b.certified, b.radius)))]
     return {"schema": SPECTRUM_SCHEMA, "map": spec.map.to_spec(), "n": spec.n, "complete": spec.complete,
-            "counts": dict(c := spec.counts, per={str(k): v for k, v in sorted(c["per"].items())}),
+            "counts": dict(counts := spec.counts, per={str(k): v for k, v in sorted(counts["per"].items())}),
             "budget_used": spec.budget_used, "unresolved": [_pairs(x) for x in spec.unresolved],
             "orbits": orbits}
 
@@ -1112,7 +1112,7 @@ def spectrum_from_dict(data: dict) -> PeriodSpectrum:
         runs = [list(run) for _, run in groupby(records, key=lambda od: od["period"])]
         blocks = list(map(_block, runs, accumulate(map(len, runs), initial=0)))
         return PeriodSpectrum(m, n, blocks, complete, budget_used, unresolved)
-    except (KeyError, TypeError, IndexError, ValueError) as exc:
+    except (KeyError, TypeError, IndexError, ValueError, OverflowError) as exc:
         raise ValueError(f"malformed spectrum: {exc}") from exc
 
 

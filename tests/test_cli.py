@@ -328,7 +328,8 @@ class TestMalformedSpectrum:
                   "xs-one-number": ("xs", [[0.5]]), "xs-bool": ("xs", [[True, 0.0]]),
                   "lambda-u-three-numbers": ("lambda_u", [1.0, 2.0, 3.0]),
                   "lambda-s-bool": ("lambda_s", [0.5, False]),
-                  "certified-string": ("certified", "yes"), "certified-int": ("certified", 1)}
+                  "certified-string": ("certified", "yes"), "certified-int": ("certified", 1),
+                  "xs-huge-int": ("xs", [[10**400, 0.0]]), "chi-huge-int": ("chi", 10**400)}
 
     #: one field of the header set to a value of the wrong type or range
     BAD_HEADER = {"n-string": ("n", "4"), "n-zero": ("n", 0), "complete-string": ("complete", "no"),
