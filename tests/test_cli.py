@@ -505,7 +505,7 @@ class TestParser:
     """``main`` parses every call with one parser, built on its first call."""
 
     @staticmethod
-    def _session(mapfile, d: Path, capsys):
+    def _run_calls(mapfile, d: Path, capsys):
         """Exit codes, stderr lines and output files of five calls of ``main``."""
         d.mkdir()
         cache, spectra = str(d / "cache"), ["--spectra", str(d / "a.json")]
@@ -529,13 +529,13 @@ class TestParser:
         monkeypatch.setattr(cli, "build_parser", lambda: built.append(1) or build())
         monkeypatch.setattr(cli, "_cache_fetch", lambda d, key, valid: keys.append(key) or fetch(d, key, valid))
         monkeypatch.setattr(cli, "_parser", functools.cache(cli.build_parser))
-        reused = self._session(mapfile, tmp_path / "reused", capsys)
+        reused = self._run_calls(mapfile, tmp_path / "reused", capsys)
         assert len(built) == 1
         # no option value of one call leaks into the next: the second
         # enumerate runs under the default budget, a key of its own
         assert [k["budget"] for k in keys] == [8, None]
         assert [code for code, _ in reused[0]] == [0, 0, 1, 0, 0]
         monkeypatch.setattr(cli, "_parser", cli.build_parser)  # a fresh parser per call
-        fresh = self._session(mapfile, tmp_path / "fresh", capsys)
+        fresh = self._run_calls(mapfile, tmp_path / "fresh", capsys)
         assert len(built) == 6
         assert reused == fresh
