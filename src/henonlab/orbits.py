@@ -16,16 +16,13 @@ number d^n, exactly the number of fixed points of f^n counted with
 multiplicity, and the start system x_k^d = 1 shares its cyclic symmetry,
 so one path per primitive necklace (Lyndon word of length k over the d-th
 roots of unity) reaches one orbit of exact period k.  A length-k path runs
-in the system of a multiple L of k as the word repeated L/k times, so
-every divisor length of Fix_n is tracked in one batch of the length-n
-homotopy.  Rows of a batch may also belong to different maps and run in
-systems of different lengths, each row at its own width, so a parameter
-scan tracks every grid cell and every length at once.  Each endpoint is
-Newton-polished at its own length wherever its path stopped; its
-residual, exact period and certificate decide.  Canonical rotations,
-period gaps, certificates and multipliers run over all endpoints of one
-length at once, and the classified orbits of a length are the columns of
-one OrbitBlock; ``canonical_rotation`` and ``vector_period`` take one row.
+in the system of a multiple L of k as the word repeated L/k times, and
+rows of one batch may run at different widths for different maps, so a
+parameter scan tracks every grid cell and every length at once.  The
+endpoints of every length then take one Newton polish and one check, each
+row at its own width: residual, exact period and certificate decide.  The
+canonical rotation comes from the first coordinates, with rotation tables
+only where they tie; the classified orbits of a length are one OrbitBlock.
 """
 
 from __future__ import annotations
@@ -76,6 +73,14 @@ DEFAULT_TOLERANCES = Tolerances()
 def _orbit_array(xs) -> np.ndarray:
     xs = np.asarray(xs)
     return xs if xs.dtype == object else xs.astype(complex, copy=False)
+
+
+def _one_row(xs) -> np.ndarray:
+    """The orbit vector xs as a batch of one row (1, n); ValueError unless it is 1-D and not empty."""
+    X = np.asarray(xs, dtype=complex)
+    if X.ndim != 1 or not X.size:
+        raise ValueError(f"expected a non-empty orbit vector, got shape {X.shape}")
+    return X[None]
 
 
 def _prev(xs: np.ndarray) -> np.ndarray:
@@ -209,6 +214,29 @@ def _ragged_layout(width: np.ndarray, n: int) -> tuple[list, list]:
     return groups, wider
 
 
+def _ragged_rows(width: np.ndarray, n: int):
+    """(select, residual) for rows of non-increasing ``width`` (None: all n) in n columns, row i
+    in the length-width[i] system on its first width[i] columns: for the batch x = X[rows],
+    select(rows) gives ``cyclic_residual``'s shifts (an inert column points at itself) and
+    ``_band_solve``'s layout, and residual(m, x, rows) is the residual, 0 in inert columns."""
+    if width is None or width.min() == n:  # the plain cyclic system, as mpmath rows take it
+        return (lambda rows: (None, None)), (lambda m, x, rows: cyclic_residual(m, x))
+    if (np.diff(width) > 0).any():
+        raise ValueError("rows must come widest first")
+    cols, w = np.arange(n), width[:, None]
+    real = cols < w
+    prev, nxt = (np.where(real, (cols + s) % w, cols) for s in (-1, 1))
+
+    def select(rows):
+        base = n * np.arange(rows.size)[:, None]
+        return (prev[rows] + base, nxt[rows] + base), _ragged_layout(width[rows], n)
+
+    def residual(m, x, rows):
+        return np.where(real[rows], cyclic_residual(m, x, select(rows)[0]), 0)
+
+    return select, residual
+
+
 def _band_solve(diag: np.ndarray, sub, sup, F: np.ndarray, layout=None) -> tuple[np.ndarray, np.ndarray]:
     """Solves of the cyclic tridiagonal systems J S = F, one per row, in O(n) each.
 
@@ -316,7 +344,7 @@ def _band_solve(diag: np.ndarray, sub, sup, F: np.ndarray, layout=None) -> tuple
     return dense(fallback, S) if fallback.any() else (S, bad)
 
 
-def _newton(m, X: np.ndarray, prec: int = 53, steps: int = 60) -> tuple[np.ndarray, np.ndarray]:
+def _newton(m, X: np.ndarray, prec: int = 53, steps: int = 60, width=None) -> tuple[np.ndarray, np.ndarray]:
     """Newton's method on cyclic orbit vectors, the rows of X (B, n): (X, converged).
 
     ``m`` is one map or a ``_MapRows`` batch with a map per row.  X holds
@@ -334,18 +362,21 @@ def _newton(m, X: np.ndarray, prec: int = 53, steps: int = 60) -> tuple[np.ndarr
     solve is singular (on mpmath numbers: ZeroDivisionError) or it leaves
     twice the filtration radius; one still running after ``steps`` steps
     has not converged.
+    ``width`` (all n by default) gives each row its own system size, as
+    in ``_track``; residuals count as 0 in the inert columns.
     """
     obj = X.dtype == object
     X = X.copy() if obj else X.astype(complex)
-    B = len(X)
+    B, n = X.shape
     m = _as_rows(m, B)
-    sup, unit = -1.0, math.ldexp(1.0, -prec)
+    sup, unit = np.full((B, 1), -1.0), math.ldexp(1.0, -prec)
     if obj:
         mpc = np.frompyfunc(mp.mpc, 1, 1)
         m = _MapRows(tuple(mpc(c) for c in m.coeffs), mpc(m.a), m.filtration_radius)
-        sup, unit = mp.mpc(-1), mp.ldexp(1, -prec)
+        sup, unit = np.full((B, 1), mp.mpc(-1), dtype=object), mp.ldexp(1, -prec)
+    select, residual = _ragged_rows(width, n)
     safety = 2.0 * m.filtration_radius[:, 0]
-    F = cyclic_residual(m, X)
+    F = residual(m, X, np.arange(B))
     rn = np.abs(F).max(axis=1)
     prev = np.zeros(B, dtype=rn.dtype)  # no prediction from the first step
     converged = np.zeros(B, dtype=bool)
@@ -355,7 +386,7 @@ def _newton(m, X: np.ndarray, prec: int = 53, steps: int = 60) -> tuple[np.ndarr
             if run.size == 0:
                 break
             ma, Xr = (m if run.size == B else m.take(run)), X[run]
-            S, bad = _band_solve(ma.dp(Xr), -ma.a, sup, F[run])
+            S, bad = _band_solve(ma.dp(Xr), -ma.a, sup[run], F[run], select(run)[1])
             new = Xr - S
             ds, reach = np.abs(S).max(axis=1), np.abs(new).max(axis=1)
             tol = (1 + reach) * unit
@@ -364,7 +395,7 @@ def _newton(m, X: np.ndarray, prec: int = 53, steps: int = 60) -> tuple[np.ndarr
             better = np.zeros(run.size, dtype=bool)  # damped rows whose residual fell
             if damp.size:
                 md, r0 = ma.take(damp), rn[run[damp]]
-                Fd = cyclic_residual(md, new[damp])
+                Fd = residual(md, new[damp], run[damp])
                 rd = np.abs(Fd).max(axis=1)
                 worse = ~(rd < r0)
                 t = 1.0
@@ -375,7 +406,7 @@ def _newton(m, X: np.ndarray, prec: int = 53, steps: int = 60) -> tuple[np.ndarr
                     w = damp[worse]
                     new[w] = Xr[w] - t * S[w]
                     reach[w] = np.abs(new[w]).max(axis=1)
-                    Fd[worse] = cyclic_residual(md.take(worse), new[w])
+                    Fd[worse] = residual(md.take(worse), new[w], run[w])
                     rd[worse] = np.abs(Fd[worse]).max(axis=1)
                     worse &= ~(rd < r0)
                 ok = damp[~worse]
@@ -464,7 +495,7 @@ def certify(m: HenonMap, xs: np.ndarray, tols: Tolerances = DEFAULT_TOLERANCES) 
     (which ``_real_rows`` uses).  Returns (certified, rho), (False, 0.0)
     when the test fails.
     """
-    ok, rho, _ = _certify_rows(m, np.asarray(xs, dtype=complex).reshape(1, -1), tols)
+    ok, rho, _ = _certify_rows(m, _one_row(xs), tols)
     return bool(ok[0]), float(rho[0])
 
 
@@ -563,7 +594,7 @@ def monodromy(m: HenonMap, xs: np.ndarray, start: int = 0) -> tuple[np.ndarray, 
     Returns (M_scaled, log_scale) with the true monodromy M_scaled * e^log_scale;
     the running rescale keeps entries bounded for long orbits.
     """
-    M, log_scale = _monodromy_rows(m, np.asarray(xs, dtype=complex).reshape(1, -1), start)
+    M, log_scale = _monodromy_rows(m, _one_row(xs), start)
     return M[0], float(log_scale[0])
 
 
@@ -613,7 +644,7 @@ def _classify_rows(m: HenonMap, X: np.ndarray, certified, radii,
 
 def classify(m: HenonMap, xs: np.ndarray, tols: Tolerances = DEFAULT_TOLERANCES) -> PeriodicOrbit:
     """Certify ``xs`` and build its PeriodicOrbit record (multipliers, exponent, kind)."""
-    X = np.asarray(xs, dtype=complex).reshape(1, -1)
+    X = _one_row(xs)
     return next(iter(_classify_rows(m, X, *_certify_rows(m, X, tols)[:2], tols)))
 
 
@@ -651,35 +682,47 @@ def _lex_order(rows: np.ndarray, group=None) -> np.ndarray:
 def _rotation_rows(X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """``canonical_rotation`` of each row of X (B, k), and gaps[:, j] = sup_i |x_{i+p} - x_i|.
 
-    p is the j-th proper divisor of k.  The (b, k, k) rotation tables are
-    built in blocks of ``_STACK_ENTRIES // k**2`` rows.
+    p is the j-th proper divisor of k; each gap takes one gather of X.  The
+    canonical shift is the one whose first coordinate has the smallest
+    coarse (re, im) key, the keys ``_lex_order`` compares first.  Rows where
+    that key ties (repeated words, symmetric orbits, a nan) are ordered by
+    their (k, k) rotation tables, ``_STACK_ENTRIES // k**2`` rows at a time;
+    Booth (1980) finds least circular shifts in linear time, but ties are rare.
     """
     B, k = X.shape
-    step, shifts = max(1, _STACK_ENTRIES // k**2), _divisors(k)[:-1]
-    W, gaps = np.empty_like(X), np.empty((B, len(shifts)))
-    for i in range(0, B, step):
-        table = _rotations(X[i:i + step])
-        gaps[i:i + step] = np.abs(table[:, :1] - table[:, shifts]).max(axis=2)
-        flat = table.reshape(-1, k)
-        W[i:i + step] = flat[_lex_order(flat, np.arange(len(flat)) // k)[::k]]
+    cols, shifts = np.arange(k), _divisors(k)[:-1]
+    gaps = np.empty((B, len(shifts)))
+    for j, p in enumerate(shifts):
+        gaps[:, j] = np.abs(X - X[:, (cols + p) % k]).max(axis=1)
+    re, im = _coarse(X.real), _coarse(X.imag)
+    low = re == re.min(axis=1, keepdims=True)
+    im = np.where(low, im, np.inf)
+    best = low & (im == im.min(axis=1, keepdims=True))
+    W = np.take_along_axis(X, (best.argmax(axis=1)[:, None] + cols) % k, axis=1)
+    tie, step = np.flatnonzero(best.sum(axis=1) != 1), max(1, _STACK_ENTRIES // k**2)
+    for i in range(0, tie.size, step):
+        flat = _rotations(X[tie[i:i + step]]).reshape(-1, k)
+        W[tie[i:i + step]] = flat[_lex_order(flat, np.arange(len(flat)) // k)[::k]]
     return W, gaps
 
 
 def rotation_distance(u: np.ndarray, v: np.ndarray) -> float:
     """min over cyclic rotations r of sup_k |u_k - v_{k+r}|."""
+    if np.ndim(u) != 1 or np.shape(u) != np.shape(v) or not np.size(u):
+        raise ValueError(f"orbit vectors of shapes {np.shape(u)} and {np.shape(v)}, not of one length > 0")
     return float(np.abs(np.asarray(u) - _rotations(np.asarray(v))).max(axis=1).min())
 
 
 def canonical_rotation(xs: np.ndarray) -> np.ndarray:
     """Rotation minimizing the (re, im) lexicographic key as ``_lex_order``
     compares it, ties to the smallest shift."""
-    return _rotation_rows(np.asarray(xs, dtype=complex).reshape(1, -1))[0][0]
+    return _rotation_rows(_one_row(xs))[0][0]
 
 
 def vector_period(xs: np.ndarray, tol: float) -> int:
     """Minimal p | n with sup_k |x_{k+p} - x_k| < tol."""
-    gaps = _rotation_rows(np.asarray(xs, dtype=complex).reshape(1, -1))[1][0]
-    return next((p for p, gap in zip(_divisors(len(xs)), gaps) if gap < tol), len(xs))
+    gaps = _rotation_rows(X := _one_row(xs))[1][0]
+    return next((p for p, gap in zip(_divisors(X.shape[1]), gaps) if gap < tol), X.shape[1])
 
 
 # -- spectrum container --------------------------------------------------------
@@ -778,7 +821,7 @@ def _track(rows: _MapRows, X: np.ndarray, gamma: np.ndarray, width: np.ndarray) 
     in the length-``width[i]`` system on its first ``width[i]`` columns.
     Its other columns of X are 0 and stay 0: ``_band_solve`` treats them
     as inert, and the cyclic shifts of ``cyclic_residual`` close each row's
-    cycle at its width through gather indices built once here.  Rows do
+    cycle at its width (``_ragged_rows``).  Rows do
     not interact, so a row's path is, to the bit, that of a batch of its
     own width, and the batch takes as many steps as its slowest row.
 
@@ -794,14 +837,9 @@ def _track(rows: _MapRows, X: np.ndarray, gamma: np.ndarray, width: np.ndarray) 
     each row's last accepted point, for ``_track_and_check`` to polish: its
     endpoint at t = 1, or wherever its path stopped.
     """
-    if (np.diff(width) > 0).any():
-        raise ValueError("rows must come widest first")
     X = np.array(X, dtype=complex)
     B, n = X.shape
-    cols = np.arange(n)
-    real, w = cols < width[:, None], width[:, None]
-    # each row's x_{k-1} and x_{k+1}, mod its width; an inert column points at itself
-    prev, nxt = (np.where(real, (cols + s) % w, cols) for s in (-1, 1))
+    select, _ = _ragged_rows(width, n)
     t, h = np.zeros(B), np.full(B, 0.1)
     live, grow = np.ones(B, dtype=bool), np.ones(B, dtype=bool)
     for _ in range(_TRACK_STEPS):
@@ -809,8 +847,7 @@ def _track(rows: _MapRows, X: np.ndarray, gamma: np.ndarray, width: np.ndarray) 
         if act.size == 0:
             break
         r, g, x0, t0 = rows.take(act), gamma[act], X[act], t[act, None]
-        base = n * np.arange(act.size)[:, None]
-        shifts, layout = (prev[act] + base, nxt[act] + base), _ragged_layout(width[act], n)
+        shifts, layout = select(act)
         last = h[act] >= 1.0 - t[act]
         dt = np.where(last, 1.0 - t[act], h[act])[:, None]
         bad = np.zeros(act.size, dtype=bool)
@@ -850,37 +887,47 @@ def _track(rows: _MapRows, X: np.ndarray, gamma: np.ndarray, width: np.ndarray) 
     return X
 
 
-def _track_and_check(maps: list[HenonMap], owner: np.ndarray, X: np.ndarray,
+def _track_and_check(maps: list[HenonMap], owner: np.ndarray, X: np.ndarray, width: np.ndarray,
                      tols: Tolerances) -> tuple[list, list]:
-    """Polish and check tracked endpoints at length k, the rows of X (B, k).
+    """Polish and check tracked endpoints, the rows of X (B, n), row i at length ``width[i]``.
 
-    Row i belongs to ``maps[owner[i]]``.  Newton polishes every endpoint,
-    wherever its path stopped, and these checks alone judge it: its
-    residual is at most 1e-10, every proper-divisor shift moves it by at
-    least ``tols.separation`` (exact period k) and ``certify`` accepts its
-    canonical rotation.  A row that ``_real_rows`` proves real is stored
-    as its real part, with imaginary parts +0.0, so dedup, classification,
-    the JSON and the verify layer see exact zeros there.  Returns (ends,
-    failed): (owner, xs, radius) for the endpoints that pass, (owner,
-    polished endpoint) for the rest.
+    Row i belongs to ``maps[owner[i]]`` and fills its first width[i]
+    columns, widest rows first, as ``_track`` takes them.  One ``_newton``
+    polishes every row at its width, wherever its path stopped, and these
+    checks alone judge it: its residual over its own columns is at most
+    1e-10, every proper-divisor shift moves it by at least
+    ``tols.separation`` (exact period) and ``certify`` accepts its
+    canonical rotation; rotations and certificates run once per width.  A
+    row that ``_real_rows`` proves real is stored as its real part, with
+    imaginary parts +0.0, so later layers see exact zeros.  Returns (ends,
+    failed), widest first, each vector at its own length: (owner, xs,
+    radius) per endpoint that passes, (owner, polished endpoint) per other.
     """
+    B, n = X.shape
     rows = _MapRows.stack(maps, owner)
-    X, ok = _newton(rows, X)
-    idx = np.flatnonzero(ok & (np.abs(cyclic_residual(rows, X)).max(axis=1) <= 1e-10))
-    W, gaps = _rotation_rows(X[idx])
-    apart = (gaps >= tols.separation).all(axis=1)
-    ok, radii, reach = _certify_rows(rows.take(idx[apart]), W[apart], tols)
-    idx, W, radii = idx[apart][ok], W[apart][ok], radii[ok]
-    real = _real_rows(maps, owner[idx], W, radii, reach[ok])
+    X, ok = _newton(rows, X, width=width)
+    ok &= np.abs(_ragged_rows(width, n)[1](rows, X, np.arange(B))).max(axis=1) <= 1e-10
+
+    def runs(sel):
+        """The rows ``sel`` (ascending) by width: (rows, w) for each run of one width."""
+        return [(sel[a:b], w) for a, b, w in (_ragged_layout(width[sel], n)[0] if sel.size else [])]
+
+    W, radii, reach = np.zeros_like(X), np.zeros(B), np.zeros(B)
+    for r, w in runs(np.flatnonzero(ok)):
+        W[r, :w], gaps = _rotation_rows(X[r, :w])
+        ok[r] = (gaps >= tols.separation).all(axis=1)  # exact period w
+        r = r[ok[r]]
+        ok[r], radii[r], reach[r] = _certify_rows(rows.take(r), W[r, :w], tols)
+    idx = np.flatnonzero(ok)
+    real = idx[_real_rows(maps, owner[idx], W[idx], radii[idx], reach[idx])]
     W[real] = W[real].real
     # the imaginary round-off was a key of the canonical rotation; it decided
     # only where another rotation ties in the leading real key
-    lead = _coarse(W.real)
-    again = real & ((lead == lead[:, :1]).sum(axis=1) > 1)
-    if again.any():
-        W[again] = _rotation_rows(W[again])[0]
-    failed = ~np.isin(np.arange(len(X)), idx)
-    return list(zip(owner[idx], W, radii)), list(zip(owner[failed], X[failed]))
+    lead = _coarse(W[real].real)
+    for r, w in runs(real[((lead == lead[:, :1]) & (np.arange(n) < width[real, None])).sum(axis=1) > 1]):
+        W[r, :w] = _rotation_rows(W[r, :w])[0]
+    return ([e for r, w in runs(idx) for e in zip(owner[r], W[r, :w], radii[r])],
+            [f for r, w in runs(np.flatnonzero(~ok)) for f in zip(owner[r], X[r, :w])])
 
 
 def _merge(kept: list, new: list, tols: Tolerances) -> None:
@@ -921,29 +968,25 @@ def _catalogue(maps: list[HenonMap], ks, rng_seed: int, tols: Tolerances, budget
     """The orbits of exact period k, for each k in ``ks``, of every map: one path per necklace.
 
     Length k is tracked in its host length L, the largest length in ``ks``
-    that k divides: a length-k row starts at its Lyndon word's roots of
-    unity repeated L/k times.  The cyclic system commutes with the shift,
-    so the subspace of L/k-fold repeats is invariant, and the row is one
-    path of the length-L total-degree homotopy with its own gamma.  Each
-    attempt makes one ``_track`` call: the rows of every map and length,
-    each of width L and widest first, form one ragged batch as wide as
-    the largest host, and the first k coordinates of each endpoint go on
-    to ``_track_and_check`` at length k.  A map whose certified orbits of
-    length k fall short of the necklace count (a path failed, or two
-    paths ended on one orbit) has all its length-k paths tracked again
-    with the gamma of the next attempt.  The orbits of all attempts and
-    maps are merged into one list per length, then classified in one
-    batch.  Returns (found, complete, paths, unresolved): found[k] is
-    (owner, block), the OrbitBlock of every map's period-k orbits in
-    canonical rotation, by owner and then lexicographically, and each
-    row's index into ``maps``; complete[i] says whether every
-    length reached its count; ``paths`` counts tracked paths, retracks
-    included; unresolved[i] holds the polished endpoints that failed the
-    last attempt of a length still short.  ``budget`` caps ``paths``
-    attempt by attempt, and within an attempt length by length in the
-    order of ``ks``: a length whose paths no longer fit is not tracked
-    again.  The first attempts at the divisors of n take one path per
-    necklace, at most d^n in all, so a budget of d^n always fits them.
+    that k divides, from its Lyndon word's roots of unity repeated L/k
+    times: one path of the length-L homotopy with its own gamma (the
+    cyclic system commutes with the shift, so the repeats stay repeats).
+    Each attempt makes one ``_track`` call, on a ragged batch of the rows
+    of every map and length, widest host first, and one
+    ``_track_and_check`` call on the first k coordinates of each endpoint,
+    longest first.  A map short of the necklace count at length k (a path
+    failed, or two ended on one orbit) has its length-k paths tracked again
+    with the gamma of the next attempt.  Returns (found, complete, paths,
+    unresolved): found[k] is (owner, block), the OrbitBlock of every map's
+    period-k orbits in canonical rotation, by owner and then
+    lexicographically, and each row's index into ``maps``; complete[i]
+    says whether every length reached its count; ``paths`` counts tracked
+    paths, retracks included; unresolved[i] holds the polished endpoints
+    that failed the last attempt of a length still short.  ``budget`` caps
+    ``paths`` attempt by attempt, and within an attempt length by length in
+    the order of ``ks``: a length whose paths no longer fit is not tracked
+    again.  A budget of d^n always fits the first attempts, one path per
+    necklace.
     """
     d = maps[0].degree
     host = {k: max(L for L in ks if L % k == 0) for k in ks}
@@ -969,10 +1012,17 @@ def _catalogue(maps: list[HenonMap], ks, rng_seed: int, tols: Tolerances, budget
                                         ((0, 0), (0, W - host[k]))) for k in lengths])
         width = np.repeat([host[k] for k in lengths], sizes)
         gamma = np.repeat([_gamma(rng_seed, k, attempt) for k in lengths], sizes)
-        X = _track(_MapRows.stack(maps, np.concatenate(owners)), starts, gamma[:, None], width)
-        for k, o, Xk in zip(lengths, owners, np.split(X, np.cumsum(sizes)[:-1])):
-            found, failed[k] = _track_and_check(maps, o, Xk[:, :k], tols)
-            _merge(kept[k], found, tols)
+        owner = np.concatenate(owners)
+        X = _track(_MapRows.stack(maps, owner), starts, gamma[:, None], width)
+        # the first k columns of each length-k row, longest first
+        k_row = np.repeat(lengths, sizes)
+        order, K = np.argsort(-k_row, kind="stable"), max(lengths)
+        ends, fails = _track_and_check(maps, owner[order], np.where(np.arange(K) < k_row[order, None],
+                                                                    X[order, :K], 0), k_row[order], tols)
+        new, last = ({k: list(g) for k, g in groupby(e, key=lambda x: len(x[1]))} for e in (ends, fails))
+        failed.update({k: last.get(k, []) for k in lengths})
+        for k in lengths:
+            _merge(kept[k], new.get(k, []), tols)
             need = len(words[k])
             counts = np.bincount([i for i, _, _ in kept[k]], minlength=len(maps))[todo[k]]
             if (counts > need).any():
@@ -1003,12 +1053,12 @@ def enumerate_fix(m: HenonMap, n: int, budget: int | None = None, rng_seed: int 
 
     For each divisor k of n, ``_catalogue`` tracks one path per Lyndon word
     of length k, and each certified endpoint is one orbit of exact period
-    k.  ``budget`` caps the number of tracked paths,
-    retracks included (default 1000 d^n, never below d^n, which the first
-    attempt always fits).  The spectrum is complete when every period
-    reached its necklace count, which makes d^n distinct, certified,
-    simple points.  The gamma of each attempt derives from
-    (rng_seed, k, attempt), so output is deterministic.
+    k.  ``budget`` caps the number of tracked paths, retracks included
+    (default 1000 d^n, never below d^n, which the first attempt always
+    fits).  The spectrum is complete when every period reached its
+    necklace count, which makes d^n distinct, certified, simple points.
+    The gamma of each attempt derives from (rng_seed, k, attempt), so
+    output is deterministic.
     """
     if n < 1:
         raise ValueError("period n must be >= 1")

@@ -4,6 +4,7 @@ enumeration, classification and exact periods."""
 import dataclasses
 import json
 import math
+import re
 import time
 
 import mpmath as mp
@@ -343,6 +344,24 @@ class TestVectorUtilities:
         assert hl.vector_period(v, 1e-8) == 2
         assert hl.vector_period(np.array([1.0 + 0j, 2.0, 3.0, 4.0]), 1e-8) == 4
 
+    @pytest.mark.parametrize("call", [
+        hl.canonical_rotation,
+        lambda xs: hl.vector_period(xs, 1e-8),
+        lambda xs: hl.certify(MIXED, xs),
+        lambda xs: hl.classify(MIXED, xs),
+    ], ids=["canonical_rotation", "vector_period", "certify", "classify"])
+    @pytest.mark.parametrize("xs", [np.zeros(0, dtype=complex), np.ones((2, 3)), np.ones((1, 1)), 1.5],
+                             ids=["empty", "2-d", "1x1", "scalar"])
+    def test_one_row_calls_reject_other_shapes(self, call, xs):
+        with pytest.raises(ValueError, match=re.escape(str(np.shape(xs)))):
+            call(xs)
+
+    @pytest.mark.parametrize("u, v", [([1.0, 2.0], [1.0, 2.0, 3.0]), ([], []), ([[1.0]], [[1.0]]),
+                                      ([1.0], 1.0)], ids=["unequal", "empty", "2-d", "scalar"])
+    def test_rotation_distance_rejects_other_shapes(self, u, v):
+        with pytest.raises(ValueError, match="shapes"):
+            hl.rotation_distance(np.array(u, dtype=complex), np.array(v, dtype=complex))
+
 
 class TestEnumerate:
     def test_mixed_fix1(self, mixed_spectra):
@@ -407,22 +426,25 @@ class TestEnumerate:
 
     @staticmethod
     def _dropping(monkeypatch, every_attempt, length=4):
-        """Make the checks of one length hand back one orbit twice in place of another.
+        """Make the checks hand back one width-``length`` orbit twice in place of another.
 
-        The orbit lost is the second endpoint of attempt 0; with
-        ``every_attempt`` it is lost on every retrack as well.
+        The orbit lost is the second width-``length`` endpoint of attempt 0;
+        with ``every_attempt`` it is lost on every retrack as well.  Returns
+        the widths checked in each ``_track_and_check`` call, widest first.
         """
         track = hl.orbits._track_and_check
         lost, lengths = [], []
 
-        def jumping(maps, owner, X, tols):
-            ends, failed = track(maps, owner, X, tols)
-            lengths.append(X.shape[1])
-            if X.shape[1] == length and (every_attempt or not lost):
+        def jumping(maps, owner, X, width, tols):
+            ends, failed = track(maps, owner, X, width, tols)
+            lengths.append(sorted(set(width.tolist()), reverse=True))
+            if length in width and (every_attempt or not lost):
+                mine = [e for e in ends if len(e[1]) == length]
                 if not lost:
-                    lost.append(ends[1][1])
-                keep = [e for e in ends if hl.rotation_distance(e[1], lost[0]) >= 1e-8]
-                ends = keep + [keep[0]] * (len(ends) - len(keep))
+                    lost.append(mine[1][1])
+                keep = [e for e in mine if hl.rotation_distance(e[1], lost[0]) >= 1e-8]
+                ends = ([e for e in ends if len(e[1]) > length] + keep + [keep[0]] * (len(mine) - len(keep))
+                        + [e for e in ends if len(e[1]) < length])
             return ends, failed
 
         monkeypatch.setattr(hl.orbits, "_track_and_check", jumping)
@@ -432,7 +454,7 @@ class TestEnumerate:
         clean = hl.enumerate_fix(horseshoe_map, 4)
         lengths = self._dropping(monkeypatch, every_attempt=False)
         s = hl.enumerate_fix(horseshoe_map, 4)
-        assert lengths == [1, 2, 4, 4]
+        assert lengths == [[4, 2, 1], [4]]  # one check per attempt
         assert s.complete and s.counts == clean.counts
         assert s.budget_used == clean.budget_used + 3  # the three length-4 paths again
         for o in s.orbits:
@@ -442,7 +464,7 @@ class TestEnumerate:
     def test_persistent_fault_leaves_spectrum_incomplete(self, horseshoe_map, monkeypatch):
         lengths = self._dropping(monkeypatch, every_attempt=True)
         s = hl.enumerate_fix(horseshoe_map, 4)
-        assert lengths == [1, 2, 4, 4, 4]
+        assert lengths == [[4, 2, 1], [4], [4]]
         assert not s.complete
         assert s.counts["per"] == {1: 2, 2: 2, 4: 8}
         assert s.budget_used == 2 + 1 + 3 * 3
@@ -554,7 +576,7 @@ def per_length_catalogue(maps, ks, rng_seed, tols, budget=math.inf):
             gamma = np.full((owner.size, 1), orb._gamma(rng_seed, k, attempt))
             X = orb._track(orb._MapRows.stack(maps, owner), np.tile(starts, (todo.size, 1)), gamma,
                            np.full(owner.size, k))
-            ends, failed = orb._track_and_check(maps, owner, X, tols)
+            ends, failed = orb._track_and_check(maps, owner, X, np.full(owner.size, k), tols)
             new = {}
             for i, w, rho in ends:
                 new.setdefault(i, []).append((i, w, rho))
@@ -678,10 +700,35 @@ class TestHostLengths:
         assert fld.complete.all() and (fld.n_sinks == 1).all() and not fld.n_elliptic.any()
         assert 0 < count["solves"] < 210
 
-    def test_fix_n_is_one_track(self, horseshoe_map, monkeypatch):
-        widths = _tracked_widths(monkeypatch)
+    def test_fix_n_is_one_track_and_one_check(self, horseshoe_map, monkeypatch):
+        widths, checks = _tracked_widths(monkeypatch), []
+        check = hl.orbits._track_and_check
+        monkeypatch.setattr(hl.orbits, "_track_and_check",
+                            lambda maps, owner, X, width, tols: checks.append(sorted(set(width.tolist())))
+                            or check(maps, owner, X, width, tols))
         assert hl.enumerate_fix(horseshoe_map, 12).complete
         assert widths == [[12]]
+        assert checks == [[1, 2, 3, 4, 6, 12]]
+
+    @pytest.mark.parametrize("m, n, tie_rows", [(hl.quadratic_map(-6.0, 0.3), 12, 0), (MIXED, 12, 0),
+                                                (hl.quadratic_map(-12.0, 1.0), 8, 16)],
+                             ids=["horseshoe", "mixed", "reversible"])
+    def test_rotation_tables_only_where_first_coordinates_tie(self, m, n, tie_rows, monkeypatch):
+        # the first coordinates' coarse keys decide every canonical shift of
+        # Fix_12; the reversible map's symmetric orbits tie there
+        orb, built = hl.orbits, []
+        rotations, rotation_rows = orb._rotations, orb._rotation_rows
+
+        def inside(X):
+            monkeypatch.setattr(orb, "_rotations", lambda xs: built.append(len(xs)) or rotations(xs))
+            try:
+                return rotation_rows(X)
+            finally:
+                monkeypatch.setattr(orb, "_rotations", rotations)
+
+        monkeypatch.setattr(orb, "_rotation_rows", inside)
+        assert hl.enumerate_fix(m, n).complete
+        assert sum(built) == tie_rows
 
     def test_scan_is_one_ragged_track_per_attempt(self, monkeypatch):
         # an n = 6 scan tracks 1, 2, 3 and 6 in host 6, 4 in 4 and 5 in 5,
@@ -692,7 +739,7 @@ class TestHostLengths:
         lengths = TestEnumerate._dropping(monkeypatch, every_attempt=False)
         assert hl.scan(fam, 6).complete.all()
         assert widths == [[4, 5, 6], [4]]
-        assert lengths == [1, 2, 3, 6, 5, 4, 4]  # checked by host, widest first, then the retrack
+        assert lengths == [[6, 5, 4, 3, 2, 1], [4]]  # one check per attempt, then the retrack
 
     @pytest.mark.parametrize("delta", [0.0, 1e-9])
     def test_fixed_point_of_multiplier_minus_one_in_its_host(self, delta, monkeypatch):
@@ -714,7 +761,8 @@ class TestHostLengths:
 def _ragged_batch(maps, widths, per=6):
     """Start rows of every map and width, widest first, by ``_catalogue``'s
     recipe: at most ``per`` Lyndon words of each length k dividing w, each
-    repeated w/k times with the gamma of k, and zeros past w."""
+    repeated w/k times with the gamma of k, and zeros past w; with each
+    row's map index."""
     orb = hl.orbits
     d, top = maps[0].degree, max(widths)
     X, owner, gamma, width = [], [], [], []
@@ -727,7 +775,7 @@ def _ragged_batch(maps, widths, per=6):
                 gamma += [orb._gamma(1729, k, 0)] * len(words)
                 width += [w] * len(words)
     return (orb._MapRows.stack(maps, np.array(owner)), np.concatenate(X),
-            np.array(gamma)[:, None], np.array(width))
+            np.array(gamma)[:, None], np.array(width), np.array(owner))
 
 
 class TestRaggedTrack:
@@ -737,7 +785,7 @@ class TestRaggedTrack:
     ], ids=["cubic", "complex-a-and-near1d"])
     def test_rows_match_a_batch_of_their_own_width(self, maps, thomas_fallback, monkeypatch):
         orb = hl.orbits
-        rows, X, gamma, width = _ragged_batch(maps, [2, 3, 4, 5, 6])
+        rows, X, gamma, width, _ = _ragged_batch(maps, [2, 3, 4, 5, 6])
         solve, dense = orb._lapack_solve, []
         monkeypatch.setattr(orb, "_lapack_solve", lambda J, F: dense.append(J.shape[1]) or solve(J, F))
         got = orb._track(rows, X, gamma, width)
@@ -750,8 +798,31 @@ class TestRaggedTrack:
             assert got[sel, :w].tobytes() == alone.tobytes()
             assert not got[sel, w:].any()
 
+    def test_ragged_check_matches_a_check_per_width(self):
+        # one polish and check of endpoints of widths 1-6 equals a call per
+        # width, bit for bit; repeated words among them fail the period check
+        orb, tols = hl.orbits, hl.orbits.DEFAULT_TOLERANCES
+        maps = [hl.quadratic_map(-0.8 + 0.4j, 0.6 - 0.5j), hl.quadratic_map(0.0, 1e-3),
+                hl.quadratic_map(-6.0, 0.3)]
+        rows, X, gamma, width, owner = _ragged_batch(maps, [1, 2, 3, 4, 5, 6])
+        X = orb._track(rows, X, gamma, width)
+        ends, failed = orb._track_and_check(maps, owner, X, width, tols)
+        ref_ends, ref_failed = [], []
+        for w in range(6, 0, -1):
+            sel = np.flatnonzero(width == w)
+            e, f = orb._track_and_check(maps, owner[sel], X[sel, :w], width[sel], tols)
+            ref_ends += e
+            ref_failed += f
+        assert {len(x) for _, x, _ in ends} == set(range(1, 7))
+        assert {len(x) for _, x in failed} == set(range(2, 7))  # the repeated words
+
+        def bits(items):
+            return [(int(i), *(np.asarray(v).tobytes() for v in rest)) for i, *rest in items]
+
+        assert bits(ends) == bits(ref_ends) and bits(failed) == bits(ref_failed)
+
     def test_rejects_widths_that_increase(self):
-        rows, X, gamma, width = _ragged_batch([MIXED], [3, 4])
+        rows, X, gamma, width, _ = _ragged_batch([MIXED], [3, 4])
         with pytest.raises(ValueError):
             hl.orbits._track(rows, X[::-1], gamma[::-1], width[::-1])
 

@@ -127,6 +127,46 @@ def test_rotation_rows_match_roll_loops(X):
         assert _gap_dict(x, g) == _loop_gaps(x)
 
 
+#: real parts that differ only past the 30 bits of the coarse key
+coarse_tie = st.tuples(st.sampled_from([1.0, -2.5, 3.0]), st.integers(-2, 2), tie_part).map(
+    lambda t: complex(t[0] * (1 + t[1] * 2.0**-40), t[2]))
+
+
+@st.composite
+def rows_to_tie(draw):
+    """Rows of one length k: random entries, repeated words, real parts equal in their
+    coarse key, and conjugate pairs, each with signed zeros among their parts."""
+    k = draw(st.integers(1, 12))
+    rows = []
+    for _ in range(draw(st.integers(1, 20))):
+        kind = draw(st.sampled_from(["random", "repeat", "coarse", "conjugate"]))
+        if kind == "random":
+            row = draw(st.lists(tie_entry, min_size=k, max_size=k))
+        elif kind == "repeat":
+            p = draw(st.sampled_from(hl.orbits._divisors(k)))
+            row = draw(st.lists(st.one_of(tie_entry, coarse_tie), min_size=p, max_size=p)) * (k // p)
+        elif kind == "coarse":
+            row = draw(st.lists(coarse_tie, min_size=k, max_size=k))
+        else:
+            half = draw(st.lists(st.one_of(tie_entry, coarse_tie), min_size=k // 2, max_size=k // 2))
+            row = draw(st.permutations(half + [z.conjugate() for z in half]
+                                       + draw(st.lists(tie_entry, min_size=k % 2, max_size=k % 2))))
+        rows.append(row)
+    return np.array(rows, dtype=complex)
+
+
+@settings(max_examples=300, deadline=None)
+@given(rows_to_tie())
+@example(np.array([[1 + 1j, 1 - 1j, 1 + 1j, 1 - 1j], [-0.0 + 2j, 0.0 - 2j, 0.0 + 2j, -0.0 - 2j]]))
+def test_table_free_rotation_matches_the_rotation_table(X):
+    # the shift chosen from the first coordinates, and the gaps from one
+    # gather per divisor, are bit for bit those of the per-row references
+    W, gaps = hl.orbits._rotation_rows(X)
+    for x, w, g in zip(X, W, gaps):
+        assert w.tobytes() == _loop_canonical_rotation(x).tobytes()
+        assert _gap_dict(x, g) == _loop_gaps(x)
+
+
 @settings(max_examples=100, deadline=None)
 @given(tie_stacks(), st.integers(0, 2**32 - 1))
 @example(_TWO_BLOCKS, 0)

@@ -9,6 +9,9 @@ writes, at rng_seed 1729, the spectrum JSON of
 - the cubic map p = x^3 + 0.1j x^2 - 1.5 x + 0.3+0.2j, a = 0.4-0.3j, at
   n = 1..6,
 - the near-one-dimensional map p = x^2, a = 1e-3, at n = 1..8,
+- the reversible map p = x^2 - 12, a = 1, at n = 1..10, whose symmetric
+  orbits tie in the leading real key of several rotations once they are
+  stored exactly real, so they take the canonical rotation's tie path,
 - the degenerate maps p = x^2 + 0.5625, a = 0.5 (a saddle-node) at
   n = 1..4, p = x^2 - 1.6875, a = 0.5 (a period doubling) at n = 2, 4
   and 6, p = x^2, a = 1 at n = 4, and p = x^2 + 0.5625 - 1e-6, a = 0.5
@@ -29,7 +32,7 @@ and writes a spectrum (``classify-mixed-fix12.json``).  For horseshoe
 and mixed Fix_8 and cubic Fix_5 it also writes one ``verify-*.txt`` file
 through ``henonlab.verify``: the ``repr`` of every orbit coordinate
 re-polished at dps 60, with all its 60 digits, and of ``green_plus_hp``
-and ``green_minus_hp`` at each point.  That is 69 files in all.  It
+and ``green_minus_hp`` at each point.  That is 79 files in all.  It
 imports henonlab from the ``src/``
 beside this script, so two checkouts compare with
 
@@ -222,6 +225,8 @@ MAPS = {
     "mixed": (hl.quadratic_map(0.0, 0.5), range(1, 13)),
     "cubic": (hl.HenonMap(coeffs=(0.3 + 0.2j, -1.5, 0.1j), a=0.4 - 0.3j), range(1, 7)),
     "near1d": (hl.quadratic_map(0.0, 1e-3), range(1, 9)),
+    # a = 1: symmetric orbits whose rotations tie in their leading real key
+    "reversible": (hl.quadratic_map(-12.0, 1.0), range(1, 11)),
     # degenerate parameters: incomplete spectra, whose budget_used and
     # unresolved endpoints show how the polish treats multiple roots
     "saddle-node": (hl.quadratic_map(0.5625, 0.5), range(1, 5)),
