@@ -700,7 +700,7 @@ class TestHostLengths:
         assert fld.complete.all() and (fld.n_sinks == 1).all() and not fld.n_elliptic.any()
         assert 0 < count["solves"] < 210
 
-    def test_fix_n_is_one_track_and_one_check(self, horseshoe_map, monkeypatch):
+    def test_fix_n_is_one_track(self, horseshoe_map, monkeypatch):
         widths, checks = _tracked_widths(monkeypatch), []
         check = hl.orbits._track_and_check
         monkeypatch.setattr(hl.orbits, "_track_and_check",
@@ -708,7 +708,7 @@ class TestHostLengths:
                             or check(maps, owner, X, width, tols))
         assert hl.enumerate_fix(horseshoe_map, 12).complete
         assert widths == [[12]]
-        assert checks == [[1, 2, 3, 4, 6, 12]]
+        assert checks == [[1, 2, 3, 4, 6, 12]]  # and one check, of every length
 
     @pytest.mark.parametrize("m, n, tie_rows", [(hl.quadratic_map(-6.0, 0.3), 12, 0), (MIXED, 12, 0),
                                                 (hl.quadratic_map(-12.0, 1.0), 8, 16)],
