@@ -219,7 +219,7 @@ def _ragged_rows(width: np.ndarray, n: int):
     in the length-width[i] system on its first width[i] columns: for the batch x = X[rows],
     select(rows) gives ``cyclic_residual``'s shifts (an inert column points at itself) and
     ``_band_solve``'s layout, and residual(m, x, rows) is the residual, 0 in inert columns."""
-    if width is None or width.min() == n:  # the plain cyclic system, as mpmath rows take it
+    if width is None or (width == n).all():  # the plain cyclic system, as mpmath rows take it
         return (lambda rows: (None, None)), (lambda m, x, rows: cyclic_residual(m, x))
     if (np.diff(width) > 0).any():
         raise ValueError("rows must come widest first")
