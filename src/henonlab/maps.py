@@ -5,43 +5,27 @@ d >= 2 and a != 0 the (constant) Jacobian determinant.  Its inverse is
 f^-1(x, y) = (y, (p(y) - x) / a), so f is an automorphism of C^2.
 
 The escape-rate potentials G+ and G- have one loop, ``HenonMap._green``,
-which runs at the working mpmath precision: ``green_plus`` and
+which runs at the working mpmath precision prec: ``green_plus`` and
 ``green_minus`` run it at 53 bits, ``verify.green_plus_hp`` and
-``green_minus_hp`` at a chosen number of digits.  It steps on the parts of
-the coordinates as signed (mantissa, exponent) pairs of Python ints, m 2^e,
-and gives bit for bit the floats of the same loop on mpc objects.  Each
-libmp operation that the mpc operators call there rounds exactly once, at
-a known precision and direction, and ``_round``, ``_add`` and ``_div``
-reproduce that rounding: ``mpc_mul`` is four exact products and one
-round-to-nearest subtraction and addition; ``mpf_add`` rounds the exact
-sum, except that it swaps an operand far below the other for a sticky
-unit, which ``_add`` copies; ``mpc_div`` rounds c^2 + d^2 and the two
-numerators toward zero at prec + 10 bits, since it calls ``mpf_add`` with
-no rounding argument, and then divides to nearest.  Nothing else needs a
-normalized (odd) mantissa.  Exponents are Python ints, so no iterate
-overflows.  The step skips each call that would give back its operand
-unchanged: ``_round`` of a mantissa of at most prec bits, ``_add`` of a
-zero and an operand already rounded at its precision, ``_div`` of a zero,
-and with a real a the zero products of ``mpc_mul``.  The zeros come from
-the zero head coefficient of p, from a real coefficient or a and from the
-imaginary parts of a real orbit.  A skipped call changes no value, so the
-loop's floats are those of the loop that makes every call.  Only the
-exponent of a zero may differ from libmp's (0 for zero), and nothing but
-the screen below reads it: a zero part can make the screen take one
-modulus more, but it does not change that modulus.  The constants (the
-parts of a and of the coefficients, |a|^2 as ``mpc_div`` rounds it and
-log|a| / (d - 1)) are computed once per map and precision.  The loop
-stops once the escaping coordinate v (x forward, y backward) has
-|v| > ESCAPE_THRESHOLD and |v| >= |w|, w the other coordinate: that is
-the region V+ (V-) of ``filtration_radius``, where the orbit keeps
-escaping.  The modulus of v is taken, by ``libmp.mpc_abs``,
-only once a part m 2^e of it has ``m.bit_length() + e > 26``: a finite
-nonzero part is below 2^(bit_length + e), and 2^26 <
-ESCAPE_THRESHOLD/sqrt(2), so that screen misses no escape; |w| is taken
-only after |v| has passed the threshold.
-The loop returns (log|v_n| - c) / d^n, with c = 0 forward and
+``green_minus_hp`` at a chosen number of digits.  It steps in fixed point,
+on Gaussian integers scaled by 2^P with P = prec + 10: each coordinate part
+and each constant (a, 1/a, the coefficients of p) is truncated to a
+multiple of 2^-P, and each complex product is truncated once more by
+``>> P``.  A step therefore errs by a few units of 2^-P in each part, so
+an iterate of modulus r >= 1 carries a relative error of about 2^-P / r
+per step, ten bits below the working precision, and the errors grow along
+the orbit only as the map itself separates nearby points.  Iterates are
+Python ints, so none overflows.  The loop stops once the escaping
+coordinate v (x forward, y backward) has |v| > ESCAPE_THRESHOLD and
+|v| >= |w|, w the other coordinate, comparing squared moduli as integers:
+that is the region V+ (V-) of ``filtration_radius``, where the orbit keeps
+escaping.  It returns (log|v_n| - c) / d^n, with c = 0 forward and
 c = log|a| / (d - 1) backward: f^-1 divides by a at every step, and in V-
 |y'| = |y|^d / |a| (1 + o(1)), so u = log|y| - c satisfies u' = d u + o(1).
+That estimator is itself within about 1e-9 relative of the limit, since
+|v_n| > 1e8; an orbit that reaches |v| = ESCAPE_THRESHOLD to the last digit
+may escape one step earlier or later than in another rounding, and its G
+then moves by that much.
 """
 
 from __future__ import annotations
@@ -53,18 +37,13 @@ from functools import cached_property
 
 import mpmath as mp
 import numpy as np
-from mpmath.libmp import from_float, from_man_exp, fzero, mpc_abs, mpf_ge, mpf_gt
+from mpmath.libmp import fzero, to_fixed
 
 Point = tuple[complex, complex]
 
 #: forward (backward) iterates whose first (second) coordinate exceeds this
 #: and is at least the other coordinate in modulus are escaping
 ESCAPE_THRESHOLD = 1e8
-
-_THRESHOLD = from_float(ESCAPE_THRESHOLD)
-#: a finite coordinate part m 2^e with m.bit_length() + e <= this is below
-#: 2^26 < ESCAPE_THRESHOLD/sqrt(2)
-_SCREEN_BITS = 26
 
 
 class EscapeOverflow(OverflowError):
@@ -94,57 +73,6 @@ def _mp_point(pt) -> tuple:
     if not all(p[1] or p == fzero for p in x + y):
         raise ValueError(f"non-finite point {pt!r}")
     return x, y
-
-
-def _round(m: int, e: int, prec: int, down: bool = False) -> tuple[int, int]:
-    """m 2^e rounded to prec bits: half to even (libmp's round_nearest), or
-    toward zero if down (round_fast)."""
-    n = m.bit_length() - prec
-    if n <= 0:
-        return m, e
-    if down:
-        return (m >> n if m >= 0 else -(-m >> n)), e + n
-    # floor((m + 2^(n-1) - 1 + the quotient's parity) / 2^n): ties go to even
-    return (m + (1 << (n - 1)) - 1 + (m >> n & 1)) >> n, e + n
-
-
-def _add(m: int, e: int, k: int, f: int, prec: int, down: bool = False) -> tuple[int, int]:
-    """m 2^e + k 2^f rounded as libmp.mpf_add rounds it: the exact sum, unless
-    the operands lie far apart.  Then, if their odd-mantissa exponents also
-    differ by more than 100, mpf_add puts a +-1 sticky unit prec + 4 bits
-    below the larger operand's odd mantissa in place of the smaller one."""
-    if not k:  # a zero sum keeps exponent 0, as libmp's zero does
-        return _round(m, e, prec, down) if m else (0, 0)
-    if not m:
-        return _round(k, f, prec, down)
-    gap = m.bit_length() + e - k.bit_length() - f
-    if gap > prec + 4 or -gap > prec + 4:
-        if gap < 0:
-            m, e, k, f = k, f, m, e
-        z, w = (m & -m).bit_length() - 1, (k & -k).bit_length() - 1
-        if e + z - f - w > 100:
-            return _round(((m >> z) << (prec + 4)) + (1 if k > 0 else -1), e + z - prec - 4, prec, down)
-    if e > f:
-        m, e = (m << (e - f)) + k, f
-    else:
-        m += k << (f - e)
-    # _round, written out: calling it here adds about a quarter to the loop's time
-    n = m.bit_length() - prec
-    if n <= 0:
-        return m, e
-    if down:
-        return (m >> n if m >= 0 else -(-m >> n)), e + n
-    return (m + (1 << (n - 1)) - 1 + (m >> n & 1)) >> n, e + n
-
-
-def _div(m: int, e: int, k: int, f: int, prec: int) -> tuple[int, int]:
-    """m 2^e / k 2^f, k > 0, rounded to nearest as libmp.mpf_div rounds it:
-    a quotient of at least prec + 5 bits, with a sticky bit for a remainder."""
-    extra = max(prec - m.bit_length() + k.bit_length() + 5, 5)
-    q, r = divmod(abs(m) << extra, k)
-    if r:
-        q, extra = 2 * q + 1, extra + 1
-    return _round(-q if m < 0 else q, e - f - extra, prec)
 
 
 @dataclass(frozen=True)
@@ -259,8 +187,8 @@ class HenonMap:
 
     @cached_property
     def _green_constants(self) -> dict:
-        """``_green``'s parts of a and of the coefficients, mpc_div's |a|^2 and
-        log|a| / (d - 1), keyed by the precision in bits they are rounded to."""
+        """``_green``'s a, 1/a and the coefficients of p from the highest power
+        down, as Gaussian integers scaled by 2^P, and log|a| / (d - 1), keyed by P."""
         return {}
 
     def _green(self, pt, forward: bool, max_iter: int) -> float:
@@ -268,76 +196,34 @@ class HenonMap:
         stays out of V+ (V- backward) for max_iter steps."""
         if max_iter < 1:
             raise ValueError("max_iter must be >= 1")
-        # what the mpc operators read; mpmath's context rounds to nearest
-        prec, rnd = mp.mp._prec_rounding
-        wp = prec + 10  # mpc_div's precision for c^2 + d^2, t and u
-
-        def parts(z):  # an _mpc_ tuple as two signed (mantissa, exponent) pairs
-            return tuple((-man if sign else man, exp) for sign, man, exp, _ in z)
-
-        def mpc(z):  # and back
-            return tuple(from_man_exp(*q) for q in z)
-
-        if prec not in self._green_constants:
-            a = mp.mpc(self.a)
-            (ar, are), (ai, aie) = parts(a._mpc_)
-            self._green_constants[prec] = (
-                (ar, are, ai, aie), [parts(mp.mpc(c)._mpc_) for c in reversed(self.coeffs)],
-                _add(ar * ar, 2 * are, ai * ai, 2 * aie, wp, True),  # |a|^2 as mpc_div has it
-                mp.log(abs(a)) / (self.degree - 1))
-        (ar, are, ai, aie), (((hr, hre), (hi, hie)), *tail), (mag, mage), log_a = self._green_constants[prec]
-        x, y = map(parts, _mp_point(pt))
+        P = mp.mp.prec + 10
+        if P not in self._green_constants:
+            with mp.workprec(P):
+                a = mp.mpc(self.a)
+                self._green_constants[P] = (
+                    [[to_fixed(q, P) for q in z._mpc_] for z in (a, 1 / a)],
+                    [[to_fixed(q, P) for q in mp.mpc(c)._mpc_] for c in reversed(self.coeffs)],
+                    mp.log(abs(a)) / (self.degree - 1))
+        ((ar, ai), (br, bi)), ((hr, hi), *tail), log_a = self._green_constants[P]
+        bound = int(ESCAPE_THRESHOLD) ** 2 << 2 * P
+        x, y = ([to_fixed(q, P) for q in z] for z in _mp_point(pt))
         for n in range(max_iter + 1):
-            v, w = (x, y) if forward else (y, x)
-            (m, e), (k, f) = v
-            if m.bit_length() + e > _SCREEN_BITS or k.bit_length() + f > _SCREEN_BITS:
-                abs_v = mpc_abs(mpc(v), prec, rnd)
-                if mpf_gt(abs_v, _THRESHOLD) and mpf_ge(abs_v, mpc_abs(mpc(w), prec, rnd)):
-                    u = mp.log(mp.make_mpf(abs_v))
-                    if not forward:  # in V-, |y'| = |y|^d / |a| (1 + o(1))
-                        u -= log_a
-                    return float(u / mp.mpf(self.degree) ** n)
-            # p(v) as HenonMap.p computes it on mpc: mpc_pos(v) + head, then
-            # mpc_add(mpc_mul(r, v), c) for each further coefficient.  Calls
-            # that would give back their operand are skipped (module docstring)
-            rm, rme = _round(m, e, prec) if m.bit_length() > prec else (m, e)
-            rk, rkf = _round(k, f, prec) if k.bit_length() > prec else (k, f)
-            if hr:
-                rm, rme = _add(rm, rme, hr, hre, prec)
-            if hi:
-                rk, rkf = _add(rk, rkf, hi, hie, prec)
-            for (cr, cre), (ci, cie) in tail:
-                q, qe = _add(rm * m, rme + e, -rk * k, rkf + f, prec)
-                s, se = _add(rm * k, rme + f, rk * m, rkf + e, prec)
-                rm, rme = _add(q, qe, cr, cre, prec) if cr else (q, qe)
-                rk, rkf = _add(s, se, ci, cie, prec) if ci else (s, se)
-            (u, g), (t, h) = w
-            if forward:  # mpc_sub(p(x), mpc_mul(a, y))
-                if ai:
-                    q, qe = _add(ar * u, are + g, -ai * t, aie + h, prec)
-                    s, se = _add(ar * t, are + h, ai * u, aie + g, prec)
-                else:  # a real: mpc_mul's sub and add only round ar u and ar t
-                    q, qe, s, se = ar * u, are + g, ar * t, are + h
-                    if q.bit_length() > prec:
-                        q, qe = _round(q, qe, prec)
-                    if s.bit_length() > prec:
-                        s, se = _round(s, se, prec)
-                x, y = (_add(rm, rme, -q, qe, prec) if q else (rm, rme),
-                        _add(rk, rkf, -s, se, prec) if s else (rk, rkf)), x
-            else:  # mpc_div(mpc_sub(p(y), x), a)
-                rm, rme = _add(rm, rme, -u, g, prec) if u else (rm, rme)
-                rk, rkf = _add(rk, rkf, -t, h, prec) if t else (rk, rkf)
-                if ai:
-                    q, qe = _add(rm * ar, rme + are, rk * ai, rkf + aie, wp, True)
-                    s, se = _add(rk * ar, rkf + are, -rm * ai, rme + aie, wp, True)
-                else:  # a real: t and u are ar times the numerator, rounded
-                    q, qe, s, se = rm * ar, rme + are, rk * ar, rkf + are
-                    if q.bit_length() > wp:
-                        q, qe = _round(q, qe, wp, True)
-                    if s.bit_length() > wp:
-                        s, se = _round(s, se, wp, True)
-                x, y = y, (_div(q, qe, mag, mage, prec) if q else (0, 0),
-                           _div(s, se, mag, mage, prec) if s else (0, 0))
+            (vr, vi), (wr, wi) = (x, y) if forward else (y, x)
+            norm = vr * vr + vi * vi
+            if norm > bound and norm >= wr * wr + wi * wi:
+                u = mp.log(mp.ldexp(norm, -2 * P)) / 2
+                if not forward:  # in V-, |y'| = |y|^d / |a| (1 + o(1))
+                    u -= log_a
+                return float(u / mp.mpf(self.degree) ** n)
+            # p(v) by Horner's rule: 1 v + head is exact, then r v >> P + c
+            rr, ri = vr + hr, vi + hi
+            for cr, ci in tail:
+                rr, ri = ((rr * vr - ri * vi) >> P) + cr, ((rr * vi + ri * vr) >> P) + ci
+            if forward:  # x' = p(x) - a y
+                x, y = [rr - ((ar * wr - ai * wi) >> P), ri - ((ar * wi + ai * wr) >> P)], x
+            else:  # y' = (p(y) - x) / a
+                rr, ri = rr - wr, ri - wi
+                x, y = y, [(rr * br - ri * bi) >> P, (rr * bi + ri * br) >> P]
         return 0.0
 
     def green_plus(self, pt: Point, max_iter: int = 100) -> float:

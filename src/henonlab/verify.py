@@ -34,12 +34,7 @@ The potentials ``green_plus_hp`` and ``green_minus_hp`` run the one
 escape-rate loop, ``HenonMap._green``, at ``dps`` digits, on mpmath
 coordinates as given, with all their digits; ``HenonMap``'s
 own methods run it at 53 bits, so at dps 15 both give the same floats.
-The loop steps on signed (mantissa, exponent) pairs of Python ints, not
-on mpc objects, and still returns their floats bit for bit: each libmp
-operation that it replaces rounds exactly once, at a known precision and
-direction, and ``maps._round``, ``_add`` and ``_div`` reproduce that
-rounding, ``mpf_add``'s sticky unit for an operand far below the other
-and ``mpc_div``'s round-toward-zero intermediates.
+Its fixed-point steps and their error model are described in ``maps``.
 """
 
 from __future__ import annotations

@@ -506,6 +506,65 @@ class TestEnumerate:
             s.select("nope")
 
 
+def _euler_jacobi_terms(s) -> np.ndarray:
+    """k / ((1 - lambda_s^(n/k)) (1 - lambda_u^(n/k))) for each orbit of Fix_n, k its
+    period: the orbit's share of the sum of 1 / det J over the zeros of the cyclic
+    system, det J = -det(I - Df^n) at each of its k points."""
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return np.concatenate([np.zeros(0, complex)] + [
+            b.period / ((1 - b.lambda_s ** (s.n // b.period)) * (1 - b.lambda_u ** (s.n // b.period)))
+            for b in s.blocks])
+
+
+def _euler_jacobi_ratio(terms) -> float:
+    """|sum| / sum |term|: nan for no terms or an infinite one."""
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return float(abs(terms.sum()) / np.abs(terms).sum())
+
+
+class TestEulerJacobi:
+    """The cyclic system has leading forms x_k^d, so it has d^n zeros and
+    none at infinity; when all are simple, the Euler-Jacobi theorem gives
+    sum 1 / det J = 0 over them (Khovanskii 1978; Cattani & Dickenstein
+    2005, ch. 1).  That sum reads only the stored multipliers, and it
+    shares no code with the tracker, the merge or the certificate."""
+
+    #: largest |sum| / sum |term| measured: 2.5e-14, and 3.5e-11 just below
+    #: the saddle-node, where two fixed points nearly meet
+    BOUND, NEAR_SADDLE_NODE_BOUND = 1e-13, 1e-10
+
+    @pytest.mark.parametrize("m, ns, bound", [
+        (hl.quadratic_map(-6.0, 0.3), (1, 2, 4, 8, 10), BOUND),
+        (MIXED, (1, 2, 4, 8, 10), BOUND),
+        (hl.quadratic_map(-1 + 0.2j, 0.3 - 0.4j), (1, 2, 4, 8, 10), BOUND),
+        (hl.quadratic_map(-1.1, 0.2), (1, 2, 4, 8, 10), BOUND),
+        (hl.HenonMap(coeffs=(0.3 + 0.2j, -1.5, 0.1j), a=0.4 - 0.3j), (1, 2, 4, 6), BOUND),
+        (hl.quadratic_map(0.5625 - 1e-6, 0.5), (1, 2, 4, 8, 10), NEAR_SADDLE_NODE_BOUND),
+    ], ids=["horseshoe", "mixed", "complex-a", "sink", "cubic", "near-saddle-node"])
+    def test_sum_vanishes_on_complete_catalogues(self, m, ns, bound):
+        for n in ns:
+            s = hl.enumerate_fix(m, n)
+            assert s.complete
+            t = _euler_jacobi_terms(s)
+            assert _euler_jacobi_ratio(t) <= bound, n
+            # one orbit dropped or counted twice breaks the identity
+            for k in range(len(t)):
+                for wrong in (np.delete(t, k), np.append(t, t[k])):
+                    assert _euler_jacobi_ratio(wrong) > 100 * bound, (n, k)
+
+    @pytest.mark.parametrize("c, ns", [(0.5625, (1, 2, 3, 4)), (-1.6875, (2, 4))],
+                             ids=["saddle-node", "period-doubling"])
+    def test_degenerate_maps_are_far_off(self, c, ns):
+        # multiple fixed points: the theorem does not apply, and the
+        # incomplete catalogues read O(1), or nan where Fix_1 of the
+        # saddle-node holds no orbit or a multiplier is exactly -1
+        for n in ns:
+            s = hl.enumerate_fix(hl.quadratic_map(c, 0.5), n)
+            assert not s.complete
+            ratio = _euler_jacobi_ratio(_euler_jacobi_terms(s))
+            assert not ratio <= 0.1, n
+
+
 def dense_band_solve(diag, sub, sup, F, layout=None):
     """The dense LAPACK solve that the cyclic-tridiagonal solve replaced, each row at its width."""
     B, n = diag.shape

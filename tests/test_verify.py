@@ -2,16 +2,14 @@
 potentials against straightforward references kept here."""
 
 import math
-import random
 
 import mpmath as mp
 import numpy as np
 import pytest
-from mpmath.libmp import from_man_exp, mpf_add, mpf_div, mpf_pos, mpf_sub, round_down, round_nearest
 
 import henonlab as hl
 from henonlab import verify
-from henonlab.maps import ESCAPE_THRESHOLD, _add, _div
+from henonlab.maps import ESCAPE_THRESHOLD
 
 HORSESHOE = hl.quadratic_map(-6.0, 0.3)
 MIXED = hl.quadratic_map(0.0, 0.5)
@@ -64,6 +62,21 @@ def _reference_greens(m, pt, max_iter=100, dps=60):
         x, y = (v if isinstance(v, mp.mpc) else mp.mpc(v) for v in pt)
         return (_green_reference(m, x, y, True, max_iter),
                 _green_reference(m, x, y, False, max_iter))
+
+
+def _greens(m, pt, max_iter=100, dps=60):
+    return verify.green_plus_hp(m, pt, max_iter, dps), verify.green_minus_hp(m, pt, max_iter, dps)
+
+
+def _assert_close(m, pts, rtol, max_iter=100, dps=60):
+    """The loop's (G+, G-) at pts, each within rtol of ``_reference_greens``
+    relative and zero exactly where it is zero."""
+    got = [_greens(m, pt, max_iter, dps) for pt in pts]
+    refs = [_reference_greens(m, pt, max_iter, dps) for pt in pts]
+    bad = [(pt, g, r) for pt, g, r in zip(pts, got, refs)
+           if any((u == 0) != (v == 0) or abs(u - v) > rtol * v for u, v in zip(g, r))]
+    assert bad == []
+    return got
 
 
 class TestRefine:
@@ -171,7 +184,7 @@ def _escaping_points(rng, count):
 
 
 def _edge_points():
-    """|Re| = |Im| just above and below T/sqrt(2) (|v| = T) and 0.7 T (the screen)."""
+    """|Re| = |Im| just above and below T/sqrt(2) (|v| = T) and 0.7 T."""
     pts = []
     with mp.workdps(60):
         for base in (mp.mpf(ESCAPE_THRESHOLD) / mp.sqrt(2), mp.mpf(0.7 * ESCAPE_THRESHOLD)):
@@ -183,6 +196,15 @@ def _edge_points():
     return pts
 
 
+def _polished_points(m, n, dps=60):
+    """(z_k, z_{k-1}) at every point of Fix_n, re-polished at dps."""
+    pts = []
+    for o in hl.enumerate_fix(m, n).orbits:
+        z = verify.refine_orbit_hp(m, o.xs, dps=dps)
+        pts += [(z[k], z[k - 1]) for k in range(len(z))]
+    return pts
+
+
 def _fix_n(m):
     """Fix_4, or Fix_3 for the quartic: 16 to 81 points, not 256."""
     return 3 if m.degree == 4 else 4
@@ -191,25 +213,30 @@ def _fix_n(m):
 class TestGreens:
     @pytest.mark.parametrize("m", [HORSESHOE, MIXED, CUBIC, QUARTIC, IMAGINARY_C],
                              ids=["horseshoe", "mixed", "cubic", "quartic", "imaginary-c"])
-    def test_bit_identical_to_reference(self, m):
+    def test_close_to_reference(self, m):
         rng = np.random.default_rng(1729)
-        pts = _escaping_points(rng, 60) + _edge_points()
+        pts = _escaping_points(rng, 60)
         # past the threshold, but outside V+ (V-) until one more step
         pts += [(1e9, 1e20), (1e20, 1e9), (1e9j, 1e9 + 1j), (1e9 + 1j, 1e9j)]
-        # bounded points: re-polished periodic orbits, which escape only
-        # after ~dps digits of precision are used up
-        for o in hl.enumerate_fix(m, _fix_n(m)).orbits:
-            z = verify.refine_orbit_hp(m, o.xs)
-            pts += [(z[k], z[k - 1]) for k in range(len(z))]
         # input types: numpy numbers, and mpc carrying more digits than dps
         pts.append((np.complex128(0.3 - 0.1j), np.complex128(-0.2j)))
         with mp.workdps(90):
             pts.append((mp.mpc(1) / 3, mp.mpc(2, 1) / 7))
-        got = [(verify.green_plus_hp(m, pt), verify.green_minus_hp(m, pt)) for pt in pts]
-        assert [pt for pt, g in zip(pts, got) if g != _reference_greens(m, pt)] == []
+        got = _assert_close(m, pts, 1e-13) + _assert_close(m, _edge_points(), 1e-9)
         # escapes after many different numbers of steps: G = log|x_n| / d^n
         steps = {round(math.log(math.log(ESCAPE_THRESHOLD) / g, m.degree)) for g in sum(got, ()) if g > 0}
         assert len(steps) >= 4
+        # bounded points: re-polished periodic orbits, which escape only
+        # after ~dps digits of precision are used up
+        assert max(max(_greens(m, pt)) for pt in _polished_points(m, _fix_n(m))) < 1e-12
+
+    def test_coordinates_past_double_range(self):
+        # (1e200, 1e300) is outside V+ until its first forward step, which
+        # reaches about 1e400
+        w = mp.mpc(0.5, 0.25)
+        pts = [(mp.mpc("1e400"), w), (w, mp.mpc("1e400")), (1e200, 1e300), (1e300, 1e200)]
+        for m in (HORSESHOE, CUBIC, QUARTIC):
+            assert all(g > 0 for g in sum(_assert_close(m, pts, 1e-13), ()))
 
     @pytest.mark.parametrize("m", [HORSESHOE, MIXED, CUBIC, QUARTIC],
                              ids=["horseshoe", "mixed", "cubic", "quartic"])
@@ -251,8 +278,8 @@ class TestGreens:
         for o in s.orbits[:4]:
             z = verify.refine_orbit_hp(s.map, o.xs)
             pts = [(z[k], z[k - 1]) for k in range(len(z))]
-            refs = [_reference_greens(s.map, pt) for pt in pts]
-            expected = (max(r[0] for r in refs), max(r[1] for r in refs))
+            each = [_greens(s.map, pt) for pt in pts]
+            expected = (max(g[0] for g in each), max(g[1] for g in each))
             assert verify.orbit_greens_hp(s.map, o.xs) == expected
 
 
@@ -305,214 +332,66 @@ class TestGreensAccuracy:
         assert checked >= 5
 
 
-def _polished_points(m, n, dps=60):
-    """(z_k, z_{k-1}) at every point of Fix_n, re-polished at dps."""
-    pts = []
-    for o in hl.enumerate_fix(m, n).orbits:
-        z = verify.refine_orbit_hp(m, o.xs, dps=dps)
-        pts += [(z[k], z[k - 1]) for k in range(len(z))]
-    return pts
-
-
 def _screen_edge_values():
     """A part of exactly 2^26 and 2^26 (1 +- 2^-70), the other part 0 or
-    equal: the parts straddle the screen at exp + bc = 26 and 27."""
+    equal: exp + bc = 26 and 27, and |v| up to 2^26 sqrt(2), just below T."""
     with mp.workdps(60):
         es = [mp.ldexp(1 + rel, 26) for rel in (0, mp.ldexp(1, -70), -mp.ldexp(1, -70))]
         return [v for e in es for v in (mp.mpc(e, 0), mp.mpc(0, e), mp.mpc(e, e), mp.mpc(-e, e))]
 
 
 class TestGreensBitIdentity:
-    """The tuple loop against ``_reference_greens`` beyond the default settings."""
+    """The loop beyond the default settings: bit for bit against a fresh map
+    across precisions, and elsewhere within its error model of
+    ``_reference_greens`` (see ``_assert_close``)."""
 
     @pytest.mark.parametrize("dps", [30, 113])
     @pytest.mark.parametrize("m", [HORSESHOE, CUBIC], ids=["horseshoe", "cubic"])
     def test_other_precisions(self, m, dps):
         rng = np.random.default_rng(7)
-        pts = _escaping_points(rng, 20) + _polished_points(m, 4, dps=dps)
-        got = [(verify.green_plus_hp(m, pt, dps=dps), verify.green_minus_hp(m, pt, dps=dps)) for pt in pts]
-        assert [pt for pt, g in zip(pts, got) if g != _reference_greens(m, pt, dps=dps)] == []
+        _assert_close(m, _escaping_points(rng, 20), 1e-13, dps=dps)
         # the bounded points escape once dps digits are used up, so the
         # potentials read the working precision, not a fixed 60 digits
-        at60 = [(verify.green_plus_hp(m, pt), verify.green_minus_hp(m, pt)) for pt in pts]
-        assert got != at60
+        pts = _polished_points(m, 4, dps=dps)
+        got = [_greens(m, pt, dps=dps) for pt in pts]
+        assert got != [_greens(m, pt) for pt in pts]
 
     @pytest.mark.parametrize("m", [HORSESHOE, MIXED, CUBIC], ids=["horseshoe", "mixed", "cubic"])
     def test_max_iter_reached(self, m):
         rng = np.random.default_rng(11)
         pts = _polished_points(m, 4) + _escaping_points(rng, 20)
-        got = [(verify.green_plus_hp(m, pt, max_iter=3), verify.green_minus_hp(m, pt, max_iter=3))
-               for pt in pts]
-        assert [pt for pt, g in zip(pts, got) if g != _reference_greens(m, pt, max_iter=3)] == []
-        flat = sum(got, ())
+        flat = sum(_assert_close(m, pts, 1e-13, max_iter=3), ())
         assert 0.0 in flat and max(flat) > 0
 
     def test_zero_imaginary_parts(self, horseshoe_spectra):
-        # real points of the real horseshoe: every operation on an imaginary
-        # part has a zero operand
+        # real points of the real horseshoe: every imaginary part is zero
         rng = np.random.default_rng(13)
-        pts = [(complex(x.real), complex(y.real)) for x, y in _escaping_points(rng, 40)]
+        _assert_close(HORSESHOE, [(complex(x.real), complex(y.real)) for x, y in _escaping_points(rng, 40)], 1e-13)
         for o in horseshoe_spectra[4].orbits:
             z = verify.refine_orbit_hp(HORSESHOE, o.xs.real)
             assert all(v.imag == 0 for v in z)
-            pts += [(z[k], z[k - 1]) for k in range(len(z))]
-        got = [(verify.green_plus_hp(HORSESHOE, pt), verify.green_minus_hp(HORSESHOE, pt)) for pt in pts]
-        assert [pt for pt, g in zip(pts, got) if g != _reference_greens(HORSESHOE, pt)] == []
+            assert max(max(_greens(HORSESHOE, (z[k], z[k - 1]))) for k in range(len(z))) < 1e-12
 
     def test_precisions_alternate_on_one_map(self):
-        # the map keeps its constants per precision: none may leak into a
-        # later call at another precision.  Parts of a and the coefficients
-        # are exact at both, but |Re a|^2 + |Im a|^2 needs 164 bits,
-        # so mpc_div's |a|^2 is rounded at dps 30 and exact at dps 60
+        # the map keeps its constants per precision, 1/a and log|a| rounded
+        # to each: none may leak into a later call at another precision
         m = hl.HenonMap(coeffs=CUBIC.coeffs, a=0.4 - 3e-11j)
         rng = np.random.default_rng(17)
         # polished at dps 60: at dps 30 the loop runs on all their digits,
         # as _green_reference does, and does not round them on entry
         pts = _escaping_points(rng, 20) + _polished_points(m, 3, dps=60)
         for dps in (30, 60, 30):
-            got = [(verify.green_plus_hp(m, pt, dps=dps), verify.green_minus_hp(m, pt, dps=dps)) for pt in pts]
-            assert [pt for pt, g in zip(pts, got) if g != _reference_greens(m, pt, dps=dps)] == []
-
-    #: re-polished horseshoe points of Fix_8 to Fix_10, (re, im) of z_k and
-    #: z_{k-1} as mpmath writes them at dps 15 and 30
-    ROUNDED_DIVISION = {
-        15: [(("-2.8821499742634127", "-1.835241881624585e-55"), ("2.0026646004354367", "0.0")),
-             (("2.9908994173884995", "-2.237975516758869e-54"), ("3.1390418760772869", "0.0")),
-             (("2.6613046139367902", "0.0"), ("-3.0175777289412729", "0.0"))],
-        30: [(("-1.92197094361395819034609168659186", "0.0"),
-              ("1.79147196526955810040931694901931", "0.0")),
-             (("3.18033218797691604030963694412817", "0.0"),
-              ("3.18296531868068571732104428309128", "-1.02951151789360578362779043469434e-84")),
-             (("1.7823651648456245137379724035273", "0.0"),
-              ("-2.86978368026235455779929312699832", "-1.96363738611909062123830878199451e-90"))],
-    }
-
-    @pytest.mark.parametrize("dps", [15, 30])
-    def test_real_a_numerators_round_toward_zero(self, dps):
-        # with a real a, mpc_div rounds each numerator part times a toward
-        # zero at prec + 10 bits, then divides by |a|^2 to nearest: at these
-        # points, dividing the exact products instead changes G-
-        with mp.workdps(dps):
-            pts = [tuple(mp.mpc(*z) for z in pt) for pt in self.ROUNDED_DIVISION[dps]]
-        got = [verify.green_minus_hp(HORSESHOE, pt, dps=dps) for pt in pts]
-        assert got == [_reference_greens(HORSESHOE, pt, dps=dps)[1] for pt in pts]
+            fresh = hl.HenonMap(coeffs=m.coeffs, a=m.a)
+            assert [_greens(m, pt, dps=dps) for pt in pts] == [_greens(fresh, pt, dps=dps) for pt in pts]
+        _assert_close(m, pts[:20], 1e-13, dps=30)
 
     @pytest.mark.parametrize("m", [HORSESHOE, MIXED, CUBIC], ids=["horseshoe", "mixed", "cubic"])
     def test_screen_edge(self, m):
+        # near-threshold points, within the estimator's own truncation
         vs = _screen_edge_values()
         assert {p[2] + p[3] for v in vs for p in v._mpc_ if p[1]} == {26, 27}
         w = mp.mpc(0.5, 0.25)
-        pts = [pt for v in vs for pt in ((v, w), (w, v), (v, v))]
-        got = [(verify.green_plus_hp(m, pt), verify.green_minus_hp(m, pt)) for pt in pts]
-        assert [pt for pt, g in zip(pts, got) if g != _reference_greens(m, pt)] == []
-
-
-class TestIntegerArithmetic:
-    """``maps._add`` and ``_div`` on (mantissa, exponent) pairs against libmp's
-    mpf_add, mpf_sub and mpf_div on the same values as raw mpf tuples.  The
-    pairs need not have odd mantissas; from_man_exp makes them canonical."""
-
-    # the loop's precisions at 53 bits and at dps 60, and mpc_div's
-    # round-toward-zero intermediates at dps 60 + 10 bits
-    SETTINGS = [(53, False), (203, False), (213, True)]
-
-    @staticmethod
-    def _random_pairs(rnd, count):
-        """Mantissas of 1-406 bits with either sign and up to 9 trailing zeros;
-        exponents mostly close together, some far apart."""
-        out = []
-        for _ in range(count):
-            pair = []
-            for _ in range(2):
-                bits = rnd.randint(1, 406)
-                m = (rnd.getrandbits(bits) | 1 << (bits - 1)) << rnd.randint(0, 9)
-                pair += [m if rnd.random() < 0.5 else -m, rnd.randint(-300, 300)]
-            if rnd.random() < 0.5:
-                pair[3] = pair[1] + rnd.randint(-40, 40)
-            out.append(tuple(pair))
-        return out
-
-    @staticmethod
-    def _sticky_pairs(prec):
-        """Odd mantissas whose exponents differ by 99-102 and whose top bits
-        differ by prec + 3 to prec + 6: either side of both of mpf_add's
-        limits for its sticky shortcut.  The larger operand has prec + 40
-        bits, the last 40 of them mostly just off a rounding boundary, so
-        the shortcut can round otherwise than the exact sum."""
-        rnd = random.Random(prec)
-        out = []
-        for offset in (99, 100, 101, 102):
-            for gap in range(prec + 3, prec + 7):
-                for _ in range(40):
-                    tbc = prec + 40 + offset - gap
-                    low = rnd.choice((1, (1 << 39) - 1, (1 << 39) + 1, (1 << 40) - 1,
-                                      rnd.getrandbits(40) | 1))
-                    s = (rnd.getrandbits(prec - 1) | 1 << (prec - 1)) << 40 | low
-                    t = rnd.getrandbits(tbc - 1) | 1 << (tbc - 1) | 1
-                    texp = rnd.randint(-50, 50)
-                    sign_s, sign_t = rnd.choice((1, -1)), rnd.choice((1, -1))
-                    # the larger operand passed unnormalized, in either place
-                    z = rnd.randint(0, 5)
-                    big, small = (sign_s * s << z, texp + offset - z), (sign_t * t, texp)
-                    out.append(big + small if rnd.random() < 0.5 else small + big)
-        return out
-
-    @staticmethod
-    def _constructed_pairs(prec):
-        q_even, q_odd = (1 << (prec - 1)) + 2, (1 << (prec - 1)) + 3
-        ones = (1 << (prec + 1)) - 1
-        pairs = []
-        for s in (1, -1):
-            pairs += [
-                (s * q_even << 1, 0, s, 0), (s * q_odd << 1, 0, s, 0),   # ties, both parities
-                (s * q_even << 7, -7, s, -1), (s * q_odd, 1, s, 0),
-                (s * (ones - 1), 0, s, 0), (s * ones, 3, s, 3),           # carry to 2^(prec + 1)
-                (s * 12345 << 40, -3, -s * 12345 << 43, -6),             # cancels to zero
-                (s * q_odd, 5, -s * q_odd << 2, 3),
-                (0, 0, s * ones, -4), (s * ones, 9, 0, 0), (0, 17, 0, -4),   # a zero operand
-                (s * 3, 0, 5, 0), (s * 3, 0, -5, 0),                      # mixed signs
-            ]
-        return pairs
-
-    def _pairs(self, prec):
-        return (self._random_pairs(random.Random(1729 + prec), 3000) + self._constructed_pairs(prec)
-                + self._sticky_pairs(prec))
-
-    @pytest.mark.parametrize("prec, down", SETTINGS, ids=["53", "203", "213-down"])
-    def test_add_and_sub_are_libmp(self, prec, down):
-        rounding = round_down if down else round_nearest
-        bad = []
-        for m, e, k, f in self._pairs(prec):
-            s, t = from_man_exp(m, e), from_man_exp(k, f)
-            if from_man_exp(*_add(m, e, k, f, prec, down)) != mpf_add(s, t, prec, rounding):
-                bad.append(("add", m, e, k, f))
-            if from_man_exp(*_add(m, e, -k, f, prec, down)) != mpf_sub(s, t, prec, rounding):
-                bad.append(("sub", m, e, k, f))
-        assert bad == []
-
-    @pytest.mark.parametrize("prec, down", SETTINGS, ids=["53", "203", "213-down"])
-    def test_sticky_shortcut_is_taken_and_matters(self, prec, down):
-        # libmp's sticky sum differs from the rounded exact sum somewhere in
-        # these cases, so an _add that rounded the exact sum would fail above
-        rounding = round_down if down else round_nearest
-        pairs = self._sticky_pairs(prec)
-        exact = [mpf_pos(mpf_add(from_man_exp(m, e), from_man_exp(k, f)), prec, rounding)
-                 for m, e, k, f in pairs]
-        assert any(from_man_exp(*_add(*pair, prec, down)) != want for pair, want in zip(pairs, exact))
-
-    @pytest.mark.parametrize("prec", [53, 203])
-    def test_div_is_libmp(self, prec):
-        rnd = random.Random(prec)
-        pairs = [(m, e, abs(k), f) for m, e, k, f in self._random_pairs(rnd, 3000) if k]
-        q_even, q_odd = (1 << (prec - 1)) + 2, (1 << (prec - 1)) + 3
-        for s in (1, -1):
-            for k in (3, 1 << 20, 7 << 5, (1 << 300) + 1):
-                # ties of both parities, exact quotients and powers of two
-                pairs += [((2 * q_even + 1) * k * s, 0, k, 4), (-(2 * q_odd + 1) * k * s, -3, k, 0),
-                          (q_odd * k * s, 2, k, 0), (0, 0, k, 0)]
-        bad = [(m, e, k, f) for m, e, k, f in pairs if from_man_exp(*_div(m, e, k, f, prec))
-               != mpf_div(from_man_exp(m, e), from_man_exp(k, f), prec, round_nearest)]
-        assert bad == []
+        _assert_close(m, [pt for v in vs for pt in ((v, w), (w, v), (v, v))], 1e-9)
 
 
 class TestBadInput:

@@ -194,6 +194,17 @@ moment gaps (at most 4.4e-16) and ``lyapunov-horseshoe.csv`` by at most
 (horseshoe), 9.1e-62 (mixed) and 1.4e-61 (cubic) of 1 + |z|, with G+
 and G- at most 2.3e-14; given the same double orbits, the re-polish
 returns bit-identical z.
+
+A ninth one: against a tree whose escape-rate loop copies libmp's
+rounding, bit for bit the floats of a loop on mpc objects, the three
+``verify-*.txt`` files differ in their G+ and G- columns only.  The
+loop now steps in fixed point at P = prec + 10 bits (``maps``).  The
+values are at round-off level and move by factors of up to 25
+(horseshoe), 1.3 (mixed) and 71 (cubic); exact zeros go from 82 to 86,
+472 to 476 and 241 to 238 of the 512, 512 and 486 values.  The largest
+is now 1.46e-14 in ``verify-horseshoe-fix08.txt``, 2.68e-25 in
+``verify-mixed-fix08.txt`` and 3.03e-25 in ``verify-cubic-fix05.txt``.
+z moves by 0, and the other 76 files are byte-identical.
 """
 
 from __future__ import annotations
