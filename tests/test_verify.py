@@ -14,10 +14,9 @@ from henonlab.maps import ESCAPE_THRESHOLD
 HORSESHOE = hl.quadratic_map(-6.0, 0.3)
 MIXED = hl.quadratic_map(0.0, 0.5)
 CUBIC = hl.HenonMap(coeffs=(0.3 + 0.2j, -1.5, 0.1j), a=0.4 - 0.3j)
-# Re a = 0, and every part of mpc_div's numerators and of |a|^2 matters
+# degree 4, every coefficient complex and Re a = 0
 QUARTIC = hl.HenonMap(coeffs=(0.2 - 0.1j, 0.5j, -1.0 + 0.3j, 0.25 + 0.1j), a=0.7j)
-# a zero head coefficient, Re c = 0 and a real negative a: the loop skips the
-# operations on their zeros
+# a zero head coefficient, Re c = 0 and a real negative a
 IMAGINARY_C = hl.HenonMap(coeffs=(2j, 0.0), a=-0.5)
 # c just below the saddle-node at 0.5625 of p = x^2 + c, a = 0.5, where the
 # two fixed points meet
