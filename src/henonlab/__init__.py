@@ -12,7 +12,6 @@ from .orbits import (
     DEFAULT_RNG_SEED,
     PeriodSpectrum,
     PeriodicOrbit,
-    Tolerances,
     canonical_rotation,
     certify,
     classify,
@@ -53,7 +52,6 @@ __all__ = [
     "PeriodicOrbit",
     "Point",
     "ScanField",
-    "Tolerances",
     "UnstableDirection",
     "canonical_rotation",
     "certify",
@@ -87,4 +85,4 @@ __all__ = [
     "vector_period",
 ]
 
-__version__ = "0.7.0"
+__version__ = "0.8.0"

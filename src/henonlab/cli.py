@@ -21,9 +21,9 @@ from .maps import HenonMap
 from .measures import DEFAULT_RESOLUTION, discrepancy, empirical_measure, moment_orders, moments
 from .exponents import lambda_estimates
 from .orbits import (
+    DEFAULT_EPS_HYP,
     DEFAULT_RNG_SEED,
     SPECTRUM_SCHEMA,
-    Tolerances,
     _certify_rows,
     _classify_rows,
     enumerate_fix,
@@ -46,15 +46,9 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
-def _tolerances(args) -> Tolerances:
-    return Tolerances(dedup=args.tol_dedup, eps_hyp=args.eps_hyp)
-
-
-def _add_common(p, solves: bool) -> None:
+def _add_common(p) -> None:
     p.add_argument("--seed", type=int, default=DEFAULT_RNG_SEED)
-    if solves:  # classify only re-certifies: it runs no dedup
-        p.add_argument("--tol-dedup", type=float, default=Tolerances.dedup)
-    p.add_argument("--eps-hyp", type=float, default=Tolerances.eps_hyp)
+    p.add_argument("--eps-hyp", type=float, default=DEFAULT_EPS_HYP)
     p.add_argument("--out", required=True)
 
 
@@ -107,7 +101,6 @@ def cmd_enumerate(args) -> int:
     if args.n < 1:
         raise UsageError("--n must be a positive integer")
     m = HenonMap.from_file(args.map)
-    tols = _tolerances(args)
     key = {
         "cmd": "enumerate",
         "schema": SPECTRUM_SCHEMA,
@@ -115,22 +108,21 @@ def cmd_enumerate(args) -> int:
         "n": args.n,
         "budget": args.budget,
         "seed": args.seed,
-        "tols": tols.key(),
+        "eps_hyp": args.eps_hyp,
     }
     cache_path, hit = _cache_fetch(args.cache_dir, key, _parses_as_json)
     if hit is not None:
         with open(args.out, "wb") as fh:
             fh.write(hit)
         return 0
-    spec = enumerate_fix(m, args.n, budget=args.budget, rng_seed=args.seed, tols=tols)
+    spec = enumerate_fix(m, args.n, budget=args.budget, rng_seed=args.seed, eps_hyp=args.eps_hyp)
     _write_out(args.out, spectrum_to_json(spec) + "\n", cache_path)
     return 0
 
 
 def cmd_classify(args) -> int:
     spec = spectrum_from_file(args.spectrum)
-    tols = Tolerances(eps_hyp=args.eps_hyp)
-    blocks = [_classify_rows(spec.map, b.xs, *_certify_rows(spec.map, b.xs, tols)[:2], tols)
+    blocks = [_classify_rows(spec.map, b.xs, *_certify_rows(spec.map, b.xs)[:2], args.eps_hyp)
               for b in spec.blocks]
     _write_out(args.out, spectrum_to_json(dataclasses.replace(spec, blocks=blocks)) + "\n", None)
     return 0
@@ -210,13 +202,12 @@ def cmd_scan(args) -> int:
         return 0
     if args.n < 1:
         raise UsageError("--n must be a positive integer")
-    tols = _tolerances(args)
     key = {
         "cmd": "scan",
         "family": family.to_spec(),
         "n": args.n,
         "seed": args.seed,
-        "tols": tols.key(),
+        "eps_hyp": args.eps_hyp,
     }
 
     def whole_csv(data: bytes) -> bool:
@@ -229,7 +220,7 @@ def cmd_scan(args) -> int:
         with open(args.out, "wb") as fh:
             fh.write(hit)
         return 0
-    fld = scan(family, args.n, rng_seed=args.seed, tols=tols)
+    fld = scan(family, args.n, rng_seed=args.seed, eps_hyp=args.eps_hyp)
     _write_out(args.out, scan_to_csv(fld), cache_path)
     return 0
 
@@ -257,12 +248,12 @@ def build_parser() -> _Parser:
     pe.add_argument("--n", type=int, required=True)
     pe.add_argument("--budget", type=int, default=None)
     pe.add_argument("--cache-dir", default=None)
-    _add_common(pe, solves=True)
+    _add_common(pe)
     pe.set_defaults(func=cmd_enumerate)
 
     pc = sub.add_parser("classify", help="re-derive classifications from a spectrum")
     pc.add_argument("--spectrum", required=True)
-    _add_common(pc, solves=False)
+    _add_common(pc)
     pc.set_defaults(func=cmd_classify)
 
     pm = sub.add_parser("measure", help="empirical-measure convergence table")
@@ -286,7 +277,7 @@ def build_parser() -> _Parser:
     ps.add_argument("--n", type=int, default=6)
     ps.add_argument("--validate-stencil", action="store_true")
     ps.add_argument("--cache-dir", default=None)
-    _add_common(ps, solves=True)
+    _add_common(ps)
     ps.set_defaults(func=cmd_scan)
 
     pr = sub.add_parser("report", help="summarize cached runs")

@@ -20,9 +20,11 @@ in the system of a multiple L of k as the word repeated L/k times, and
 rows of one batch may run at different widths for different maps, so a
 parameter scan tracks every grid cell and every length at once.  The
 endpoints of every length then take one Newton polish and one check, each
-row at its own width: residual, exact period and certificate decide.  The
-canonical rotation comes from the first coordinates, with rotation tables
-only where they tie; the classified orbits of a length are one OrbitBlock.
+row at its own width.  Its certificate radius and uniqueness reach alone
+decide exact period (``_track_and_check``) and orbit identity (``_merge``).
+The canonical rotation comes from the first coordinates, with rotation
+tables only where they tie; the classified orbits of a length are one
+OrbitBlock.
 """
 
 from __future__ import annotations
@@ -44,28 +46,11 @@ DEFAULT_RNG_SEED = 1729
 
 
 class AmbiguousOrbitError(RuntimeError):
-    """Two certified orbits landed between the certificate and dedup scales."""
+    """Two certified rows of one map that their radii cannot prove distinct or one orbit."""
 
 
-@dataclass(frozen=True)
-class Tolerances:
-    """Numeric tolerances shared across the solver and its consumers."""
-
-    dedup: float = 1e-8         # orbit identification scale (sup over rotations)
-    eps_hyp: float = 1e-6       # hyperbolicity band around |lambda| = 1
-    separation: float = 1e-6    # proper-divisor cycles must differ by this much
-    certify_ball: float = 1e-3  # radius on which the Jacobian Lipschitz bound is taken
-
-    def __post_init__(self) -> None:
-        for name in ("dedup", "eps_hyp", "separation", "certify_ball"):
-            if getattr(self, name) <= 0:
-                raise ValueError(f"tolerance {name} must be positive")
-
-    def key(self) -> tuple:
-        return (self.dedup, self.eps_hyp, self.separation, self.certify_ball)
-
-
-DEFAULT_TOLERANCES = Tolerances()
+#: the default width of the hyperbolicity band around |lambda| = 1
+DEFAULT_EPS_HYP = 1e-6
 
 
 # -- cyclic system -------------------------------------------------------------
@@ -439,13 +424,15 @@ def _residual_rounding(m: HenonMap, xs: np.ndarray) -> np.ndarray:
 #: Jacobian entries per stacked inverse (64 KB); a stack of a whole length grows the heap
 _STACK_ENTRIES = 4096
 
+#: radius of the ball around a row on which ``certify`` bounds the Jacobian's Lipschitz constant
+_CERTIFY_BALL = 1e-3
 
-def _certify_rows(m: HenonMap, X: np.ndarray, tols: Tolerances = DEFAULT_TOLERANCES
-                  ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+
+def _certify_rows(m: HenonMap, X: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """``certify`` for each row of X (B, n): (certified, radius, reach), 0 where not certified.
 
-    ``reach`` = min(1 / (beta L), ``tols.certify_ball``) is a radius
-    around the row inside which its zero is the only one (Kantorovich's
+    ``reach`` = min(1 / (beta L), ``_CERTIFY_BALL``) is a radius around
+    the row inside which its zero is the only one (Kantorovich's
     uniqueness half; see ``_real_rows``).  ``m`` is one map or a
     ``_MapRows`` batch.  The Jacobians of a block of rows are inverted as
     one stack; if LAPACK finds one exactly singular, the block is
@@ -454,7 +441,7 @@ def _certify_rows(m: HenonMap, X: np.ndarray, tols: Tolerances = DEFAULT_TOLERAN
     step = max(1, _STACK_ENTRIES // X.shape[1] ** 2)
     if len(X) > step:
         rows = _as_rows(m, len(X))
-        parts = [_certify_rows(rows.take(slice(i, i + step)), X[i:i + step], tols)
+        parts = [_certify_rows(rows.take(slice(i, i + step)), X[i:i + step])
                  for i in range(0, len(X), step)]
         return tuple(np.concatenate(p) for p in zip(*parts))
     F, J = cyclic_residual(m, X), cyclic_jacobian(m, X)
@@ -473,29 +460,29 @@ def _certify_rows(m: HenonMap, X: np.ndarray, tols: Tolerances = DEFAULT_TOLERAN
         err = np.where(ok[:, None], np.abs(F) + _residual_rounding(m, X), 0.0)
         eta = (abs_inv * err[:, None, :]).sum(axis=2).max(axis=1)
         beta = abs_inv.sum(axis=2).max(axis=1)
-        L = np.reshape(m.d2p_bound(top[:, None] + tols.certify_ball), -1)
+        L = np.reshape(m.d2p_bound(top[:, None] + _CERTIFY_BALL), -1)
         h = beta * L * eta
         rho = (1.0 - np.sqrt(1.0 - 2.0 * h)) / (beta * L)
-        reach = np.minimum(1.0 / (beta * L), tols.certify_ball)
-    ok &= (L > 0.0) & np.isfinite(beta) & (h <= 0.5) & (rho <= tols.certify_ball)
+        reach = np.minimum(1.0 / (beta * L), _CERTIFY_BALL)
+    ok &= (L > 0.0) & np.isfinite(beta) & (h <= 0.5) & (rho <= _CERTIFY_BALL)
     # floating representation of xs itself is only good to machine precision
     return (ok, np.where(ok, np.maximum(rho, np.finfo(float).eps * (1.0 + top)), 0.0),
             np.where(ok, reach, 0.0))
 
 
-def certify(m: HenonMap, xs: np.ndarray, tols: Tolerances = DEFAULT_TOLERANCES) -> tuple[bool, float]:
+def certify(m: HenonMap, xs: np.ndarray) -> tuple[bool, float]:
     """Decide whether a unique true orbit lies near ``xs``.
 
     With eta = max_k sum_j |J^-1_kj| (|F_j| + e_j), where e_j bounds the
     rounding error of the computed residual F_j, beta = |J^-1|_inf and L
     the Lipschitz bound for the Jacobian on the ball of radius
-    ``tols.certify_ball`` (driven by max |p''| there), h = beta L eta <= 1/2
+    ``_CERTIFY_BALL`` (driven by max |p''| there), h = beta L eta <= 1/2
     guarantees a zero z* within rho = (1 - sqrt(1 - 2h)) / (beta L), and
-    no other zero within min(1 / (beta L), ``tols.certify_ball``) of xs
-    (which ``_real_rows`` uses).  Returns (certified, rho), (False, 0.0)
-    when the test fails.
+    no other zero within min(1 / (beta L), ``_CERTIFY_BALL``) of xs
+    (which ``_real_rows`` and ``_merge`` use).  Returns (certified, rho),
+    (False, 0.0) when the test fails.
     """
-    ok, rho, _ = _certify_rows(m, _one_row(xs), tols)
+    ok, rho, _ = _certify_rows(m, _one_row(xs))
     return bool(ok[0]), float(rho[0])
 
 
@@ -617,8 +604,10 @@ def _eigenpair_rows(M: np.ndarray, log_scale: np.ndarray):
 
 
 def _classify_rows(m: HenonMap, X: np.ndarray, certified, radii,
-                   tols: Tolerances = DEFAULT_TOLERANCES) -> OrbitBlock:
+                   eps_hyp: float = DEFAULT_EPS_HYP) -> OrbitBlock:
     """``classify`` for each row of X (B, n) as one block, recording the given certificates."""
+    if not eps_hyp > 0:
+        raise ValueError(f"eps_hyp must be positive, not {eps_hyp!r}")
     n, a = X.shape[1], np.reshape(m.a, -1)
     residual = np.abs(cyclic_residual(m, X)).max(axis=1)
     M, log_scale = _monodromy_rows(m, X)
@@ -635,17 +624,18 @@ def _classify_rows(m: HenonMap, X: np.ndarray, certified, radii,
         log_ls = np.where(pin, n * np.log(np.abs(a)) - log_lu, log_ls)
         arg_ls = n * np.angle(a) - np.angle(l1)
         lambda_s = np.where(pin, np.exp(log_ls + 1j * arg_ls), lambda_s)
-    lo, hi = math.log1p(-tols.eps_hyp), math.log1p(tols.eps_hyp)
+    lo, hi = math.log1p(-eps_hyp), math.log1p(eps_hyp)
     kind = np.select([(log_ls < lo) & (log_lu > hi), (log_ls < lo) & (log_lu < lo),
                       (log_ls > hi) & (log_lu > hi)], [0, 1, 2], 3)
     return OrbitBlock(X, lambda_s, lambda_u, log_lu / n, kind, residual,
                       np.asarray(certified, dtype=bool), np.asarray(radii, dtype=float))
 
 
-def classify(m: HenonMap, xs: np.ndarray, tols: Tolerances = DEFAULT_TOLERANCES) -> PeriodicOrbit:
-    """Certify ``xs`` and build its PeriodicOrbit record (multipliers, exponent, kind)."""
+def classify(m: HenonMap, xs: np.ndarray, eps_hyp: float = DEFAULT_EPS_HYP) -> PeriodicOrbit:
+    """Certify ``xs`` and build its PeriodicOrbit record (multipliers, exponent, kind);
+    a multiplier within ``eps_hyp`` of the unit circle makes the orbit marginal."""
     X = _one_row(xs)
-    return next(iter(_classify_rows(m, X, *_certify_rows(m, X, tols)[:2], tols)))
+    return next(iter(_classify_rows(m, X, *_certify_rows(m, X)[:2], eps_hyp)))
 
 
 # -- orbit vector utilities ----------------------------------------------------
@@ -887,21 +877,23 @@ def _track(rows: _MapRows, X: np.ndarray, gamma: np.ndarray, width: np.ndarray) 
     return X
 
 
-def _track_and_check(maps: list[HenonMap], owner: np.ndarray, X: np.ndarray, width: np.ndarray,
-                     tols: Tolerances) -> tuple[list, list]:
+def _track_and_check(maps: list[HenonMap], owner: np.ndarray, X: np.ndarray,
+                     width: np.ndarray) -> tuple[list, list]:
     """Polish and check tracked endpoints, the rows of X (B, n), row i at length ``width[i]``.
 
     Row i belongs to ``maps[owner[i]]`` and fills its first width[i]
     columns, widest rows first, as ``_track`` takes them.  One ``_newton``
     polishes every row at its width, wherever its path stopped, and these
     checks alone judge it: its residual over its own columns is at most
-    1e-10, every proper-divisor shift moves it by at least
-    ``tols.separation`` (exact period) and ``certify`` accepts its
-    canonical rotation; rotations and certificates run once per width.  A
-    row that ``_real_rows`` proves real is stored as its real part, with
-    imaginary parts +0.0, so later layers see exact zeros.  Returns (ends,
-    failed), widest first, each vector at its own length: (owner, xs,
-    radius) per endpoint that passes, (owner, polished endpoint) per other.
+    1e-10, ``certify`` accepts its canonical rotation with a radius rho,
+    and every proper-divisor shift p moves it by a gap of more than 2 rho.
+    Its zero, shifted by p, is then a zero at least gap - 2 rho > 0 away:
+    another zero, so the orbit has exact period width[i].  Rotations and certificates run once per width.  A row that
+    ``_real_rows`` proves real is stored as its real part, with imaginary
+    parts +0.0, so later layers see exact zeros; Re x lies max |Im x| from
+    x, so its reach shrinks by that much.  Returns (ends, failed), widest
+    first, each vector at its own length: (owner, xs, radius, reach) per
+    endpoint that passes, (owner, polished endpoint) per other.
     """
     B, n = X.shape
     rows = _MapRows.stack(maps, owner)
@@ -915,45 +907,57 @@ def _track_and_check(maps: list[HenonMap], owner: np.ndarray, X: np.ndarray, wid
     W, radii, reach = np.zeros_like(X), np.zeros(B), np.zeros(B)
     for r, w in runs(np.flatnonzero(ok)):
         W[r, :w], gaps = _rotation_rows(X[r, :w])
-        ok[r] = (gaps >= tols.separation).all(axis=1)  # exact period w
-        r = r[ok[r]]
-        ok[r], radii[r], reach[r] = _certify_rows(rows.take(r), W[r, :w], tols)
+        ok[r], radii[r], reach[r] = _certify_rows(rows.take(r), W[r, :w])
+        ok[r] &= (gaps > 2 * radii[r, None]).all(axis=1)  # exact period w
     idx = np.flatnonzero(ok)
     real = idx[_real_rows(maps, owner[idx], W[idx], radii[idx], reach[idx])]
+    reach[real] -= np.abs(W[real].imag).max(axis=1, initial=0.0)
     W[real] = W[real].real
     # the imaginary round-off was a key of the canonical rotation; it decided
     # only where another rotation ties in the leading real key
     lead = _coarse(W[real].real)
     for r, w in runs(real[((lead == lead[:, :1]) & (np.arange(n) < width[real, None])).sum(axis=1) > 1]):
         W[r, :w] = _rotation_rows(W[r, :w])[0]
-    return ([e for r, w in runs(idx) for e in zip(owner[r], W[r, :w], radii[r])],
+    return ([e for r, w in runs(idx) for e in zip(owner[r], W[r, :w], radii[r], reach[r])],
             [f for r, w in runs(np.flatnonzero(~ok)) for f in zip(owner[r], X[r, :w])])
 
 
-def _merge(kept: list, new: list, tols: Tolerances) -> None:
-    """Append to ``kept`` each new (owner, xs, radius) that is no rotation of an earlier same-owner one.
+def _merge(kept: list, new: list) -> None:
+    """Append to ``kept`` each new (owner, xs, radius, reach) that is no rotation of an earlier
+    same-owner one.
 
-    Orbits are compared only when their coordinate sums, which rotation
-    leaves alone, lie within k ``tols.dedup``.  Two certified orbits closer
-    than ``tols.dedup`` but further apart than the sum of their radii
-    cannot be told apart: AmbiguousOrbitError.
+    Take rows 1 and 2 of one map, with zeros within rho1 and rho2 of them,
+    at rotation distance dist.  If dist > rho1 + rho2, no rotation brings
+    the zeros together: two orbits.  Otherwise a rotation of zero 2 lies
+    within rho1 + 2 rho2 of row 1; if that is below reach1, it is zero 1:
+    one orbit.  A pair that neither decides raises AmbiguousOrbitError.
+    Rotation leaves a row's coordinate sum alone, and rows dist apart
+    have sums within k dist; so only rows whose complex sums lie within
+    k (rho1 + rho2), plus the rounding of the sums, are compared.  A
+    conjugate pair shares the real part of its sum, but not the sum.
     """
     items = kept + new
-    s1 = np.array([w.sum().real for _, w, _ in items])
-    order = np.argsort(s1, kind="stable")
-    window = len(items[0][1]) * tols.dedup + 1e-12 if items else 0.0
-    lo = np.searchsorted(s1[order], s1 - window, "left")
-    hi = np.searchsorted(s1[order], s1 + window, "right")
+    if not items:
+        return
+    X = np.array([x for _, x, _, _ in items])
+    total, rho = X.sum(axis=1), np.array([r for _, _, r, _ in items])
+    k = X.shape[1]
+    half = k * (rho + 2 * np.finfo(float).eps * np.abs(X).sum(axis=1))  # each sum's share of the window
+    order = np.argsort(total.real, kind="stable")
+    lo = np.searchsorted(total.real[order], total.real - half - half.max(), "left")
+    hi = np.searchsorted(total.real[order], total.real + half + half.max(), "right")
     alive = [True] * len(kept) + [False] * len(new)
     for i in range(len(kept), len(items)):
-        owner, w, rho = items[i]
+        owner, w, rho2, _ = items[i]
         for j in order[lo[i]:hi[i]]:
-            if j < i and alive[j] and items[j][0] == owner:
-                dist = rotation_distance(w, items[j][1])
-                if dist < tols.dedup:
-                    if dist > rho + items[j][2]:
+            if j < i and alive[j] and items[j][0] == owner and abs(total[i] - total[j]) <= half[i] + half[j]:
+                _, v, rho1, reach1 = items[j]
+                dist = rotation_distance(w, v)
+                if dist <= rho1 + rho2:
+                    if rho1 + 2 * rho2 >= reach1:
                         raise AmbiguousOrbitError(
-                            f"certified orbits separated by {dist:.3e}, inside the dedup scale")
+                            f"certified orbits {dist:.3e} apart: their radii {rho1:.3e} and "
+                            f"{rho2:.3e} neither separate them nor make them one")
                     break
         else:
             alive[i] = True
@@ -964,7 +968,8 @@ def _merge(kept: list, new: list, tols: Tolerances) -> None:
 _ATTEMPTS = 3
 
 
-def _catalogue(maps: list[HenonMap], ks, rng_seed: int, tols: Tolerances, budget=math.inf):
+def _catalogue(maps: list[HenonMap], ks, rng_seed: int, eps_hyp: float = DEFAULT_EPS_HYP,
+               budget=math.inf):
     """The orbits of exact period k, for each k in ``ks``, of every map: one path per necklace.
 
     Length k is tracked in its host length L, the largest length in ``ks``
@@ -986,7 +991,7 @@ def _catalogue(maps: list[HenonMap], ks, rng_seed: int, tols: Tolerances, budget
     ``paths`` attempt by attempt, and within an attempt length by length in
     the order of ``ks``: a length whose paths no longer fit is not tracked
     again.  A budget of d^n always fits the first attempts, one path per
-    necklace.
+    necklace.  ``eps_hyp`` is ``classify``'s.
     """
     d = maps[0].degree
     host = {k: max(L for L in ks if L % k == 0) for k in ks}
@@ -1018,13 +1023,13 @@ def _catalogue(maps: list[HenonMap], ks, rng_seed: int, tols: Tolerances, budget
         k_row = np.repeat(lengths, sizes)
         order, K = np.argsort(-k_row, kind="stable"), max(lengths)
         ends, fails = _track_and_check(maps, owner[order], np.where(np.arange(K) < k_row[order, None],
-                                                                    X[order, :K], 0), k_row[order], tols)
+                                                                    X[order, :K], 0), k_row[order])
         new, last = ({k: list(g) for k, g in groupby(e, key=lambda x: len(x[1]))} for e in (ends, fails))
         failed.update({k: last.get(k, []) for k in lengths})
         for k in lengths:
-            _merge(kept[k], new.get(k, []), tols)
+            _merge(kept[k], new.get(k, []))
             need = len(words[k])
-            counts = np.bincount([i for i, _, _ in kept[k]], minlength=len(maps))[todo[k]]
+            counts = np.bincount([e[0] for e in kept[k]], minlength=len(maps))[todo[k]]
             if (counts > need).any():
                 raise AmbiguousOrbitError(
                     f"{counts.max()} certified orbits of period {k} exceed "
@@ -1038,17 +1043,17 @@ def _catalogue(maps: list[HenonMap], ks, rng_seed: int, tols: Tolerances, budget
         for i, x in failed[k]:
             if i in todo[k]:
                 unresolved[i].append(x)
-        owner = np.array([i for i, _, _ in kept[k]], dtype=int)
-        X = np.array([w for _, w, _ in kept[k]], dtype=complex).reshape(-1, k)
+        owner = np.array([e[0] for e in kept[k]], dtype=int)
+        X = np.array([e[1] for e in kept[k]], dtype=complex).reshape(-1, k)
         order = _lex_order(X, owner)
-        radii = np.array([rho for _, _, rho in kept[k]])[order]
+        radii = np.array([e[2] for e in kept[k]])[order]
         found[k] = owner[order], _classify_rows(_MapRows.stack(maps, owner[order]), X[order],
-                                                np.ones(len(X), dtype=bool), radii, tols)
+                                                np.ones(len(X), dtype=bool), radii, eps_hyp)
     return found, complete, paths, unresolved
 
 
 def enumerate_fix(m: HenonMap, n: int, budget: int | None = None, rng_seed: int = DEFAULT_RNG_SEED,
-                  tols: Tolerances = DEFAULT_TOLERANCES) -> PeriodSpectrum:
+                  eps_hyp: float = DEFAULT_EPS_HYP) -> PeriodSpectrum:
     """All fixed points of f^n from the necklace homotopy, one OrbitBlock per exact period.
 
     For each divisor k of n, ``_catalogue`` tracks one path per Lyndon word
@@ -1058,7 +1063,7 @@ def enumerate_fix(m: HenonMap, n: int, budget: int | None = None, rng_seed: int 
     fits).  The spectrum is complete when every period reached its
     necklace count, which makes d^n distinct, certified, simple points.
     The gamma of each attempt derives from (rng_seed, k, attempt), so
-    output is deterministic.
+    output is deterministic.  ``eps_hyp`` is ``classify``'s.
     """
     if n < 1:
         raise ValueError("period n must be >= 1")
@@ -1068,7 +1073,7 @@ def enumerate_fix(m: HenonMap, n: int, budget: int | None = None, rng_seed: int 
     if budget < target:
         raise ValueError(f"budget {budget} below d^n = {target}")
     ks = _divisors(n)
-    found, complete, paths, unresolved = _catalogue([m], ks, rng_seed, tols, budget)
+    found, complete, paths, unresolved = _catalogue([m], ks, rng_seed, eps_hyp, budget)
     return PeriodSpectrum(m, n, [b for k in ks if len(b := found[k][1])], bool(complete[0]),
                           paths, unresolved[0])
 

@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .maps import HenonMap
-from .orbits import DEFAULT_RNG_SEED, DEFAULT_TOLERANCES, Tolerances, _catalogue
+from .orbits import DEFAULT_EPS_HYP, DEFAULT_RNG_SEED, _catalogue
 from .exponents import chi_average
 
 
@@ -111,7 +111,7 @@ def scan(
     family: FamilySpec,
     n: int,
     rng_seed: int = DEFAULT_RNG_SEED,
-    tols: Tolerances = DEFAULT_TOLERANCES,
+    eps_hyp: float = DEFAULT_EPS_HYP,
 ) -> ScanField:
     """Catalogue every grid cell and fill the defect column.
 
@@ -121,7 +121,9 @@ def scan(
     from one necklace-homotopy batch per attempt over all cells, each
     period tracked in the largest period <= n it divides.  lambda_n and
     lambda_prev are the ``chi_average`` of the saddle orbits of Fix_n and
-    Fix_{n-1} (Fix_1 for both when n = 1).  The homotopy's gamma derives from
+    Fix_{n-1} (Fix_1 for both when n = 1).  ``eps_hyp`` is ``classify``'s;
+    when |a| = 1, a marginal orbit with both multipliers within it of the
+    unit circle counts as elliptic.  The homotopy's gamma derives from
     rng_seed, so reruns are byte-identical.
     """
     if n < 1:
@@ -129,7 +131,7 @@ def scan(
     cs = family.grid()
     g = family.grid_size
     maps = [family.map_at(c) for c in cs.ravel()]
-    found, complete, _, _ = _catalogue(maps, range(1, n + 1), rng_seed, tols)
+    found, complete, _, _ = _catalogue(maps, range(1, n + 1), rng_seed, eps_hyp)
     # every orbit of every cell, one entry each; kind 0 is a saddle, 1 a sink, 3 marginal
     owner, period, kind, chi, lu, ls = (np.concatenate(c) for c in zip(*[
         (o, np.full(len(b), k), b.kind, b.chi, b.lambda_u, b.lambda_s) for k, (o, b) in found.items()]))
@@ -142,7 +144,7 @@ def scan(
         lam[row] = np.reshape([chi_average(terms[a:b], maps[0].degree, p)
                                for a, b in zip(cuts, cuts[1:])], (g, g))
     # marginal orbits with both multipliers on |z| = 1, counted when |a| = 1
-    on = (kind == 3) & (np.abs(np.abs(lu) - 1) <= tols.eps_hyp) & (np.abs(np.abs(ls) - 1) <= tols.eps_hyp)
+    on = (kind == 3) & (np.abs(np.abs(lu) - 1) <= eps_hyp) & (np.abs(np.abs(ls) - 1) <= eps_hyp)
     elliptic = np.bincount(owner[on], minlength=g * g) * (abs(abs(family.a) - 1.0) <= 1e-9)
     fld = ScanField(family=family, n=n, c=cs, lambda_n=lam[0], lambda_prev=lam[1],
                     complete=complete.reshape(g, g), n_elliptic=elliptic.reshape(g, g),

@@ -66,7 +66,7 @@ def lambda_estimate(spec, which: str = "sper") -> hl.LyapunovEstimate:
                                chi_sum_form=chi_sum, psi_sum_form=psi_sum)
 
 
-def scan_sums(maps, per_cell, n: int, tols) -> tuple:
+def scan_sums(maps, per_cell, n: int, eps_hyp: float) -> tuple:
     """(lambda_n, lambda_prev, n_sinks, n_elliptic) of each cell from its list of orbits."""
     lam = np.full((2, len(maps)), np.nan)
     sinks, elliptic = np.zeros((2, len(maps)), dtype=int)
@@ -76,6 +76,6 @@ def scan_sums(maps, per_cell, n: int, tols) -> tuple:
             lam[row][i] = chi_average(saddles, m.degree, p)
         sinks[i] = sum(o.kind == "sink" for o in found)
         if abs(abs(m.a) - 1.0) <= 1e-9:  # marginal orbits with both multipliers on |z| = 1
-            elliptic[i] = sum(o.kind == "marginal" and abs(abs(o.lambda_u) - 1.0) <= tols.eps_hyp
-                              and abs(abs(o.lambda_s) - 1.0) <= tols.eps_hyp for o in found)
+            elliptic[i] = sum(o.kind == "marginal" and abs(abs(o.lambda_u) - 1.0) <= eps_hyp
+                              and abs(abs(o.lambda_s) - 1.0) <= eps_hyp for o in found)
     return lam[0], lam[1], sinks, elliptic

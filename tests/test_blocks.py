@@ -10,7 +10,7 @@ import pytest
 import henonlab as hl
 import per_orbit
 from henonlab.exponents import lambda_estimates
-from henonlab.orbits import DEFAULT_TOLERANCES, _catalogue, _certify_rows, _classify_rows
+from henonlab.orbits import DEFAULT_EPS_HYP, _catalogue, _certify_rows, _classify_rows
 
 HORSESHOE = hl.quadratic_map(-6.0, 0.3)
 MIXED = hl.quadratic_map(0.0, 0.5)
@@ -70,11 +70,11 @@ def test_the_orbits_view_is_built_once_from_the_blocks():
 ], ids=["sink", "conservative", "cubic-x"])
 def test_scan_sums_match_the_per_cell_reference(family, n):
     maps = [family.map_at(c) for c in family.grid().ravel()]
-    found = _catalogue(maps, range(1, n + 1), hl.DEFAULT_RNG_SEED, DEFAULT_TOLERANCES)[0]
+    found = _catalogue(maps, range(1, n + 1), hl.DEFAULT_RNG_SEED)[0]
     per_cell = [[o for owner, b in found.values() for o in b.take(owner == i)]
                 for i in range(len(maps))]
     fld = hl.scan(family, n)
-    want = per_orbit.scan_sums(maps, per_cell, n, DEFAULT_TOLERANCES)
+    want = per_orbit.scan_sums(maps, per_cell, n, DEFAULT_EPS_HYP)
     for got, ref in zip((fld.lambda_n, fld.lambda_prev, fld.n_sinks, fld.n_elliptic), want):
         assert got.dtype == ref.dtype and got.ravel().tobytes() == ref.tobytes()
     assert (fld.n_elliptic > 0).any() == (family.a == 1.0)

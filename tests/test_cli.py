@@ -129,6 +129,21 @@ class TestCache:
         assert rc == 0 and calls == [1]
         assert len(list(cache.iterdir())) == 2
 
+    @pytest.mark.parametrize("command", ["enumerate", "scan"])
+    def test_each_eps_hyp_has_its_own_entry(self, command, mapfile, tmp_path, monkeypatch):
+        fam = tmp_path / "fam.json"
+        fam.write_text(json.dumps(FAMILY_SPEC))
+        source = ["--map", mapfile] if command == "enumerate" else ["--family", str(fam)]
+        cache, keys = tmp_path / "cache", []
+        fetch = cli._cache_fetch
+        monkeypatch.setattr(cli, "_cache_fetch",
+                            lambda d, key, valid: keys.append(key) or fetch(d, key, valid))
+        for eps in ("1e-6", "1e-7", "1e-6"):
+            assert main([command, *source, "--n", "2", "--eps-hyp", eps, "--cache-dir", str(cache),
+                         "--out", str(tmp_path / "o")]) == 0
+        assert [k["eps_hyp"] for k in keys] == [1e-6, 1e-7, 1e-6]
+        assert "tols" not in keys[0]
+        assert len(list(cache.iterdir())) == 2
 
     def test_entry_under_the_key_without_schema_is_not_served(self, mapfile, tmp_path,
                                                               monkeypatch):
@@ -299,14 +314,26 @@ class TestIgnoredOptions:
 
     @pytest.mark.parametrize("command", ["enumerate", "scan"])
     def test_no_newton_tolerance(self, command, mapfile, tmp_path):
-        # the Newton polish stops at the working precision, so no command
-        # takes a residual target
+        # the Newton polish stops at the working precision, and the
+        # certificate alone decides exact period and orbit identity, so no
+        # command takes a residual target or an identification scale
         fam = tmp_path / "fam.json"
         fam.write_text(json.dumps(FAMILY_SPEC))
         source = ["--map", mapfile] if command == "enumerate" else ["--family", str(fam)]
         args = [command, *source, "--n", "2", "--out", str(tmp_path / "o")]
-        assert main([*args, "--tol-dedup", "1e-8"]) == 0
+        assert main(args) == 0
+        assert main([*args, "--tol-dedup", "1e-8"]) == 1
         assert main([*args, "--tol-newton", "1e-12"]) == 1
+
+    @pytest.mark.parametrize("command", ["enumerate", "classify", "scan"])
+    @pytest.mark.parametrize("eps", ["0", "-0.5", "nan"])
+    def test_eps_hyp_must_be_positive(self, command, eps, spectrum, mapfile, tmp_path, capsys):
+        fam = tmp_path / "fam.json"
+        fam.write_text(json.dumps(FAMILY_SPEC))
+        source = {"enumerate": ["--map", mapfile, "--n", "2"], "classify": ["--spectrum", spectrum],
+                  "scan": ["--family", str(fam), "--n", "2"]}[command]
+        assert main([command, *source, "--eps-hyp", eps, "--out", str(tmp_path / "o")]) == 2
+        assert capsys.readouterr().err == f"error: eps_hyp must be positive, not {float(eps)!r}\n"
 
     def test_classify_keeps_seed_and_eps_hyp(self, spectrum, tmp_path):
         assert main(["classify", "--spectrum", spectrum, "--seed", "1729", "--eps-hyp", "1e-6",

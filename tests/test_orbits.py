@@ -435,8 +435,8 @@ class TestEnumerate:
         track = hl.orbits._track_and_check
         lost, lengths = [], []
 
-        def jumping(maps, owner, X, width, tols):
-            ends, failed = track(maps, owner, X, width, tols)
+        def jumping(maps, owner, X, width):
+            ends, failed = track(maps, owner, X, width)
             lengths.append(sorted(set(width.tolist()), reverse=True))
             if length in width and (every_attempt or not lost):
                 mine = [e for e in ends if len(e[1]) == length]
@@ -477,6 +477,26 @@ class TestEnumerate:
                 s = hl.enumerate_fix(horseshoe_map, 1, budget=budget)
             assert (s.complete, s.budget_used) == (complete, used)
 
+    @pytest.mark.parametrize("m, n, used, once", [
+        (hl.HenonMap(coeffs=(0.3 + 0.2j, -1.5 + 0.08j, 0.1j), a=0.4 - 0.3j), 6, 246, (723, 0)),
+        (hl.HenonMap(coeffs=(-0.6 + 0.5j, 0j), a=0.3 - 0.4j), 8, 66, (248, 1)),
+    ], ids=["cubic-fix6-jump", "quadratic-fix8-failed-endpoint"])
+    def test_retrack_rescues_an_orbit(self, m, n, used, once, monkeypatch):
+        # no fault is injected: at attempt 0 a path of the cubic ends on an
+        # orbit already found (a duplicate, so no unresolved endpoint), and
+        # one endpoint of the quadratic fails its checks; the retrack with
+        # the next gamma finds the orbit each attempt 0 missed
+        orb = hl.orbits
+        necklaces = sum(len(orb._lyndon_words(m.degree, k)) for k in orb._divisors(n))
+        s = hl.enumerate_fix(m, n)
+        assert s.complete and s.counts["fix"] == m.degree**n and not s.unresolved
+        assert (necklaces, s.budget_used) == ({6: 130, 8: 36}[n], used)
+        assert _euler_jacobi_ratio(_euler_jacobi_terms(s)) <= TestEulerJacobi.BOUND
+        monkeypatch.setattr(orb, "_ATTEMPTS", 1)
+        s = hl.enumerate_fix(m, n)
+        assert not s.complete and s.budget_used == necklaces
+        assert (s.counts["fix"], len(s.unresolved)) == once
+
     @pytest.mark.parametrize("delta", [1e-13, 4e-14, 1e-14])
     def test_near_double_fixed_point_is_complete(self, delta):
         # p = x^2 + 0.5625 - delta, a = 0.5 has its two fixed points
@@ -504,6 +524,83 @@ class TestEnumerate:
         assert kinds == {"saddle"}
         with pytest.raises(ValueError):
             s.select("nope")
+
+
+class TestCertificateDecides:
+    """The certificate's radius rho and reach alone decide exact period
+    (``_track_and_check``) and orbit identity (``_merge``)."""
+
+    XS = np.array([1.0 + 0.5j, 2.0 - 1j, -0.5 + 0.25j])
+
+    def test_tiled_orbit_fails_the_period_rule(self):
+        # P2 repeated is a zero of the length-4 system, and a simple one:
+        # it certifies, but its shift by 2 moves it by 0 <= 2 rho
+        orb = hl.orbits
+        tiled = np.tile(P2, 2)
+        assert hl.certify(MIXED, tiled)[0]
+        ends, failed = orb._track_and_check([MIXED], np.array([0]), tiled[None], np.array([4]))
+        assert ends == [] and [(i, len(x)) for i, x in failed] == [(0, 4)]
+        ends, failed = orb._track_and_check([MIXED], np.array([0]), P2[None], np.array([2]))
+        assert failed == [] and len(ends) == 1
+        owner, xs, rho, reach = ends[0]
+        assert owner == 0 and 0 < rho < reach and hl.rotation_distance(xs, P2) <= rho
+        assert np.abs(xs[0] - xs[1]) > 2 * rho
+
+    @staticmethod
+    def _counting(monkeypatch):
+        calls, rd = [], hl.orbits.rotation_distance
+        monkeypatch.setattr(hl.orbits, "rotation_distance", lambda u, v: calls.append((u, v)) or rd(u, v))
+        return calls
+
+    def test_rows_further_apart_than_their_radii_are_two_orbits(self, monkeypatch):
+        # the coordinate sums agree, so the pair is compared; 1e-6 > 2e-10
+        calls = self._counting(monkeypatch)
+        kept = [(0, self.XS, 1e-10, 1e-3)]
+        hl.orbits._merge(kept, [(0, np.roll(self.XS + [1e-6, -1e-6, 0], 1), 1e-10, 1e-3)])
+        assert len(kept) == 2 and len(calls) == 1
+
+    def test_a_rotation_within_the_radii_is_one_orbit(self, monkeypatch):
+        # 1e-11 <= 2e-10, and 3e-10 < reach: one orbit; the other map's copy
+        # and a copy within the new rows are handled alike
+        calls = self._counting(monkeypatch)
+        kept = [(0, self.XS, 1e-10, 1e-3)]
+        new = [(0, np.roll(self.XS, 2) + 1e-11, 1e-10, 1e-3), (1, self.XS, 1e-10, 1e-3),
+               (1, np.roll(self.XS, 1), 1e-10, 1e-3)]
+        hl.orbits._merge(kept, new)
+        assert [(i, x.tobytes()) for i, x, _, _ in kept] == [(0, self.XS.tobytes()), (1, self.XS.tobytes())]
+        assert len(calls) == 2
+
+    def test_radii_that_decide_nothing_raise(self):
+        # 1e-7 apart within radii of 1e-6, but 1e-6 + 2e-6 reaches past 2e-6
+        kept = [(0, self.XS, 1e-6, 2e-6)]
+        with pytest.raises(hl.AmbiguousOrbitError, match="neither separate"):
+            hl.orbits._merge(kept, [(0, self.XS + 1e-7, 1e-6, 2e-6)])
+
+    def test_conjugates_are_told_apart_by_their_sums(self, monkeypatch):
+        calls = self._counting(monkeypatch)
+        kept = [(0, self.XS, 1e-10, 1e-3)]
+        hl.orbits._merge(kept, [(0, np.conj(self.XS), 1e-10, 1e-3)])
+        assert len(kept) == 2 and calls == []
+
+    def test_mixed_fix12_compares_no_conjugate_pair_with_a_complex_sum(self, monkeypatch):
+        # the 342 rows of mixed Fix_12 that are conjugate pairs share the real
+        # part of their coordinate sums, and a window on that part compared
+        # all 171 pairs; the complex sums leave only the one pair whose sums
+        # are real to round-off, where no sum can tell the two apart
+        calls = self._counting(monkeypatch)
+        s = hl.enumerate_fix(MIXED, 12)
+        assert s.complete
+        paired = 0
+        for b in s.blocks:
+            sums = b.xs.sum(axis=1)
+            partner = np.abs(sums[:, None] - np.conj(sums)) < 1e-9
+            np.fill_diagonal(partner, False)
+            paired += np.count_nonzero(partner.any(axis=1))
+        assert paired == 342
+        assert len(calls) == 1
+        for u, v in calls:
+            assert max(abs(u.sum().imag), abs(v.sum().imag)) < 1e-14
+            assert hl.rotation_distance(np.conj(u), v) < 1e-14
 
 
 def _euler_jacobi_terms(s) -> np.ndarray:
@@ -551,6 +648,22 @@ class TestEulerJacobi:
             for k in range(len(t)):
                 for wrong in (np.delete(t, k), np.append(t, t[k])):
                     assert _euler_jacobi_ratio(wrong) > 100 * bound, (n, k)
+
+    @pytest.mark.parametrize("family", [
+        hl.FamilySpec(coeffs=(0j, 0.0), a=0.5, center=0j, radius=0.25, grid_size=5),
+        hl.FamilySpec(coeffs=(0.3 + 0.2j, -1.5, 0.1j), a=0.4 - 0.3j, center=-1.5 + 0j,
+                      radius=0.2, grid_size=5, slot=1),
+    ], ids=["sink", "cubic-x"])
+    def test_sum_vanishes_in_every_scan_cell(self, family):
+        # measured at most 2e-16 (sink) and 1.5e-15 (cubic-x)
+        n, maps = 6, [family.map_at(c) for c in family.grid().ravel()]
+        found, complete, _, _ = hl.orbits._catalogue(maps, range(1, n + 1), hl.DEFAULT_RNG_SEED)
+        assert complete.all()
+        for i, m in enumerate(maps):
+            blocks = [b.take(owner == i) for k, (owner, b) in found.items() if n % k == 0]
+            s = hl.PeriodSpectrum(m, n, blocks, True)
+            assert sum(b.period * len(b) for b in blocks) == m.degree**n
+            assert _euler_jacobi_ratio(_euler_jacobi_terms(s)) <= self.BOUND, i
 
     @pytest.mark.parametrize("c, ns", [(0.5625, (1, 2, 3, 4)), (-1.6875, (2, 4))],
                              ids=["saddle-node", "period-doubling"])
@@ -609,7 +722,7 @@ class TestSolveParity:
                 assert min(hl.rotation_distance(o.xs, q.xs) for q in b.orbits if q.n == o.n) < 1e-12
 
 
-def per_length_catalogue(maps, ks, rng_seed, tols, budget=math.inf):
+def per_length_catalogue(maps, ks, rng_seed, budget=math.inf):
     """The per-length loop that the host-length batches replaced.
 
     Every length is tracked in its own length-k system, one ``_track`` per
@@ -635,12 +748,12 @@ def per_length_catalogue(maps, ks, rng_seed, tols, budget=math.inf):
             gamma = np.full((owner.size, 1), orb._gamma(rng_seed, k, attempt))
             X = orb._track(orb._MapRows.stack(maps, owner), np.tile(starts, (todo.size, 1)), gamma,
                            np.full(owner.size, k))
-            ends, failed = orb._track_and_check(maps, owner, X, np.full(owner.size, k), tols)
+            ends, failed = orb._track_and_check(maps, owner, X, np.full(owner.size, k))
             new = {}
-            for i, w, rho in ends:
-                new.setdefault(i, []).append((i, w, rho))
+            for end in ends:
+                new.setdefault(end[0], []).append(end)
             for i, found in new.items():
-                orb._merge(kept[i], found, tols)
+                orb._merge(kept[i], found)
             todo = todo[np.array([len(kept[i]) for i in todo]) < need]
             if todo.size == 0:
                 break
@@ -650,12 +763,12 @@ def per_length_catalogue(maps, ks, rng_seed, tols, budget=math.inf):
                 unresolved[i].append(x)
         sizes = [len(o) for o in kept]
         owner = np.repeat(np.arange(len(maps)), sizes)
-        X = np.array([w for o in kept for _, w, _ in o], dtype=complex).reshape(-1, k)
+        X = np.array([e[1] for o in kept for e in o], dtype=complex).reshape(-1, k)
         order = orb._lex_order(X)
         order = order[np.argsort(owner[order], kind="stable")]
-        radii = np.array([rho for o in kept for _, _, rho in o])[order]
+        radii = np.array([e[2] for o in kept for e in o])[order]
         rows = list(orb._classify_rows(orb._MapRows.stack(maps, owner), X[order], [True] * len(X),
-                                       radii, tols))
+                                       radii))
         for i, end in enumerate(np.cumsum(sizes)):
             orbits[i][k] = rows[end - sizes[i]:end]
     return orbits, complete, paths, unresolved
@@ -708,10 +821,10 @@ class TestHostLengths:
         (hl.quadratic_map(-0.8 + 0.4j, 0.6 - 0.5j), 6),
     ], ids=["horseshoe", "mixed", "cubic", "near1d", "complex-a"])
     def test_matches_the_per_length_loop(self, m, n):
-        tols, ks = hl.orbits.DEFAULT_TOLERANCES, hl.orbits._divisors(n)
+        ks = hl.orbits._divisors(n)
         budget = 1000 * m.degree**n
-        got = hl.orbits._catalogue([m], ks, 1729, tols, budget)
-        ref = per_length_catalogue([m], ks, 1729, tols, budget)
+        got = hl.orbits._catalogue([m], ks, 1729, budget=budget)
+        ref = per_length_catalogue([m], ks, 1729, budget)
         assert got[1].tolist() == ref[1].tolist() and got[2] == ref[2]
         # one path per necklace: no length was tracked again
         assert got[2] == sum(len(hl.orbits._lyndon_words(m.degree, k)) for k in ks)
@@ -763,8 +876,8 @@ class TestHostLengths:
         widths, checks = _tracked_widths(monkeypatch), []
         check = hl.orbits._track_and_check
         monkeypatch.setattr(hl.orbits, "_track_and_check",
-                            lambda maps, owner, X, width, tols: checks.append(sorted(set(width.tolist())))
-                            or check(maps, owner, X, width, tols))
+                            lambda maps, owner, X, width: checks.append(sorted(set(width.tolist())))
+                            or check(maps, owner, X, width))
         assert hl.enumerate_fix(horseshoe_map, 12).complete
         assert widths == [[12]]
         assert checks == [[1, 2, 3, 4, 6, 12]]  # and one check, of every length
@@ -860,19 +973,19 @@ class TestRaggedTrack:
     def test_ragged_check_matches_a_check_per_width(self):
         # one polish and check of endpoints of widths 1-6 equals a call per
         # width, bit for bit; repeated words among them fail the period check
-        orb, tols = hl.orbits, hl.orbits.DEFAULT_TOLERANCES
+        orb = hl.orbits
         maps = [hl.quadratic_map(-0.8 + 0.4j, 0.6 - 0.5j), hl.quadratic_map(0.0, 1e-3),
                 hl.quadratic_map(-6.0, 0.3)]
         rows, X, gamma, width, owner = _ragged_batch(maps, [1, 2, 3, 4, 5, 6])
         X = orb._track(rows, X, gamma, width)
-        ends, failed = orb._track_and_check(maps, owner, X, width, tols)
+        ends, failed = orb._track_and_check(maps, owner, X, width)
         ref_ends, ref_failed = [], []
         for w in range(6, 0, -1):
             sel = np.flatnonzero(width == w)
-            e, f = orb._track_and_check(maps, owner[sel], X[sel, :w], width[sel], tols)
+            e, f = orb._track_and_check(maps, owner[sel], X[sel, :w], width[sel])
             ref_ends += e
             ref_failed += f
-        assert {len(x) for _, x, _ in ends} == set(range(1, 7))
+        assert {len(e[1]) for e in ends} == set(range(1, 7))
         assert {len(x) for _, x in failed} == set(range(2, 7))  # the repeated words
 
         def bits(items):
@@ -892,7 +1005,7 @@ class TestFlatCatalogue:
         # very same orbits, and neither may absorb the other's
         ref = hl.enumerate_fix(horseshoe_map, 4)
         found, complete, paths, unresolved = hl.orbits._catalogue(
-            [horseshoe_map, horseshoe_map], [1, 2, 4], 1729, hl.orbits.DEFAULT_TOLERANCES)
+            [horseshoe_map, horseshoe_map], [1, 2, 4], 1729)
         assert complete.tolist() == [True, True] and unresolved == [[], []]
         assert paths == 2 * ref.budget_used
         for i in (0, 1):

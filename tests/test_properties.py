@@ -446,7 +446,7 @@ def _loop_psi_sum(m, xs):
     return total
 
 
-def _loop_certify(m, xs, tols):
+def _loop_certify(m, xs):
     F = hl.cyclic_residual(m, xs)
     if not np.all(np.isfinite(F)):
         return False, 0.0
@@ -457,14 +457,14 @@ def _loop_certify(m, xs, tols):
     abs_inv = np.abs(Jinv)
     eta = float((abs_inv @ (np.abs(F) + hl.orbits._residual_rounding(m, xs))).max())
     beta = float(abs_inv.sum(axis=1).max())
-    L = m.d2p_bound(float(np.abs(xs).max()) + tols.certify_ball)
+    L = m.d2p_bound(float(np.abs(xs).max()) + hl.orbits._CERTIFY_BALL)
     if L <= 0.0 or not math.isfinite(beta):
         return False, 0.0
     h = beta * L * eta
     if h > 0.5:
         return False, 0.0
     rho = (1.0 - math.sqrt(1.0 - 2.0 * h)) / (beta * L)
-    if rho > tols.certify_ball:
+    if rho > hl.orbits._CERTIFY_BALL:
         return False, 0.0
     return True, max(rho, np.finfo(float).eps * (1.0 + float(np.abs(xs).max())))
 
@@ -473,16 +473,16 @@ def _close(got, want, rtol, atol=0.0):
     return abs(got - want) <= rtol * abs(want) + atol
 
 
-def _check_rows(m, X, start=0, tols=hl.orbits.DEFAULT_TOLERANCES):
+def _check_rows(m, X, start=0):
     """Each batched layer on X (B, n) against the loops, and each public one-row call bit for bit."""
-    ok, rho, _ = _certify_rows(m, X, tols)
-    orbits = list(_classify_rows(m, X, ok, rho, tols))
+    ok, rho, _ = _certify_rows(m, X)
+    orbits = list(_classify_rows(m, X, ok, rho))
     M, log_scale = _monodromy_rows(m, X, start)
     psi = _psi_sum_rows(m, X)
     for i, xs in enumerate(X):
-        ok_ref, rho_ref = _loop_certify(m, xs, tols)
+        ok_ref, rho_ref = _loop_certify(m, xs)
         assert ok[i] == ok_ref and _close(rho[i], rho_ref, 1e-12)
-        lu, ls, chi, kind = _loop_multipliers(m, xs, tols.eps_hyp)
+        lu, ls, chi, kind = _loop_multipliers(m, xs, hl.orbits.DEFAULT_EPS_HYP)
         o = orbits[i]
         assert o.kind == kind and o.certified == ok_ref
         assert _close(o.lambda_u, lu, 1e-13) and _close(o.lambda_s, ls, 1e-13)
@@ -494,8 +494,8 @@ def _check_rows(m, X, start=0, tols=hl.orbits.DEFAULT_TOLERANCES):
         assert _close(psi[i], _loop_psi_sum(m, xs), 1e-13, 1e-13)
 
         # the public functions are one-row calls of the same code
-        assert hl.certify(m, xs, tols) == (ok[i], rho[i])
-        one = hl.classify(m, xs, tols)
+        assert hl.certify(m, xs) == (ok[i], rho[i])
+        one = hl.classify(m, xs)
         assert one.kind == o.kind and one.certified == o.certified
         fields = ("lambda_u", "lambda_s", "chi", "residual", "certificate_radius")
         assert (np.array([getattr(one, f) for f in fields]).tobytes()
@@ -552,7 +552,6 @@ def test_batched_orbit_layers_match_loops_on_sink_family(sink_family):
 
 
 def test_certify_batch_rejects_only_its_singular_row(horseshoe_spectra):
-    tols = hl.orbits.DEFAULT_TOLERANCES
     horseshoe = horseshoe_spectra[1].map
     fixed = [o.xs for o in horseshoe_spectra[1].orbits]
     period2 = [o.xs for o in hl.enumerate_fix(SADDLE_NODE, 2).orbits if o.n == 2]
@@ -573,15 +572,14 @@ def test_certify_batch_rejects_only_its_singular_row(horseshoe_spectra):
         rows = _MapRows.stack(maps, np.arange(len(maps)))
         with pytest.raises(np.linalg.LinAlgError):
             np.linalg.inv(hl.cyclic_jacobian(rows, X))
-        ok, rho, _ = _certify_rows(rows, X, tols)
+        ok, rho, _ = _certify_rows(rows, X)
         assert ok.tolist() == [i != singular for i in range(len(X))]
         for i, (m, xs) in enumerate(zip(maps, X)):
-            ok_ref, rho_ref = _loop_certify(m, xs, tols)
+            ok_ref, rho_ref = _loop_certify(m, xs)
             assert ok[i] == ok_ref and _close(rho[i], rho_ref, 1e-12)
 
 
 def test_classify_batch_across_maps_matches_per_map_calls(sink_family, horseshoe_spectra):
-    tols = hl.orbits.DEFAULT_TOLERANCES
     cells = [sink_family.map_at(sink_family.center + dc) for dc in (0.0, 0.25 + 0.25j, -0.25j)]
     maps = cells + [horseshoe_spectra[6].map, SADDLE_NODE]
     by_map = [hl.enumerate_fix(m, 6).orbits for m in cells] + [horseshoe_spectra[6].orbits, []]
@@ -595,12 +593,12 @@ def test_classify_batch_across_maps_matches_per_map_calls(sink_family, horseshoe
         owner = np.array([i for i, _ in rows])[perm]
         X = np.array([xs for _, xs in rows], dtype=complex)[perm]
         assert np.count_nonzero(np.diff(owner)) >= len(maps)  # some map's rows are split
-        ok, rho, _ = _certify_rows(_MapRows.stack(maps, owner), X, tols)
-        batch = list(_classify_rows(_MapRows.stack(maps, owner), X, ok, rho, tols))
+        ok, rho, _ = _certify_rows(_MapRows.stack(maps, owner), X)
+        batch = list(_classify_rows(_MapRows.stack(maps, owner), X, ok, rho))
         for i, m in enumerate(maps):
             mine = np.flatnonzero(owner == i)
             for got, want in zip([batch[j] for j in mine],
-                                 _classify_rows(m, X[mine], ok[mine], rho[mine], tols)):
+                                 _classify_rows(m, X[mine], ok[mine], rho[mine])):
                 kinds.add(got.kind)
                 assert (got.n, got.kind, got.certified) == (want.n, want.kind, want.certified)
                 for f in ("xs", "lambda_s", "lambda_u", "chi", "residual", "certificate_radius"):
