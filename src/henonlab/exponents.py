@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .maps import HenonMap
-from .orbits import PeriodSpectrum, PeriodicOrbit, _eigenpair_rows, _monodromy_rows
+from .orbits import PeriodSpectrum, PeriodicOrbit, _eigenpair_rows, _monodromy_rows, _one_row
 
 
 @dataclass
@@ -71,12 +71,12 @@ def unstable_direction(m: HenonMap, orbit: PeriodicOrbit, index: int = 0) -> Uns
     """Eigenvector of the monodromy for lambda_u at the given orbit point.
 
     Only defined for saddles; marginal multipliers make the eigenproblem
-    ill-conditioned and are rejected.
+    ill-conditioned and are rejected, as is an xs that is not one orbit vector.
     """
     if orbit.kind != "saddle":
         raise ValueError(f"unstable direction requires a saddle orbit, got {orbit.kind!r}")
     index %= orbit.n
-    V, _ = _unstable_rows(m, np.asarray(orbit.xs, dtype=complex).reshape(1, -1), index)
+    V, _ = _unstable_rows(m, _one_row(orbit.xs), index)
     return UnstableDirection(base=orbit.points[index], dir=V[0])
 
 
@@ -87,8 +87,9 @@ def psi(m: HenonMap, u: UnstableDirection) -> float:
 
 
 def orbit_psi_sum(m: HenonMap, orbit: PeriodicOrbit) -> float:
-    """Sum of the expansion logs around the orbit; telescopes to log|lambda_u|."""
-    return float(_psi_sum_rows(m, np.asarray(orbit.xs, dtype=complex).reshape(1, -1))[0])
+    """Sum of the expansion logs around the orbit (ValueError unless xs is one orbit vector);
+    telescopes to log|lambda_u|."""
+    return float(_psi_sum_rows(m, _one_row(orbit.xs))[0])
 
 
 @dataclass

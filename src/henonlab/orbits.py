@@ -878,7 +878,7 @@ def _track(rows: _MapRows, X: np.ndarray, gamma: np.ndarray, width: np.ndarray) 
 
 
 def _track_and_check(maps: list[HenonMap], owner: np.ndarray, X: np.ndarray,
-                     width: np.ndarray) -> tuple[list, list]:
+                     width: np.ndarray) -> tuple[dict, dict]:
     """Polish and check tracked endpoints, the rows of X (B, n), row i at length ``width[i]``.
 
     Row i belongs to ``maps[owner[i]]`` and fills its first width[i]
@@ -891,9 +891,9 @@ def _track_and_check(maps: list[HenonMap], owner: np.ndarray, X: np.ndarray,
     another zero, so the orbit has exact period width[i].  Rotations and certificates run once per width.  A row that
     ``_real_rows`` proves real is stored as its real part, with imaginary
     parts +0.0, so later layers see exact zeros; Re x lies max |Im x| from
-    x, so its reach shrinks by that much.  Returns (ends, failed), widest
-    first, each vector at its own length: (owner, xs, radius, reach) per
-    endpoint that passes, (owner, polished endpoint) per other.
+    x, so its reach shrinks by that much.  Returns (ends, failed), each a
+    dict by width w, widest first, of columns: ends[w] is (owner, xs (b, w),
+    radius, reach) of the rows that pass, failed[w] (owner, polished xs).
     """
     B, n = X.shape
     rows = _MapRows.stack(maps, owner)
@@ -918,13 +918,18 @@ def _track_and_check(maps: list[HenonMap], owner: np.ndarray, X: np.ndarray,
     lead = _coarse(W[real].real)
     for r, w in runs(real[((lead == lead[:, :1]) & (np.arange(n) < width[real, None])).sum(axis=1) > 1]):
         W[r, :w] = _rotation_rows(W[r, :w])[0]
-    return ([e for r, w in runs(idx) for e in zip(owner[r], W[r, :w], radii[r], reach[r])],
-            [f for r, w in runs(np.flatnonzero(~ok)) for f in zip(owner[r], X[r, :w])])
+    return ({w: (owner[r], W[r, :w], radii[r], reach[r]) for r, w in runs(idx)},
+            {w: (owner[r], X[r, :w]) for r, w in runs(np.flatnonzero(~ok))})
 
 
-def _merge(kept: list, new: list) -> None:
-    """Append to ``kept`` each new (owner, xs, radius, reach) that is no rotation of an earlier
-    same-owner one.
+def _no_rows(k: int) -> tuple:
+    """The columns (owner, xs, radius, reach) of no orbit of length k."""
+    return np.zeros(0, dtype=int), np.zeros((0, k), dtype=complex), np.zeros(0), np.zeros(0)
+
+
+def _merge(kept: tuple, new: tuple) -> tuple:
+    """``kept``, then each row of ``new`` that is no rotation of an earlier same-owner row; all
+    three are the columns (owner, xs (b, k), radius, reach) of orbits of one length k.
 
     Take rows 1 and 2 of one map, with zeros within rho1 and rho2 of them,
     at rotation distance dist.  If dist > rho1 + rho2, no rotation brings
@@ -936,32 +941,26 @@ def _merge(kept: list, new: list) -> None:
     k (rho1 + rho2), plus the rounding of the sums, are compared.  A
     conjugate pair shares the real part of its sum, but not the sum.
     """
-    items = kept + new
-    if not items:
-        return
-    X = np.array([x for _, x, _, _ in items])
-    total, rho = X.sum(axis=1), np.array([r for _, _, r, _ in items])
-    k = X.shape[1]
+    owner, X, rho, reach = (np.concatenate(c) for c in zip(kept, new))
+    total, k = X.sum(axis=1), X.shape[1]
     half = k * (rho + 2 * np.finfo(float).eps * np.abs(X).sum(axis=1))  # each sum's share of the window
-    order = np.argsort(total.real, kind="stable")
-    lo = np.searchsorted(total.real[order], total.real - half - half.max(), "left")
-    hi = np.searchsorted(total.real[order], total.real + half + half.max(), "right")
-    alive = [True] * len(kept) + [False] * len(new)
-    for i in range(len(kept), len(items)):
-        owner, w, rho2, _ = items[i]
+    order, widest = np.argsort(total.real, kind="stable"), half.max(initial=0.0)
+    lo = np.searchsorted(total.real[order], total.real - half - widest, "left")
+    hi = np.searchsorted(total.real[order], total.real + half + widest, "right")
+    alive = np.arange(owner.size) < len(kept[0])
+    for i in range(len(kept[0]), owner.size):
         for j in order[lo[i]:hi[i]]:
-            if j < i and alive[j] and items[j][0] == owner and abs(total[i] - total[j]) <= half[i] + half[j]:
-                _, v, rho1, reach1 = items[j]
-                dist = rotation_distance(w, v)
-                if dist <= rho1 + rho2:
-                    if rho1 + 2 * rho2 >= reach1:
+            if j < i and alive[j] and owner[j] == owner[i] and abs(total[i] - total[j]) <= half[i] + half[j]:
+                dist = rotation_distance(X[i], X[j])
+                if dist <= rho[j] + rho[i]:
+                    if rho[j] + 2 * rho[i] >= reach[j]:
                         raise AmbiguousOrbitError(
-                            f"certified orbits {dist:.3e} apart: their radii {rho1:.3e} and "
-                            f"{rho2:.3e} neither separate them nor make them one")
+                            f"certified orbits {dist:.3e} apart: their radii {rho[j]:.3e} and "
+                            f"{rho[i]:.3e} neither separate them nor make them one")
                     break
         else:
             alive[i] = True
-            kept.append(items[i])
+    return owner[alive], X[alive], rho[alive], reach[alive]
 
 
 #: tracking attempts per map and length before its catalogue is reported incomplete
@@ -979,9 +978,10 @@ def _catalogue(maps: list[HenonMap], ks, rng_seed: int, eps_hyp: float = DEFAULT
     Each attempt makes one ``_track`` call, on a ragged batch of the rows
     of every map and length, widest host first, and one
     ``_track_and_check`` call on the first k coordinates of each endpoint,
-    longest first.  A map short of the necklace count at length k (a path
-    failed, or two ended on one orbit) has its length-k paths tracked again
-    with the gamma of the next attempt.  Returns (found, complete, paths,
+    longest first; each length keeps the columns it returns, its orbits
+    through ``_merge``.  A map short of the necklace count at length k (a
+    path failed, or two ended on one orbit) has its length-k paths tracked
+    again with the gamma of the next attempt.  Returns (found, complete, paths,
     unresolved): found[k] is (owner, block), the OrbitBlock of every map's
     period-k orbits in canonical rotation, by owner and then
     lexicographically, and each row's index into ``maps``; complete[i]
@@ -996,9 +996,9 @@ def _catalogue(maps: list[HenonMap], ks, rng_seed: int, eps_hyp: float = DEFAULT
     d = maps[0].degree
     host = {k: max(L for L in ks if L % k == 0) for k in ks}
     words = {k: np.exp(2j * np.pi / d * np.array(_lyndon_words(d, k))) for k in ks}
-    kept: dict[int, list] = {k: [] for k in ks}
+    kept = {k: _no_rows(k) for k in ks}
     todo = {k: np.arange(len(maps)) for k in ks}
-    failed: dict[int, list] = {k: [] for k in ks}
+    failed = {k: _no_rows(k)[:2] for k in ks}
     paths = 0
     for attempt in range(_ATTEMPTS):
         lengths = []
@@ -1024,12 +1024,11 @@ def _catalogue(maps: list[HenonMap], ks, rng_seed: int, eps_hyp: float = DEFAULT
         order, K = np.argsort(-k_row, kind="stable"), max(lengths)
         ends, fails = _track_and_check(maps, owner[order], np.where(np.arange(K) < k_row[order, None],
                                                                     X[order, :K], 0), k_row[order])
-        new, last = ({k: list(g) for k, g in groupby(e, key=lambda x: len(x[1]))} for e in (ends, fails))
-        failed.update({k: last.get(k, []) for k in lengths})
         for k in lengths:
-            _merge(kept[k], new.get(k, []))
+            kept[k] = _merge(kept[k], ends.get(k, _no_rows(k)))
+            failed[k] = fails.get(k, _no_rows(k)[:2])
             need = len(words[k])
-            counts = np.bincount([e[0] for e in kept[k]], minlength=len(maps))[todo[k]]
+            counts = np.bincount(kept[k][0], minlength=len(maps))[todo[k]]
             if (counts > need).any():
                 raise AmbiguousOrbitError(
                     f"{counts.max()} certified orbits of period {k} exceed "
@@ -1040,15 +1039,12 @@ def _catalogue(maps: list[HenonMap], ks, rng_seed: int, eps_hyp: float = DEFAULT
     unresolved: list[list[np.ndarray]] = [[] for _ in maps]
     for k in ks:
         complete[todo[k]] = False
-        for i, x in failed[k]:
-            if i in todo[k]:
-                unresolved[i].append(x)
-        owner = np.array([e[0] for e in kept[k]], dtype=int)
-        X = np.array([e[1] for e in kept[k]], dtype=complex).reshape(-1, k)
+        for r in np.flatnonzero(np.isin(failed[k][0], todo[k])):
+            unresolved[failed[k][0][r]].append(failed[k][1][r])
+        owner, X, radii, _ = kept[k]
         order = _lex_order(X, owner)
-        radii = np.array([e[2] for e in kept[k]])[order]
         found[k] = owner[order], _classify_rows(_MapRows.stack(maps, owner[order]), X[order],
-                                                np.ones(len(X), dtype=bool), radii, eps_hyp)
+                                                np.ones(len(X), dtype=bool), radii[order], eps_hyp)
     return found, complete, paths, unresolved
 
 

@@ -349,7 +349,12 @@ class TestVectorUtilities:
         lambda xs: hl.vector_period(xs, 1e-8),
         lambda xs: hl.certify(MIXED, xs),
         lambda xs: hl.classify(MIXED, xs),
-    ], ids=["canonical_rotation", "vector_period", "certify", "classify"])
+        # the saddle (1.5, 1.5) carrying a malformed xs; a horseshoe Fix_3 orbit
+        # stacked to (2, 3) gave a psi sum of 9.67, twice its 4.83
+        lambda xs: hl.exponents.orbit_psi_sum(MIXED, dataclasses.replace(hl.classify(MIXED, [1.5]), xs=xs)),
+        lambda xs: hl.unstable_direction(MIXED, dataclasses.replace(hl.classify(MIXED, [1.5]), xs=xs)),
+    ], ids=["canonical_rotation", "vector_period", "certify", "classify", "orbit_psi_sum",
+            "unstable_direction"])
     @pytest.mark.parametrize("xs", [np.zeros(0, dtype=complex), np.ones((2, 3)), np.ones((1, 1)), 1.5],
                              ids=["empty", "2-d", "1x1", "scalar"])
     def test_one_row_calls_reject_other_shapes(self, call, xs):
@@ -418,7 +423,9 @@ class TestEnumerate:
 
         def doubled(*args):
             ends, failed = track(*args)
-            return ends + ends[:1], failed
+            w = max(ends)  # the first row of the widest length, twice
+            ends[w] = tuple(np.concatenate((c, c[:1])) for c in ends[w])
+            return ends, failed
 
         monkeypatch.setattr(hl.orbits, "_track_and_check", doubled)
         with pytest.raises(hl.AmbiguousOrbitError):
@@ -439,12 +446,12 @@ class TestEnumerate:
             ends, failed = track(maps, owner, X, width)
             lengths.append(sorted(set(width.tolist()), reverse=True))
             if length in width and (every_attempt or not lost):
-                mine = [e for e in ends if len(e[1]) == length]
+                mine = ends[length][1]
                 if not lost:
-                    lost.append(mine[1][1])
-                keep = [e for e in mine if hl.rotation_distance(e[1], lost[0]) >= 1e-8]
-                ends = ([e for e in ends if len(e[1]) > length] + keep + [keep[0]] * (len(mine) - len(keep))
-                        + [e for e in ends if len(e[1]) < length])
+                    lost.append(mine[1])
+                keep = np.flatnonzero([hl.rotation_distance(x, lost[0]) >= 1e-8 for x in mine])
+                rows = np.concatenate((keep, np.repeat(keep[:1], len(mine) - keep.size)))
+                ends[length] = tuple(c[rows] for c in ends[length])
             return ends, failed
 
         monkeypatch.setattr(hl.orbits, "_track_and_check", jumping)
@@ -539,12 +546,17 @@ class TestCertificateDecides:
         tiled = np.tile(P2, 2)
         assert hl.certify(MIXED, tiled)[0]
         ends, failed = orb._track_and_check([MIXED], np.array([0]), tiled[None], np.array([4]))
-        assert ends == [] and [(i, len(x)) for i, x in failed] == [(0, 4)]
+        assert ends == {} and [(w, i, len(x)) for w in failed for i, x in zip(*failed[w])] == [(4, 0, 4)]
         ends, failed = orb._track_and_check([MIXED], np.array([0]), P2[None], np.array([2]))
-        assert failed == [] and len(ends) == 1
-        owner, xs, rho, reach = ends[0]
+        assert failed == {} and list(ends) == [2] and len(ends[2][0]) == 1
+        owner, xs, rho, reach = (c[0] for c in ends[2])
         assert owner == 0 and 0 < rho < reach and hl.rotation_distance(xs, P2) <= rho
         assert np.abs(xs[0] - xs[1]) > 2 * rho
+
+    @staticmethod
+    def _cols(*rows):
+        """Rows (owner, xs, radius, reach) as ``_merge``'s columns."""
+        return tuple(map(np.array, zip(*rows)))
 
     @staticmethod
     def _counting(monkeypatch):
@@ -555,32 +567,33 @@ class TestCertificateDecides:
     def test_rows_further_apart_than_their_radii_are_two_orbits(self, monkeypatch):
         # the coordinate sums agree, so the pair is compared; 1e-6 > 2e-10
         calls = self._counting(monkeypatch)
-        kept = [(0, self.XS, 1e-10, 1e-3)]
-        hl.orbits._merge(kept, [(0, np.roll(self.XS + [1e-6, -1e-6, 0], 1), 1e-10, 1e-3)])
-        assert len(kept) == 2 and len(calls) == 1
+        kept = hl.orbits._merge(self._cols((0, self.XS, 1e-10, 1e-3)),
+                                self._cols((0, np.roll(self.XS + [1e-6, -1e-6, 0], 1), 1e-10, 1e-3)))
+        assert len(kept[0]) == 2 and len(calls) == 1
 
     def test_a_rotation_within_the_radii_is_one_orbit(self, monkeypatch):
         # 1e-11 <= 2e-10, and 3e-10 < reach: one orbit; the other map's copy
         # and a copy within the new rows are handled alike
         calls = self._counting(monkeypatch)
-        kept = [(0, self.XS, 1e-10, 1e-3)]
-        new = [(0, np.roll(self.XS, 2) + 1e-11, 1e-10, 1e-3), (1, self.XS, 1e-10, 1e-3),
-               (1, np.roll(self.XS, 1), 1e-10, 1e-3)]
-        hl.orbits._merge(kept, new)
-        assert [(i, x.tobytes()) for i, x, _, _ in kept] == [(0, self.XS.tobytes()), (1, self.XS.tobytes())]
+        kept = self._cols((0, self.XS, 1e-10, 1e-3))
+        new = self._cols((0, np.roll(self.XS, 2) + 1e-11, 1e-10, 1e-3), (1, self.XS, 1e-10, 1e-3),
+                         (1, np.roll(self.XS, 1), 1e-10, 1e-3))
+        kept = hl.orbits._merge(kept, new)
+        assert [(i, x.tobytes()) for i, x, _, _ in zip(*kept)] == [(0, self.XS.tobytes()),
+                                                                  (1, self.XS.tobytes())]
         assert len(calls) == 2
 
     def test_radii_that_decide_nothing_raise(self):
         # 1e-7 apart within radii of 1e-6, but 1e-6 + 2e-6 reaches past 2e-6
-        kept = [(0, self.XS, 1e-6, 2e-6)]
+        kept = self._cols((0, self.XS, 1e-6, 2e-6))
         with pytest.raises(hl.AmbiguousOrbitError, match="neither separate"):
-            hl.orbits._merge(kept, [(0, self.XS + 1e-7, 1e-6, 2e-6)])
+            hl.orbits._merge(kept, self._cols((0, self.XS + 1e-7, 1e-6, 2e-6)))
 
     def test_conjugates_are_told_apart_by_their_sums(self, monkeypatch):
         calls = self._counting(monkeypatch)
-        kept = [(0, self.XS, 1e-10, 1e-3)]
-        hl.orbits._merge(kept, [(0, np.conj(self.XS), 1e-10, 1e-3)])
-        assert len(kept) == 2 and calls == []
+        kept = hl.orbits._merge(self._cols((0, self.XS, 1e-10, 1e-3)),
+                                self._cols((0, np.conj(self.XS), 1e-10, 1e-3)))
+        assert len(kept[0]) == 2 and calls == []
 
     def test_mixed_fix12_compares_no_conjugate_pair_with_a_complex_sum(self, monkeypatch):
         # the 342 rows of mixed Fix_12 that are conjugate pairs share the real
@@ -619,12 +632,26 @@ def _euler_jacobi_ratio(terms) -> float:
         return float(abs(terms.sum()) / np.abs(terms).sum())
 
 
+def _power_terms(s, j: int) -> tuple[np.ndarray, np.ndarray]:
+    """(sum_i x_i^j) / det J_n for each orbit of Fix_n, J_n the dense length-n cyclic
+    Jacobian of the orbit repeated n/k times: the orbit's share of the sum of
+    x_0^j / det J over the zeros of the cyclic system, which are its k rotations.
+    Also which orbits' power sums vanish to their rounding, k eps sum_i |x_i|^j."""
+    sums = [(b.xs**j).sum(axis=1) for b in s.blocks]
+    dets = [np.linalg.det(hl.cyclic_jacobian(s.map, np.tile(b.xs, (1, s.n // b.period)))) for b in s.blocks]
+    tiny = [np.abs(p) <= b.period * np.finfo(float).eps * (np.abs(b.xs)**j).sum(axis=1)
+            for p, b in zip(sums, s.blocks)]
+    return (np.concatenate([np.zeros(0, complex)] + [p / det for p, det in zip(sums, dets)]),
+            np.concatenate([np.zeros(0, bool)] + tiny))
+
+
 class TestEulerJacobi:
     """The cyclic system has leading forms x_k^d, so it has d^n zeros and
     none at infinity; when all are simple, the Euler-Jacobi theorem gives
-    sum 1 / det J = 0 over them (Khovanskii 1978; Cattani & Dickenstein
-    2005, ch. 1).  That sum reads only the stored multipliers, and it
-    shares no code with the tracker, the merge or the certificate."""
+    sum g / det J = 0 over them for every polynomial g of degree < n (d - 1)
+    (Khovanskii 1978; Cattani & Dickenstein 2005, ch. 1).  With g = 1 that
+    sum reads only the stored multipliers.  Neither form shares code with
+    the tracker, the merge or the certificate."""
 
     #: largest |sum| / sum |term| measured: 2.5e-14, and 3.5e-11 just below
     #: the saddle-node, where two fixed points nearly meet
@@ -648,6 +675,37 @@ class TestEulerJacobi:
             for k in range(len(t)):
                 for wrong in (np.delete(t, k), np.append(t, t[k])):
                     assert _euler_jacobi_ratio(wrong) > 100 * bound, (n, k)
+
+    # g = x_0^j, 1 <= j <= 3 and j < n (d - 1), from the xs and the dense
+    # Jacobian: largest |sum| / sum |term| measured 2.5e-14 (sink) and 3.5e-11
+    # (near-saddle-node); dropping an orbit whose power sum is not at
+    # round-off raised it to at least 3.9e-7
+    @pytest.mark.parametrize("m, ns, bound", [
+        (hl.quadratic_map(-6.0, 0.3), (2, 4, 8, 10, 12), BOUND),
+        (MIXED, (2, 4, 8, 10, 12), BOUND),
+        (hl.quadratic_map(-1 + 0.2j, 0.3 - 0.4j), (2, 4, 8, 10), BOUND),
+        (hl.quadratic_map(-1.1, 0.2), (2, 4, 8, 10), BOUND),
+        (hl.HenonMap(coeffs=(0.3 + 0.2j, -1.5, 0.1j), a=0.4 - 0.3j), (1, 2, 4, 6), BOUND),
+        (hl.quadratic_map(0.5625 - 1e-6, 0.5), (2, 4, 6), NEAR_SADDLE_NODE_BOUND),
+    ], ids=["horseshoe", "mixed", "complex-a", "sink", "cubic", "near-saddle-node"])
+    def test_power_sums_vanish_on_complete_catalogues(self, m, ns, bound):
+        for n in ns:
+            s = hl.enumerate_fix(m, n)
+            assert s.complete
+            at_zero = np.concatenate([(b.xs == 0).all(axis=1) for b in s.blocks])
+            seen = np.zeros_like(at_zero)
+            for j in range(1, min(4, n * (m.degree - 1))):
+                t, tiny = _power_terms(s, j)
+                assert _euler_jacobi_ratio(t) <= bound, (n, j)
+                # only an orbit at 0 (the mixed map's sink) adds exactly 0
+                assert np.array_equal(t == 0, at_zero), (n, j)
+                # dropping an orbit breaks the identity unless its power sum is at
+                # round-off: the sink, and at j = 1, 2 three mixed Fix_12 orbits
+                # with sum x_i = 0, hence sum x_i^2 = (1 + a) sum x_i = 0
+                for k in np.flatnonzero(~tiny):
+                    assert _euler_jacobi_ratio(np.delete(t, k)) > 100 * bound, (n, j, k)
+                seen |= ~tiny
+            assert np.array_equal(seen, ~at_zero), n  # every other orbit counts for some j
 
     @pytest.mark.parametrize("family", [
         hl.FamilySpec(coeffs=(0j, 0.0), a=0.5, center=0j, radius=0.25, grid_size=5),
@@ -676,6 +734,34 @@ class TestEulerJacobi:
             assert not s.complete
             ratio = _euler_jacobi_ratio(_euler_jacobi_terms(s))
             assert not ratio <= 0.1, n
+
+
+class TestItineraries:
+    """For p = x^2 + c, c < -(5 + 2 sqrt 5)(1 + |a|)^2 / 4, each sign sequence s of
+    length n is the itinerary of exactly one point of Fix_n (Devaney & Nitecki 1979),
+    the fixed point of the contraction x_k <- s_k sqrt(x_{k+1} + a x_{k-1} - c)
+    (Sterling & Meiss 1998).  That shares no code with the tracker, the polish, the
+    certificate or the merge."""
+
+    C, A = -6.0, 0.3
+
+    def test_catalogue_rotations_are_the_itinerary_orbits(self):
+        assert self.C < -(5 + 2 * math.sqrt(5)) * (1 + abs(self.A)) ** 2 / 4
+        m = hl.quadratic_map(self.C, self.A)
+        for n in range(1, 13):
+            # row r has s_i = -1 where bit i of r is set
+            signs = 1 - 2 * ((np.arange(2**n)[:, None] >> np.arange(n)) & 1)
+            X = signs * math.sqrt(-self.C)
+            for _ in range(200):
+                X = signs * np.sqrt(np.roll(X, -1, axis=1) + self.A * np.roll(X, 1, axis=1) - self.C)
+            rows = []
+            for o in hl.enumerate_fix(m, n).orbits:
+                tiled = np.tile(o.xs, n // o.n)
+                for r in range(o.n):
+                    rot = np.roll(tiled, -r)
+                    rows.append(int(((rot.real < 0) << np.arange(n)).sum()))
+                    assert np.abs(rot - X[rows[-1]]).max() <= o.certificate_radius, (n, rows[-1])
+            assert sorted(rows) == list(range(2**n)), n
 
 
 def dense_band_solve(diag, sub, sup, F, layout=None):
@@ -738,8 +824,8 @@ def per_length_catalogue(maps, ks, rng_seed, budget=math.inf):
     for k in ks:
         starts = np.exp(2j * np.pi / d * np.array(orb._lyndon_words(d, k)))
         need = len(starts)
-        kept = [[] for _ in maps]
-        todo, failed = np.arange(len(maps)), []
+        kept = [orb._no_rows(k) for _ in maps]
+        todo, failed = np.arange(len(maps)), orb._no_rows(k)[:2]
         for attempt in range(orb._ATTEMPTS):
             if paths + need * todo.size > budget:
                 break
@@ -749,24 +835,22 @@ def per_length_catalogue(maps, ks, rng_seed, budget=math.inf):
             X = orb._track(orb._MapRows.stack(maps, owner), np.tile(starts, (todo.size, 1)), gamma,
                            np.full(owner.size, k))
             ends, failed = orb._track_and_check(maps, owner, X, np.full(owner.size, k))
-            new = {}
-            for end in ends:
-                new.setdefault(end[0], []).append(end)
-            for i, found in new.items():
-                orb._merge(kept[i], found)
-            todo = todo[np.array([len(kept[i]) for i in todo]) < need]
+            ends, failed = ends.get(k, orb._no_rows(k)), failed.get(k, orb._no_rows(k)[:2])
+            for i in np.unique(ends[0]):
+                kept[i] = orb._merge(kept[i], tuple(c[ends[0] == i] for c in ends))
+            todo = todo[np.array([len(kept[i][0]) for i in todo]) < need]
             if todo.size == 0:
                 break
         complete[todo] = False
-        for i, x in failed:
+        for i, x in zip(*failed):
             if i in todo:
                 unresolved[i].append(x)
-        sizes = [len(o) for o in kept]
+        sizes = [len(o[0]) for o in kept]
         owner = np.repeat(np.arange(len(maps)), sizes)
-        X = np.array([e[1] for o in kept for e in o], dtype=complex).reshape(-1, k)
+        X = np.concatenate([o[1] for o in kept])
         order = orb._lex_order(X)
         order = order[np.argsort(owner[order], kind="stable")]
-        radii = np.array([e[2] for o in kept for e in o])[order]
+        radii = np.concatenate([o[2] for o in kept])[order]
         rows = list(orb._classify_rows(orb._MapRows.stack(maps, owner), X[order], [True] * len(X),
                                        radii))
         for i, end in enumerate(np.cumsum(sizes)):
@@ -979,17 +1063,18 @@ class TestRaggedTrack:
         rows, X, gamma, width, owner = _ragged_batch(maps, [1, 2, 3, 4, 5, 6])
         X = orb._track(rows, X, gamma, width)
         ends, failed = orb._track_and_check(maps, owner, X, width)
-        ref_ends, ref_failed = [], []
+        ref_ends, ref_failed = {}, {}
         for w in range(6, 0, -1):
             sel = np.flatnonzero(width == w)
             e, f = orb._track_and_check(maps, owner[sel], X[sel, :w], width[sel])
-            ref_ends += e
-            ref_failed += f
-        assert {len(e[1]) for e in ends} == set(range(1, 7))
-        assert {len(x) for _, x in failed} == set(range(2, 7))  # the repeated words
+            ref_ends.update(e)
+            ref_failed.update(f)
+        assert {xs.shape[1] for _, xs, _, _ in ends.values()} == set(ends) == set(range(1, 7))
+        # the repeated words fail
+        assert {xs.shape[1] for _, xs in failed.values()} == set(failed) == set(range(2, 7))
 
-        def bits(items):
-            return [(int(i), *(np.asarray(v).tobytes() for v in rest)) for i, *rest in items]
+        def bits(cols):
+            return [(w, *(c.dtype.str + c.tobytes().hex() for c in cols[w])) for w in cols]
 
         assert bits(ends) == bits(ref_ends) and bits(failed) == bits(ref_failed)
 

@@ -16,6 +16,10 @@ writes, at rng_seed 1729, the spectrum JSON of
   n = 1..4, p = x^2 - 1.6875, a = 0.5 (a period doubling) at n = 2, 4
   and 6, p = x^2, a = 1 at n = 4, and p = x^2 + 0.5625 - 1e-6, a = 0.5
   at n = 1..6,
+- the two maps whose catalogues a retrack completes, so that ``_merge``
+  drops duplicate orbits: the cubic p = x^3 + 0.1j x^2 + (-1.5+0.08j) x
+  + 0.3+0.2j, a = 0.4-0.3j, at n = 6, and p = x^2 - 0.6+0.5j,
+  a = 0.3-0.4j, at n = 8,
 
 the scan CSV of the 11x11 horseshoe and sink families, the 5x5 sink
 family and a 5x5 family sweeping the cubic's x coefficient at n = 6, of
@@ -32,7 +36,7 @@ and writes a spectrum (``classify-mixed-fix12.json``).  For horseshoe
 and mixed Fix_8 and cubic Fix_5 it also writes one ``verify-*.txt`` file
 through ``henonlab.verify``: the ``repr`` of every orbit coordinate
 re-polished at dps 60, with all its 60 digits, and of ``green_plus_hp``
-and ``green_minus_hp`` at each point.  That is 79 files in all.  It
+and ``green_minus_hp`` at each point.  That is 81 files in all.  It
 imports henonlab from the ``src/``
 beside this script, so two checkouts compare with
 
@@ -244,6 +248,10 @@ MAPS = {
     "doubling": (hl.quadratic_map(-1.6875, 0.5), (2, 4, 6)),
     "conservative": (hl.quadratic_map(0.0, 1.0), (4,)),
     "near-saddle-node": (hl.quadratic_map(0.5625 - 1e-6, 0.5), range(1, 7)),
+    # a retrack completes these: attempt 0 of the cubic ends a path on an
+    # orbit already found, and one endpoint of the quadratic fails its checks
+    "rescue-cubic": (hl.HenonMap(coeffs=(0.3 + 0.2j, -1.5 + 0.08j, 0.1j), a=0.4 - 0.3j), (6,)),
+    "rescue-quadratic": (hl.HenonMap(coeffs=(-0.6 + 0.5j, 0j), a=0.3 - 0.4j), (8,)),
 }
 
 #: name -> the n of the spectra that ``lyapunov`` and ``measure`` read
