@@ -21,7 +21,6 @@ from .orbits import (
     rotation_distance,
     spectrum_from_file,
     spectrum_to_json,
-    vector_period,
 )
 from .measures import EmpiricalMeasure, discrepancy, empirical_measure, moments
 from .exponents import LyapunovEstimate, UnstableDirection, lambda_estimate, psi, unstable_direction
@@ -82,7 +81,6 @@ __all__ = [
     "stencil_defect",
     "stencil_noise_floor",
     "unstable_direction",
-    "vector_period",
 ]
 
-__version__ = "0.8.0"
+__version__ = "0.9.0"

@@ -75,8 +75,9 @@ def unstable_direction(m: HenonMap, orbit: PeriodicOrbit, index: int = 0) -> Uns
     """
     if orbit.kind != "saddle":
         raise ValueError(f"unstable direction requires a saddle orbit, got {orbit.kind!r}")
+    X = _one_row(orbit.xs)
     index %= orbit.n
-    V, _ = _unstable_rows(m, _one_row(orbit.xs), index)
+    V, _ = _unstable_rows(m, X, index)
     return UnstableDirection(base=orbit.points[index], dir=V[0])
 
 

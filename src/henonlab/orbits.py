@@ -21,7 +21,8 @@ rows of one batch may run at different widths for different maps, so a
 parameter scan tracks every grid cell and every length at once.  The
 endpoints of every length then take one Newton polish and one check, each
 row at its own width.  Its certificate radius and uniqueness reach alone
-decide exact period (``_track_and_check``) and orbit identity (``_merge``).
+decide whether an endpoint is an orbit and of which exact period
+(``_track_and_check``), and orbit identity (``_merge``).
 The canonical rotation comes from the first coordinates, with rotation
 tables only where they tie; the classified orbits of a length are one
 OrbitBlock.
@@ -329,8 +330,8 @@ def _band_solve(diag: np.ndarray, sub, sup, F: np.ndarray, layout=None) -> tuple
     return dense(fallback, S) if fallback.any() else (S, bad)
 
 
-def _newton(m, X: np.ndarray, prec: int = 53, steps: int = 60, width=None) -> tuple[np.ndarray, np.ndarray]:
-    """Newton's method on cyclic orbit vectors, the rows of X (B, n): (X, converged).
+def _newton(m, X: np.ndarray, prec: int = 53, steps: int = 60, width=None) -> np.ndarray:
+    """Newton's method on cyclic orbit vectors, the rows of X (B, n): the polished X.
 
     ``m`` is one map or a ``_MapRows`` batch with a map per row.  X holds
     complex numbers, or mpmath numbers in an object array, for which the
@@ -340,13 +341,13 @@ def _newton(m, X: np.ndarray, prec: int = 53, steps: int = 60, width=None) -> tu
     ds = max |s_k| is at most tol, or whose next one quadratic convergence
     predicts at most tol (ds^3 <= tol prev^2, prev the correction before;
     Deuflhard 2004, Newton Methods for Nonlinear Problems, section 2.1),
-    takes its full step and has converged.  Every other row halves its
-    step up to 3 times until the residual sup-norm falls; a row that no
-    halving improves stays where it is, at its round-off floor, and has
-    converged too, for the caller's checks to judge.  A row dies when its
-    solve is singular (on mpmath numbers: ZeroDivisionError) or it leaves
-    twice the filtration radius; one still running after ``steps`` steps
-    has not converged.
+    takes its full step and stops.  Every other row halves its step up to
+    3 times until the residual sup-norm falls; a row that no halving
+    improves stays where it is, at its round-off floor.  A row also stops
+    when its solve is singular (on mpmath numbers: ZeroDivisionError), when
+    it leaves twice the filtration radius, or after ``steps`` steps.  These
+    rules only stop rows; whether a row is an orbit is the caller's to
+    judge (``certify``).
     ``width`` (all n by default) gives each row its own system size, as
     in ``_track``; residuals count as 0 in the inert columns.
     """
@@ -364,7 +365,6 @@ def _newton(m, X: np.ndarray, prec: int = 53, steps: int = 60, width=None) -> tu
     F = residual(m, X, np.arange(B))
     rn = np.abs(F).max(axis=1)
     prev = np.zeros(B, dtype=rn.dtype)  # no prediction from the first step
-    converged = np.zeros(B, dtype=bool)
     run = np.arange(B)
     with np.errstate(over="ignore", invalid="ignore"):
         for _ in range(steps):
@@ -399,10 +399,8 @@ def _newton(m, X: np.ndarray, prec: int = 53, steps: int = 60, width=None) -> tu
                 F[run[ok]], rn[run[ok]], prev[run[ok]] = Fd[~worse], rd[~worse], ds[ok]
             move = done | better
             X[run[move]] = new[move]
-            out = move & (reach > safety[run])
-            converged[run[~bad & ~better & ~out]] = True  # a full step, or none that improves
-            run = run[better & ~out]
-    return X, converged
+            run = run[better & ~(reach > safety[run])]  # a row past 2R stops
+    return X
 
 
 # -- certification (a posteriori Newton-Kantorovich test) ----------------------
@@ -504,9 +502,8 @@ def _real_rows(maps: list[HenonMap], owner: np.ndarray, X: np.ndarray, radius: n
 
 @dataclass
 class PeriodicOrbit:
-    """A certified period-n orbit with multipliers and classification."""
+    """A certified period-n orbit with multipliers and classification; n is len(xs)."""
 
-    n: int
     xs: np.ndarray
     lambda_s: complex
     lambda_u: complex
@@ -515,6 +512,10 @@ class PeriodicOrbit:
     residual: float
     certified: bool
     certificate_radius: float
+
+    @property
+    def n(self) -> int:
+        return len(self.xs)
 
     @property
     def points(self) -> list[tuple[complex, complex]]:
@@ -556,7 +557,7 @@ class OrbitBlock:
 
     def __iter__(self):
         cols = (getattr(self, f.name).tolist() for f in fields(self)[1:])
-        return (PeriodicOrbit(self.period, x, ls, lu, chi, _KINDS[c], r, ok, rho)
+        return (PeriodicOrbit(x, ls, lu, chi, _KINDS[c], r, ok, rho)
                 for x, ls, lu, chi, c, r, ok, rho in zip(self.xs, *cols))
 
 
@@ -707,12 +708,6 @@ def canonical_rotation(xs: np.ndarray) -> np.ndarray:
     """Rotation minimizing the (re, im) lexicographic key as ``_lex_order``
     compares it, ties to the smallest shift."""
     return _rotation_rows(_one_row(xs))[0][0]
-
-
-def vector_period(xs: np.ndarray, tol: float) -> int:
-    """Minimal p | n with sup_k |x_{k+p} - x_k| < tol."""
-    gaps = _rotation_rows(X := _one_row(xs))[1][0]
-    return next((p for p, gap in zip(_divisors(X.shape[1]), gaps) if gap < tol), X.shape[1])
 
 
 # -- spectrum container --------------------------------------------------------
@@ -883,12 +878,14 @@ def _track_and_check(maps: list[HenonMap], owner: np.ndarray, X: np.ndarray,
 
     Row i belongs to ``maps[owner[i]]`` and fills its first width[i]
     columns, widest rows first, as ``_track`` takes them.  One ``_newton``
-    polishes every row at its width, wherever its path stopped, and these
-    checks alone judge it: its residual over its own columns is at most
-    1e-10, ``certify`` accepts its canonical rotation with a radius rho,
-    and every proper-divisor shift p moves it by a gap of more than 2 rho.
-    Its zero, shifted by p, is then a zero at least gap - 2 rho > 0 away:
-    another zero, so the orbit has exact period width[i].  Rotations and certificates run once per width.  A row that
+    polishes every row at its width, wherever its path stopped or Newton
+    stopped it, and the certificate alone judges it: ``certify`` accepts
+    its canonical rotation with a radius rho, and every proper-divisor
+    shift p moves it by a gap of more than 2 rho.  Its zero, shifted by p,
+    is then a zero at least gap - 2 rho > 0 away: another zero, so the
+    orbit has exact period width[i].  No residual scale takes part, so a
+    map with large coefficients keeps the orbits its certificates prove.
+    Rotations and certificates run once per width.  A row that
     ``_real_rows`` proves real is stored as its real part, with imaginary
     parts +0.0, so later layers see exact zeros; Re x lies max |Im x| from
     x, so its reach shrinks by that much.  Returns (ends, failed), each a
@@ -897,15 +894,14 @@ def _track_and_check(maps: list[HenonMap], owner: np.ndarray, X: np.ndarray,
     """
     B, n = X.shape
     rows = _MapRows.stack(maps, owner)
-    X, ok = _newton(rows, X, width=width)
-    ok &= np.abs(_ragged_rows(width, n)[1](rows, X, np.arange(B))).max(axis=1) <= 1e-10
+    X = _newton(rows, X, width=width)
 
     def runs(sel):
         """The rows ``sel`` (ascending) by width: (rows, w) for each run of one width."""
         return [(sel[a:b], w) for a, b, w in (_ragged_layout(width[sel], n)[0] if sel.size else [])]
 
-    W, radii, reach = np.zeros_like(X), np.zeros(B), np.zeros(B)
-    for r, w in runs(np.flatnonzero(ok)):
+    W, radii, reach, ok = np.zeros_like(X), np.zeros(B), np.zeros(B), np.zeros(B, dtype=bool)
+    for r, w in runs(np.arange(B)):
         W[r, :w], gaps = _rotation_rows(X[r, :w])
         ok[r], radii[r], reach[r] = _certify_rows(rows.take(r), W[r, :w])
         ok[r] &= (gaps > 2 * radii[r, None]).all(axis=1)  # exact period w

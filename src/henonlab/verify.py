@@ -64,7 +64,7 @@ def refine_orbit_hp(m: HenonMap, xs: np.ndarray, dps: int = 60, steps: int = 6) 
         raise ValueError(f"non-finite orbit vector {xs!r}")
     with _workdps(dps):
         z = np.array([[mp.mpc(v) for v in xs]], dtype=object)
-        return list(_newton(m, z, mp.mp.prec, steps)[0][0])
+        return list(_newton(m, z, mp.mp.prec, steps)[0])
 
 
 def green_plus_hp(m: HenonMap, pt, max_iter: int = 100, dps: int = 60) -> float:

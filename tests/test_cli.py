@@ -441,6 +441,13 @@ class TestScan:
                    "--out", str(tmp_path / "x.csv")])
         assert rc == 1
 
+    def test_zero_period_is_usage_error(self, tmp_path):
+        fam = tmp_path / "fam.json"
+        fam.write_text(json.dumps(FAMILY_SPEC))
+        out = tmp_path / "x.csv"
+        assert main(["scan", "--family", str(fam), "--n", "0", "--out", str(out)]) == 1
+        assert not out.exists()
+
 
     @pytest.mark.parametrize("change, rc", [
         ({"radius": math.nan}, 1),

@@ -1,6 +1,7 @@
 """Unstable directions, the expansion cocycle, and finite-n Lyapunov
 averages with their built-in cross-check."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -61,6 +62,27 @@ class TestUnstableDirection:
     def test_rejects_non_saddle(self):
         with pytest.raises(ValueError):
             hl.unstable_direction(MIXED, _sink())
+
+    @pytest.mark.parametrize("v", [[0.0, 0.0], [math.nan, 1.0], [math.inf, 0.0]],
+                             ids=["zero", "nan", "inf"])
+    def test_direction_must_be_nonzero_and_finite(self, v):
+        with pytest.raises(ValueError, match="nonzero finite"):
+            hl.UnstableDirection(base=(1.5, 1.5), dir=np.array(v, dtype=complex))
+
+    def test_scalar_monodromy_has_no_unstable_direction(self):
+        # at xs = (0, 0) both p' vanish and the monodromy is -a I
+        with pytest.raises(ValueError, match="defective monodromy"):
+            hl.unstable_direction(MIXED, dataclasses.replace(_saddle(), xs=np.zeros(2, dtype=complex)))
+
+    def test_period_is_the_length_of_xs(self, horseshoe_spectra):
+        # a record carrying two of the three points of a Fix_3 orbit: n, the
+        # points and the direction all read the two points it holds
+        s = horseshoe_spectra[3]
+        o = next(o for o in s.orbits if o.n == 3)
+        cut = dataclasses.replace(o, xs=o.xs[:2])
+        assert cut.n == len(cut.points) == 2
+        u = hl.unstable_direction(s.map, cut, 1)
+        assert u.base == cut.points[1] and np.isclose(np.linalg.norm(u.dir), 1.0)
 
 
 class TestPsi:

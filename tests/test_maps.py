@@ -89,6 +89,10 @@ class TestEvaluate:
         with pytest.raises(hl.EscapeOverflow):
             self.m.evaluate((1e200, 0))
 
+    def test_inverse_overflow_raises_escape(self):
+        with pytest.raises(hl.EscapeOverflow):
+            self.m.inverse((0, 1e200))
+
 
 class TestJacobian:
     m = hl.quadratic_map(0.0, 0.5)

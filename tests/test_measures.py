@@ -57,11 +57,19 @@ class TestEmpiricalMeasure:
         with pytest.raises(ValueError):
             hl.EmpiricalMeasure(np.array([[0, 0]], dtype=complex), np.array([-1.0]))
 
+    def test_one_weight_per_point(self):
+        with pytest.raises(ValueError, match="length mismatch"):
+            hl.EmpiricalMeasure(np.zeros((2, 2), dtype=complex), np.array([0.5]))
+
 
 class TestDiscrepancy:
     def test_self_distance_zero(self, horseshoe_spectra):
         mu = hl.empirical_measure(horseshoe_spectra[5], "fix")
         assert hl.discrepancy(mu, mu, 0.25) == 0.0
+
+    def test_empty_measures_agree(self):
+        empty = hl.EmpiricalMeasure(np.zeros((0, 2), dtype=complex), np.zeros(0))
+        assert hl.discrepancy(empty, empty) == 0.0
 
     def test_disjoint_atoms(self):
         m1 = _atom(0.0, 0.0, 0.3)

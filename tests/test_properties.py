@@ -199,15 +199,6 @@ def test_canonical_rotation_is_rotation_invariant(v, r):
     assert np.array_equal(a, b)
 
 
-@settings(max_examples=30, deadline=None)
-@given(cvec, st.integers(1, 4))
-def test_vector_period_of_tiled_vector_divides_base(v, reps):
-    tiled = np.tile(v, reps)
-    p = hl.vector_period(tiled, 1e-9)
-    assert len(tiled) % p == 0
-    assert p <= len(v)
-
-
 @settings(max_examples=20, deadline=None)
 @given(st.floats(-8, 8), st.floats(-8, 8),
        st.floats(0.05, 2.0), st.floats(-3.14, 3.14))

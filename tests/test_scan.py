@@ -1,5 +1,6 @@
 """Parameter-disk scans and the discrete harmonicity defect."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -63,6 +64,13 @@ class TestFamilySpec:
 
     def test_spec_roundtrip(self):
         assert hl.FamilySpec.from_spec(SMALL.to_spec()) == SMALL
+
+    @pytest.mark.parametrize("drop", ["p", "a", "center", "radius", "grid_size"])
+    def test_malformed_spec(self, drop):
+        spec = SMALL.to_spec()
+        del spec[drop]
+        with pytest.raises(ValueError, match="malformed family spec"):
+            hl.FamilySpec.from_spec(spec)
 
     def test_map_at_substitutes_slot(self):
         m = SMALL.map_at(0.25 + 0.5j)
@@ -152,6 +160,10 @@ class TestScan:
     def test_noise_floor_positive(self, small_scan):
         assert hl.lyapunov_noise_floor(small_scan) > 0.0
         assert np.isfinite(hl.max_interior_defect(small_scan))
+
+    def test_no_finite_defect_reads_nan(self, small_scan):
+        fld = dataclasses.replace(small_scan, defect=np.full_like(small_scan.defect, math.nan))
+        assert math.isnan(hl.max_interior_defect(fld))
 
 
 def _check_cells_against_enumeration(family, fld, cells):
